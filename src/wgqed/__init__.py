@@ -28,6 +28,6 @@ from .analytics import (PerturbativeSteadyState, analytic_g2_zero,
                         rabi_power_curve)
 from .scalability import (ScalabilityConfig, YieldResult, min_feasible_spread,
                           poisson_weights, probability_per_chip,
-                          probability_per_waveguide, sample_waveguide)
+                          probability_per_waveguide)
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ from . import presets
 from .errors import ConfigError
 from .instrument import DetectorModel, NoiseAveragingPlan
 from .model import DriveConfig, EmitterParams, PulseSpec, WaveguideSystem
+from .scalability import ScalabilityConfig
 from .units import ghz_to_angular
 
 EXPERIMENTS = (
@@ -277,11 +278,55 @@ _DEFAULT_DRIVES = {
 }
 
 
+def scalability_config(cfg, **overrides):
+    """The ScalabilityConfig of a resolved config's scalability section."""
+    s = cfg.scalability
+    base = dict(mu_qd=s.get("mu_qd", 35.0),
+                sigma_qd=s.get("sigma_qd_nm", 15.0),
+                delta_lambda=s.get("delta_lambda_nm", 0.15),
+                n_reg=s.get("n_reg", 3), n_set=s.get("n_set", 3),
+                n_wg=s.get("n_wg", 100), runs=s.get("runs", 200_000),
+                seed=cfg.seed, mode="consecutive")
+    base.update(overrides)
+    return ScalabilityConfig(**base)
+
+
+def _check_scalability(cfg):
+    """Build the yield configs the experiment builds, so that their rules
+    fail at resolution."""
+    scalability_config(cfg)
+    if cfg.experiment != "scalability-heatmap":
+        return
+    if cfg.scalability.get("mode", "consecutive") == "both":
+        raise ConfigError("scalability-heatmap runs one mode at a time")
+    sigma = cfg.scalability.get("sigma_qd_nm", 15.0)
+    for mu in expand_range(cfg.grid.get("mu_qd"), [1.0]):
+        scalability_config(cfg, mu_qd=float(mu))
+    for rel in expand_range(cfg.grid.get("delta_over_sigma"), [0.0]):
+        scalability_config(cfg, delta_lambda=float(rel) * sigma)
+
+
 def resolve_config(data):
-    """Validate a raw dict and construct the physics objects."""
+    """Validate a raw dict and construct the physics objects.
+
+    The physics constructors own their rules and raise ValueError; such a
+    failure is reported as a ConfigError, like a schema violation.
+    """
     errors = validate_config(data)
     if errors:
         raise ConfigError("config failed schema validation", details=errors)
+    try:
+        cfg = _resolve(data)
+        if cfg.experiment.startswith("scalability"):
+            _check_scalability(cfg)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg
+
+
+def _resolve(data):
     experiment = data["experiment"]
     system = _build_system(data.get("system"))
 

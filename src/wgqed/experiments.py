@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, presets
-from .config import expand_range
+from .config import expand_range, scalability_config
 from .dynamics import (CorrelationMap, PulsedG2Result, g2_cw,
                        integrated_pulsed_g2, propagate, pulsed_g2_map)
 from .errors import ConfigError
@@ -24,7 +24,7 @@ from .instrument import (DetectorModel, jitter_convolve,
 from .model import DriveConfig
 from .observables import (directionality, intensity_record,
                           transmission_coherent, transmission_saturated)
-from .scalability import ScalabilityConfig, probability_per_waveguide
+from .scalability import probability_per_waveguide
 from .units import angular_to_ghz, ghz_to_angular
 
 
@@ -197,6 +197,9 @@ def run_transmission_saturation(cfg, threads=1):
     if not np.all(fracs > 0):
         raise ConfigError("rabi_over_gamma grid must be > 0")
     e1 = cfg.system.emitters[0]
+    if e1.gamma_wg == 0:
+        raise ConfigError("transmission-saturation sets the power through "
+                          "emitter 1's waveguide coupling: it needs beta > 0")
     powers = [(e1.gamma_total * f) ** 2 / (2.0 * e1.gamma_wg) for f in fracs]
     points = transmission_saturated(cfg.system, powers)
     rows = [(f, p.power, p.transmission_coherent, p.transmission_flux)
@@ -487,31 +490,19 @@ def run_g2_map(cfg, threads=1):
         meta)
 
 
-def _scalability_config(cfg, **overrides):
-    s = cfg.scalability
-    base = dict(mu_qd=s.get("mu_qd", 35.0),
-                sigma_qd=s.get("sigma_qd_nm", 15.0),
-                delta_lambda=s.get("delta_lambda_nm", 0.15),
-                n_reg=s.get("n_reg", 3), n_set=s.get("n_set", 3),
-                n_wg=s.get("n_wg", 100), runs=s.get("runs", 200_000),
-                seed=cfg.seed, mode="consecutive")
-    base.update(overrides)
-    return ScalabilityConfig(**base)
-
-
 def run_scalability(cfg, threads=1):
     mode = cfg.scalability.get("mode", "both")
     modes = ["consecutive", "window_distinct"] if mode == "both" else [mode]
     rows = []
     for m in modes:
-        sc = _scalability_config(cfg, mode=m)
+        sc = scalability_config(cfg, mode=m)
         res = probability_per_waveguide(sc)
         rows.append((m, sc.n_set, sc.n_reg, sc.mu_qd, sc.delta_lambda,
                      sc.n_wg, res.p_per_waveguide, res.standard_error,
                      res.p_per_chip, res.truncation_n_max,
                      res.truncated_mass))
     meta = _base_metadata(
-        cfg, runs=_scalability_config(cfg).runs,
+        cfg, runs=scalability_config(cfg).runs,
         note="consecutive reproduces the published sampling rule; "
              "window_distinct is the exact feasibility criterion and "
              "dominates it")
@@ -531,13 +522,11 @@ def run_scalability_heatmap(cfg, threads=1):
                         {"start": 1e-3, "stop": 1.0, "points": 13,
                          "log": True})
     mode = cfg.scalability.get("mode", "consecutive")
-    if mode == "both":
-        raise ConfigError("scalability-heatmap runs one mode at a time")
     runs = cfg.scalability.get("runs", 20_000)
 
     def point(pair):
         mu, rel = pair
-        sc = _scalability_config(
+        sc = scalability_config(
             cfg, mu_qd=float(mu), mode=mode, runs=runs,
             delta_lambda=float(rel) * cfg.scalability.get("sigma_qd_nm", 15.0))
         res = probability_per_waveguide(sc)

@@ -323,7 +323,6 @@ class LindbladGenerator:
                 sm = hilbert.lowering_operator(n, m)
                 sk = hilbert.lowering_operator(n, k)
                 h0 += j_mk * (sm.conj().T @ sk + sk.conj().T @ sm)
-        self.hamiltonian_static = h0
 
         jumps = [field_operator(system, "L"), field_operator(system, "R")]
         for m in range(1, n + 1):
@@ -333,7 +332,6 @@ class LindbladGenerator:
                 jumps.append(np.sqrt(resid) * hilbert.lowering_operator(n, m))
             if em.dephasing > 0:
                 jumps.append(np.sqrt(em.dephasing / 2.0) * hilbert.pauli_z(n, m))
-        self.jump_operators = jumps
 
         eye = np.eye(self.dim)
         l0 = -1j * (_spre_spost(h0, eye) - _spre_spost(eye, h0))
@@ -360,19 +358,6 @@ class LindbladGenerator:
     def is_time_dependent(self):
         return (not self.drive.is_cw) and any(
             d is not None for d in self._drive_ops)
-
-    def hamiltonian(self, t=0.0):
-        n = self.system.n
-        h = self.hamiltonian_static.copy()
-        rabi = self.drive.rabi_at(t)
-        for m in range(1, n + 1):
-            if rabi[m - 1] == 0:
-                continue
-            th = self.drive.drive_phase[m - 1]
-            sm = hilbert.lowering_operator(n, m)
-            h += 0.5 * rabi[m - 1] * (np.exp(1j * th) * sm.conj().T
-                                      + np.exp(-1j * th) * sm)
-        return h
 
     def superoperator(self, t=0.0):
         l = self.static_superoperator

@@ -18,6 +18,17 @@ Two feasibility rules are implemented:
   consecutive triple but the window 1..4 works.  It dominates the
   consecutive rule by construction.
 
+Both rules reduce to one number per sample, its *minimal feasible
+spread* (``inf`` when no feasible set exists); a sample succeeds when that
+spread fits inside δλ.  ``_min_spreads`` computes it for a batch of sorted
+rows at once.  For ``consecutive`` it ORs n_set shifted slices of the
+region bitmasks ``1 << region`` (hence n_reg ≤ 64); a window is distinct
+when its popcount equals n_set.  For ``window_distinct`` it scans the end
+index j keeping the last index seen for each region: the shortest
+feasible window ending at j starts at the n_set-th largest of those
+indexes, at O(n·n_reg) cost per row.  ``min_feasible_spread`` runs the
+same kernel on a single sample.
+
 Sampling is deterministic and parallelism-independent: samples are
 partitioned into fixed-size chunks with counter-based Philox streams keyed
 by (seed, n_qd, chunk index), and reductions are integer sums.
@@ -96,11 +107,34 @@ def poisson_weights(mu, mass_target=0.9995):
     return out
 
 
-def sample_waveguide(n_qd, config, rng):
-    """Draw one waveguide realization: regions (1-based) and wavelengths."""
-    regions = rng.integers(1, config.n_reg + 1, size=n_qd)
-    wavelengths = rng.standard_normal(n_qd) * config.sigma_qd
-    return regions, wavelengths
+def _min_spreads(lam, regions, n_set, mode):
+    """Minimal feasible spread of each row; inf when no feasible set exists.
+
+    ``lam`` (m, n) holds sorted wavelengths and ``regions`` (m, n) integer
+    region labels in [0, 64) in the same order.
+    """
+    m, n = lam.shape
+    if n < n_set:
+        return np.full(m, np.inf)
+    if mode == "consecutive":
+        bits = np.uint64(1) << regions.astype(np.uint64)
+        width = n - n_set + 1
+        seen = bits[:, :width].copy()
+        for k in range(1, n_set):
+            seen |= bits[:, k:k + width]
+        spread = lam[:, n_set - 1:] - lam[:, :width]
+        spread[np.bitwise_count(seen) != n_set] = np.inf
+        return spread.min(axis=1)
+    rows = np.arange(m)
+    n_reg = int(regions.max()) + 1
+    last = np.full((m, max(n_reg, n_set)), -1)
+    best = np.full(m, np.inf)
+    for j in range(n):
+        last[rows, regions[:, j]] = j
+        start = np.partition(last, -n_set, axis=1)[:, -n_set]
+        spread = np.where(start >= 0, lam[:, j] - lam[rows, start], np.inf)
+        np.minimum(best, spread, out=best)
+    return best
 
 
 def min_feasible_spread(wavelengths, regions, n_set, mode="consecutive"):
@@ -109,132 +143,54 @@ def min_feasible_spread(wavelengths, regions, n_set, mode="consecutive"):
     ``consecutive``: minimal spread over runs of n_set consecutive sorted
     wavelengths with pairwise distinct regions.  ``window_distinct``:
     minimal window containing >= n_set distinct regions.  The latter never
-    exceeds the former.
+    exceeds the former.  Regions may be any hashable labels, at most 64
+    distinct ones.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if n_set < 1:
+        raise ValueError("n_set must be >= 1")
     wavelengths = np.asarray(wavelengths, dtype=float)
     regions = np.asarray(regions)
-    if wavelengths.shape != regions.shape:
+    if wavelengths.shape != regions.shape or wavelengths.ndim != 1:
         raise ValueError("wavelengths and regions must have equal length")
-    n = len(wavelengths)
-    if n < n_set or len(set(regions.tolist())) < n_set:
-        return np.inf
-    if n_set == 1:
-        return 0.0
     order = np.argsort(wavelengths, kind="stable")
-    lam = wavelengths[order]
-    reg = regions[order]
-    best = np.inf
-    if mode == "consecutive":
-        for k in range(n - n_set + 1):
-            win = reg[k:k + n_set]
-            if len(set(win.tolist())) == n_set:
-                best = min(best, lam[k + n_set - 1] - lam[k])
-        return best
-    counts = {}
-    lo = 0
-    for hi in range(n):
-        counts[reg[hi]] = counts.get(reg[hi], 0) + 1
-        while len(counts) >= n_set:
-            best = min(best, lam[hi] - lam[lo])
-            counts[reg[lo]] -= 1
-            if counts[reg[lo]] == 0:
-                del counts[reg[lo]]
-            lo += 1
-    return best
+    labels, codes = np.unique(regions[order], return_inverse=True)
+    if len(labels) > 64:
+        raise ValueError("more than 64 distinct regions not supported")
+    return float(_min_spreads(wavelengths[order][None, :],
+                              codes.reshape(1, -1), n_set, mode)[0])
 
 
-def _sparse_or_table(bits):
-    """OR over windows of length 2^p: tables[p][:, k] = OR(bits[k : k+2^p])."""
-    tables = [bits]
-    length = 1
-    while 2 * length <= bits.shape[1]:
-        prev = tables[-1]
-        tables.append(prev[:, :bits.shape[1] - 2 * length + 1]
-                      | prev[:, length:bits.shape[1] - length + 1])
-        length *= 2
-    return tables
+def _draw(n_qd, config, chunk_index, m):
+    """Draw chunk ``chunk_index`` of m waveguides with n_qd emitters each.
 
-
-def _window_or(tables, start, length):
-    """OR over [start, start+length) with overlap-safe doubling lookups."""
-    p = int(length).bit_length() - 1
-    half = 1 << p
-    t = tables[p]
-    return t[:, start] | t[:, start + length - half]
-
-
-def _successes_consecutive(lam, reg_bits, n_set, dl):
-    m, n = lam.shape
-    tables = _sparse_or_table(reg_bits)
-    ok = np.zeros(m, dtype=bool)
-    for k in range(n - n_set + 1):
-        distinct = np.bitwise_count(
-            _window_or(tables, k, n_set)) == n_set
-        ok |= distinct & (lam[:, k + n_set - 1] - lam[:, k] <= dl)
-    return ok
-
-
-def _successes_window(lam, reg_bits, n_set, dl):
-    m, n = lam.shape
-    tables = _sparse_or_table(reg_bits)
-    rows = np.arange(m)
-    ok = np.zeros(m, dtype=bool)
-    for i in range(n - n_set + 1):
-        hi = np.sum(lam <= (lam[:, i] + dl)[:, None], axis=1)  # window end
-        length = hi - i
-        valid = length >= n_set
-        if not np.any(valid):
-            continue
-        ln = np.where(valid, length, n_set)
-        p = np.frexp(ln.astype(float))[1] - 1   # floor(log2(ln)) per row
-        half = (1 << p).astype(np.int64)
-        t_stack = tables
-        or_lo = np.empty(m, dtype=reg_bits.dtype)
-        or_hi = np.empty(m, dtype=reg_bits.dtype)
-        for pp in np.unique(p[valid]):
-            sel = valid & (p == pp)
-            or_lo[sel] = t_stack[pp][rows[sel], i]
-            or_hi[sel] = t_stack[pp][rows[sel],
-                                     i + ln[sel] - half[sel]]
-        distinct = np.zeros(m, dtype=bool)
-        distinct[valid] = np.bitwise_count(
-            or_lo[valid] | or_hi[valid]) >= n_set
-        ok |= distinct
-    return ok
+    Returns the wavelengths in sorted order (σ units, exponential spacings
+    mapped through the normal quantile function) and the 0-based regions
+    in that order, i.i.d. uniform because ranks are independent of the
+    order statistics.  Deterministic for fixed (seed, n_qd, chunk_index).
+    """
+    rng = Generator(Philox(SeedSequence(config.seed,
+                                        spawn_key=(n_qd, chunk_index))))
+    spacings = rng.standard_exponential((m, n_qd + 1))
+    u = np.cumsum(spacings[:, :-1], axis=1) / spacings.sum(
+        axis=1, keepdims=True)
+    return ndtri(u), rng.integers(0, config.n_reg, size=(m, n_qd))
 
 
 def conditional_success_count(n_qd, config, runs=None):
-    """Successes among ``runs`` waveguides with exactly n_qd emitters.
-
-    Draws the wavelengths directly in sorted order (exponential spacings
-    mapped through the normal quantile function); the region sequence in
-    sorted order is i.i.d. uniform because ranks are independent of the
-    order statistics.  Deterministic for fixed (seed, n_qd, chunk).
-    """
+    """Successes among ``runs`` waveguides with exactly n_qd emitters: the
+    samples whose minimal feasible spread fits inside the tuning range."""
     runs = config.runs if runs is None else runs
     if n_qd < config.n_set:
         return 0
     dl = config.delta_lambda / config.sigma_qd
-    check = (_successes_consecutive if config.mode == "consecutive"
-             else _successes_window)
     succ = 0
-    done = 0
-    chunk_index = 0
-    while done < runs:
-        m = min(CHUNK, runs - done)
-        rng = Generator(Philox(SeedSequence(config.seed,
-                                            spawn_key=(n_qd, chunk_index))))
-        spacings = rng.standard_exponential((m, n_qd + 1))
-        u = np.cumsum(spacings[:, :-1], axis=1) / spacings.sum(
-            axis=1, keepdims=True)
-        lam = ndtri(u)                              # sorted, sigma=1 units
-        regions = rng.integers(0, config.n_reg, size=(m, n_qd))
-        reg_bits = (np.uint64(1) << regions.astype(np.uint64))
-        succ += int(np.count_nonzero(check(lam, reg_bits, config.n_set, dl)))
-        done += m
-        chunk_index += 1
+    for chunk_index, done in enumerate(range(0, runs, CHUNK)):
+        lam, regions = _draw(n_qd, config, chunk_index,
+                             min(CHUNK, runs - done))
+        spreads = _min_spreads(lam, regions, config.n_set, config.mode)
+        succ += int(np.count_nonzero(spreads <= dl))
     return succ
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -144,9 +145,36 @@ class TestCLI:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "numerical"
 
+    @pytest.mark.parametrize("data,resolves", [
+        ({"experiment": "g2-pulsed",
+          "drive": {"mode": "pulsed", "pulse": {"period_ns": 2.0}}}, False),
+        ({"experiment": "g2-cw",
+          "system": {"coupling_phase_over_pi": 0.8, "emitters": [
+              {"gamma_ghz": 0.388, "beta": 0.95}] * 3}}, False),
+        ({"experiment": "scalability",
+          "scalability": {"n_set": 3, "n_reg": 2}}, False),
+        ({"experiment": "transmission-saturation",
+          "system": {"emitters": [{"gamma_ghz": 0.388, "beta": 0.0},
+                                  {"gamma_ghz": 0.388, "beta": 0.95}]},
+          "grid": {"rabi_over_gamma": {"values": [1.0]}}}, True),
+    ], ids=["short-period", "phase-n3", "n-set-above-n-reg",
+            "saturation-beta-0"])
+    def test_physics_rule_violation_exit_2(self, tmp_path, capsys, data,
+                                           resolves):
+        p = write_yaml(tmp_path, data)
+        commands = [["run", str(p), "--out", str(tmp_path / "x")]]
+        if not resolves:
+            commands.append(["validate", str(p)])
+        for argv in commands:
+            assert main(argv) == 2
+            report = json.loads(capsys.readouterr().err)
+            assert report["error"] == "config"
+
     def test_console_entrypoint(self):
+        # the package need not be installed: run the source tree's copy
+        env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "wgqed.cli", "list-experiments"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "transmission-scan" in proc.stdout

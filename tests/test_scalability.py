@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
-from wgqed.scalability import (ScalabilityConfig, conditional_success_count,
+from wgqed.scalability import (ScalabilityConfig, _draw, _min_spreads,
+                               conditional_success_count,
                                min_feasible_spread, poisson_weights,
                                probability_per_chip,
-                               probability_per_waveguide, sample_waveguide)
+                               probability_per_waveguide)
 
 from _oracles import (brute_force_min_spread, distinct_regions_probability,
                       qmc_conditional_probability)
@@ -35,36 +37,26 @@ class TestPoissonWeights:
 
 
 class TestSampleWaveguide:
+    """The waveguide sampler ``_draw``: sorted wavelengths, 0-based regions."""
+
     def test_shapes_and_ranges(self):
-        rng = np.random.default_rng(0)
-        regions, lam = sample_waveguide(20, config(), rng)
-        assert len(regions) == len(lam) == 20
-        assert regions.min() >= 1 and regions.max() <= 3
+        lam, regions = _draw(20, config(), 0, 5)
+        assert lam.shape == regions.shape == (5, 20)
+        assert regions.min() >= 0 and regions.max() <= 2
+        assert np.all(np.diff(lam, axis=1) >= 0)
 
     def test_single_region(self):
-        rng = np.random.default_rng(0)
-        regions, _ = sample_waveguide(15, config(n_reg=1, n_set=1), rng)
-        assert np.all(regions == 1)
+        _, regions = _draw(15, config(n_reg=1, n_set=1), 0, 5)
+        assert np.all(regions == 0)
 
     def test_region_counts_uniform_chi2(self):
-        rng = np.random.default_rng(42)
-        cfg = config(n_reg=4, n_set=4)
-        counts = np.zeros(4)
         n_samples, n_qd = 10_000, 10
-        for _ in range(n_samples):
-            regions, _ = sample_waveguide(n_qd, cfg, rng)
-            counts += np.bincount(regions - 1, minlength=4)
+        _, regions = _draw(n_qd, config(n_reg=4, n_set=4, seed=42), 0,
+                           n_samples)
+        counts = np.bincount(regions.ravel(), minlength=4)
         expected = n_samples * n_qd / 4
         stat = np.sum((counts - expected) ** 2 / expected)
         assert stat < chi2.ppf(0.999, df=3)
-
-    def test_zero_spread_always_succeeds(self):
-        rng = np.random.default_rng(1)
-        cfg = config(sigma_qd=1e-12, delta_lambda=0.0, n_reg=3, n_set=3)
-        regions = np.array([1, 2, 3, 1])
-        lam = np.zeros(4)
-        assert min_feasible_spread(lam, regions, 3) == pytest.approx(0.0)
-        del rng
 
 
 class TestMinFeasibleSpread:
@@ -88,6 +80,11 @@ class TestMinFeasibleSpread:
     def test_too_few_regions_infeasible(self):
         assert min_feasible_spread([1.0, 2.0], [1, 1], 2) == np.inf
 
+    def test_zero_spread_always_succeeds(self):
+        regions = np.array([1, 2, 3, 1])
+        lam = np.zeros(4)
+        assert min_feasible_spread(lam, regions, 3) == pytest.approx(0.0)
+
     @pytest.mark.parametrize("mode", ["consecutive", "window_distinct"])
     def test_matches_brute_force(self, mode):
         rng = np.random.default_rng(3)
@@ -110,6 +107,45 @@ class TestMinFeasibleSpread:
             w = min_feasible_spread(lam, regions, 3, "window_distinct")
             c = min_feasible_spread(lam, regions, 3, "consecutive")
             assert w <= c
+
+
+@st.composite
+def spread_batches(draw):
+    """Sorted rows with ties, n < n_set, too few regions and n_reg = 12."""
+    n_reg = draw(st.sampled_from([1, 2, 3, 4, 5, 12]))
+    n_set = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 8))
+    lam = draw(st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n),
+                        min_size=m, max_size=m))
+    regions = draw(st.lists(st.lists(st.integers(0, n_reg - 1), min_size=n,
+                                     max_size=n), min_size=m, max_size=m))
+    lam = np.sort(np.asarray(lam, dtype=float).reshape(m, n) / 4, axis=1)
+    return lam, np.asarray(regions, dtype=np.int64).reshape(m, n), n_set
+
+
+class TestSpreadKernel:
+    @pytest.mark.parametrize("mode", ["consecutive", "window_distinct"])
+    @settings(max_examples=300, deadline=None)
+    @given(batch=spread_batches())
+    def test_matches_brute_force_row_by_row(self, mode, batch):
+        lam, regions, n_set = batch
+        got = _min_spreads(lam, regions, n_set, mode)
+        want = [brute_force_min_spread(l, r, n_set, mode)
+                for l, r in zip(lam, regions)]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("mode", ["consecutive", "window_distinct"])
+    def test_success_count_equals_brute_force_count(self, mode):
+        n_qd = 6
+        cfg = config(n_reg=3, n_set=3, delta_lambda=0.5 * 15.0, runs=3_000,
+                     mode=mode)
+        lam, regions = _draw(n_qd, cfg, 0, cfg.runs)
+        dl = cfg.delta_lambda / cfg.sigma_qd
+        want = sum(brute_force_min_spread(l, r, cfg.n_set, mode) <= dl
+                   for l, r in zip(lam, regions))
+        assert 0 < want < cfg.runs
+        assert conditional_success_count(n_qd, cfg) == want
 
 
 class TestConditionalSuccess:
