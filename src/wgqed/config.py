@@ -306,6 +306,23 @@ def _check_scalability(cfg):
         scalability_config(cfg, delta_lambda=float(rel) * sigma)
 
 
+def _check_experiment(cfg):
+    """Rules an experiment puts on the rest of its config, checked at
+    resolution so that ``validate`` rejects what ``run`` would."""
+    if cfg.experiment == "transmission-saturation":
+        fracs = expand_range(cfg.grid.get("rabi_over_gamma"), [1.0])
+        if not np.all(fracs > 0):
+            raise ConfigError("rabi_over_gamma grid must be > 0")
+        if cfg.system.emitters[0].gamma_wg == 0:
+            raise ConfigError("transmission-saturation sets the power through "
+                              "emitter 1's waveguide coupling: it needs "
+                              "beta > 0")
+    elif cfg.experiment == "detuning-sweep" and cfg.system.n != 2:
+        raise ConfigError("detuning-sweep requires a two-emitter system")
+    elif cfg.experiment.startswith("scalability"):
+        _check_scalability(cfg)
+
+
 def resolve_config(data):
     """Validate a raw dict and construct the physics objects.
 
@@ -317,8 +334,7 @@ def resolve_config(data):
         raise ConfigError("config failed schema validation", details=errors)
     try:
         cfg = _resolve(data)
-        if cfg.experiment.startswith("scalability"):
-            _check_scalability(cfg)
+        _check_experiment(cfg)
     except ConfigError:
         raise
     except ValueError as exc:

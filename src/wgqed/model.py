@@ -155,23 +155,23 @@ def effective_hamiltonian(system, detunings=None):
     """Non-Hermitian single-excitation Hamiltonian (N×N).
 
     Diagonal Δ_m − iΓ_m/2; off-diagonal −(i/2) e^{iφ_mn} √(β_mβ_nΓ_mΓ_n),
-    which packages J_mn − iΓ_mn/2 in one complex entry.
+    which packages J_mn − iΓ_mn/2 in one complex entry.  ``detunings`` of
+    shape (..., N) give a stack of Hamiltonians of shape (..., N, N).
     """
     n = system.n
     if detunings is None:
         detunings = system.detunings()
-    detunings = np.broadcast_to(np.asarray(detunings, float), (n,))
-    h = np.zeros((n, n), dtype=complex)
-    phase = system._phase_matrix
-    for m in range(n):
-        em = system.emitters[m]
-        h[m, m] = detunings[m] - 0.5j * em.gamma_total
-        for k in range(m + 1, n):
-            ek = system.emitters[k]
-            off = -0.5j * np.exp(1j * phase[m, k]) * np.sqrt(
-                em.gamma_wg * ek.gamma_wg)
-            h[m, k] = off
-            h[k, m] = off
+    detunings = np.asarray(detunings, float)
+    detunings = np.broadcast_to(detunings, detunings.shape[:-1] + (n,))
+    gamma = np.array([e.gamma_total for e in system.emitters])
+    gamma_wg = np.array([e.gamma_wg for e in system.emitters])
+    # the upper triangle sets both entries, so h[m, k] == h[k, m] exactly
+    phase = np.triu(system._phase_matrix, 1)
+    phase = phase + phase.T
+    h = np.empty(detunings.shape + (n,), dtype=complex)
+    h[...] = -0.5j * np.exp(1j * phase) * np.sqrt(np.outer(gamma_wg, gamma_wg))
+    diag = np.arange(n)
+    h[..., diag, diag] = detunings - 0.5j * gamma
     return h
 
 

@@ -343,14 +343,15 @@ def test_criterion_8_transmission_structure():
     sys = presets.qd_pair()
     far = 1e6
     scan = np.linspace(-2.0, 2.0, 81)
-    t1 = min(transmission_coherent(sys, [d, far], noise_nodes=15
-                                   ).transmission for d in scan)
-    t2 = min(transmission_coherent(sys, [far, d], noise_nodes=15
-                                   ).transmission for d in scan)
+    fixed = np.full_like(scan, far)
+    t1 = transmission_coherent(sys, np.column_stack([scan, fixed]),
+                               noise_nodes=15).transmission.min()
+    t2 = transmission_coherent(sys, np.column_stack([fixed, scan]),
+                               noise_nodes=15).transmission.min()
     grid2 = np.linspace(-2.5, 2.5, 41)
-    tmap = np.array([[transmission_coherent(sys, [a, b], noise_nodes=15
-                                            ).transmission
-                      for b in grid2] for a in grid2])
+    a, b = np.meshgrid(grid2, grid2, indexing="ij")
+    tmap = transmission_coherent(sys, np.column_stack([a.ravel(), b.ravel()]),
+                                 noise_nodes=15).transmission.reshape(a.shape)
     t12 = float(tmap.min())
     i, j = np.unravel_index(int(np.argmin(tmap)), tmap.shape)
     interior = 0 < i < len(grid2) - 1 and 0 < j < len(grid2) - 1

@@ -145,27 +145,29 @@ class TestCLI:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "numerical"
 
-    @pytest.mark.parametrize("data,resolves", [
-        ({"experiment": "g2-pulsed",
-          "drive": {"mode": "pulsed", "pulse": {"period_ns": 2.0}}}, False),
-        ({"experiment": "g2-cw",
-          "system": {"coupling_phase_over_pi": 0.8, "emitters": [
-              {"gamma_ghz": 0.388, "beta": 0.95}] * 3}}, False),
-        ({"experiment": "scalability",
-          "scalability": {"n_set": 3, "n_reg": 2}}, False),
-        ({"experiment": "transmission-saturation",
-          "system": {"emitters": [{"gamma_ghz": 0.388, "beta": 0.0},
-                                  {"gamma_ghz": 0.388, "beta": 0.95}]},
-          "grid": {"rabi_over_gamma": {"values": [1.0]}}}, True),
+    @pytest.mark.parametrize("data", [
+        {"experiment": "g2-pulsed",
+         "drive": {"mode": "pulsed", "pulse": {"period_ns": 2.0}}},
+        {"experiment": "g2-cw",
+         "system": {"coupling_phase_over_pi": 0.8, "emitters": [
+             {"gamma_ghz": 0.388, "beta": 0.95}] * 3}},
+        {"experiment": "scalability",
+         "scalability": {"n_set": 3, "n_reg": 2}},
+        {"experiment": "transmission-saturation",
+         "system": {"emitters": [{"gamma_ghz": 0.388, "beta": 0.0},
+                                 {"gamma_ghz": 0.388, "beta": 0.95}]},
+         "grid": {"rabi_over_gamma": {"values": [1.0]}}},
+        {"experiment": "transmission-saturation",
+         "grid": {"rabi_over_gamma": {"values": [-1.0]}}},
+        {"experiment": "detuning-sweep",
+         "system": {"emitters": [{"gamma_ghz": 0.388, "beta": 0.95}]}},
     ], ids=["short-period", "phase-n3", "n-set-above-n-reg",
-            "saturation-beta-0"])
-    def test_physics_rule_violation_exit_2(self, tmp_path, capsys, data,
-                                           resolves):
+            "saturation-beta-0", "saturation-negative-grid",
+            "sweep-one-emitter"])
+    def test_physics_rule_violation_exit_2(self, tmp_path, capsys, data):
         p = write_yaml(tmp_path, data)
-        commands = [["run", str(p), "--out", str(tmp_path / "x")]]
-        if not resolves:
-            commands.append(["validate", str(p)])
-        for argv in commands:
+        for argv in (["validate", str(p)],
+                     ["run", str(p), "--out", str(tmp_path / "x")]):
             assert main(argv) == 2
             report = json.loads(capsys.readouterr().err)
             assert report["error"] == "config"

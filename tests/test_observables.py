@@ -2,17 +2,23 @@ import dataclasses
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
-from wgqed import presets
+from wgqed import observables, presets
+from wgqed.config import resolve_config
 from wgqed.dynamics import propagate, steady_state
 from wgqed.errors import NumericalError
+from wgqed.experiments import run_experiment
 from wgqed.hilbert import DensityState, basis_ket, collective_state
+from wgqed.instrument import spectral_diffusion_average
 from wgqed.model import (DriveConfig, EmitterParams, PulseSpec,
-                         WaveguideSystem, field_operator)
+                         WaveguideSystem, effective_hamiltonian,
+                         field_operator)
 from wgqed.observables import (directionality, intensity, intensity_record,
                                population_projection, transmission_coherent,
                                transmission_saturated, waveguide_drive)
 from wgqed.analytics import interference_intensities
+from wgqed.units import ghz_to_angular
 
 
 def identical_pair(gamma=2.0, beta=1.0, phi=0.8 * np.pi):
@@ -154,12 +160,15 @@ class TestTransmissionCoherent:
         sys = presets.qd_pair()
         far = 1e6
         common = np.linspace(-2.0, 2.0, 81)
-        t1 = min(transmission_coherent(sys, [d, far], noise_nodes=15
-                                       ).transmission for d in common)
-        t2 = min(transmission_coherent(sys, [far, d], noise_nodes=15
-                                       ).transmission for d in common)
-        t12 = min(transmission_coherent(sys, [d, d], noise_nodes=15
-                                        ).transmission for d in common)
+        fixed = np.full_like(common, far)
+
+        def dip(pairs):
+            return transmission_coherent(sys, np.column_stack(pairs),
+                                         noise_nodes=15).transmission.min()
+
+        t1 = dip([common, fixed])
+        t2 = dip([fixed, common])
+        t12 = dip([common, common])
         assert t12 < min(t1, t2)
         assert t12 > t1 * t2
 
@@ -182,6 +191,72 @@ class TestTransmissionCoherent:
         for _ in range(20):
             d = rng.uniform(-10, 10, 2)
             assert 0.0 <= transmission_coherent(sys, d).transmission <= 1 + 1e-9
+
+    @pytest.mark.parametrize("noise_nodes", [0, 5])
+    @pytest.mark.parametrize("system", [
+        presets.qd_pair(),
+        WaveguideSystem(tuple(
+            EmitterParams(2.0 + 0.2 * k, 0.9, dephasing=0.1 * k,
+                          spectral_diffusion_sigma=0.3 + 0.1 * k)
+            for k in range(3)), 0.0),
+    ], ids=["pair", "three"])
+    def test_batch_equals_points(self, system, noise_nodes):
+        dets = np.random.default_rng(8).uniform(-5, 5, (40, system.n))
+        batch = transmission_coherent(system, dets, noise_nodes=noise_nodes)
+        points = [transmission_coherent(system, d, noise_nodes=noise_nodes
+                                        ).transmission for d in dets]
+        assert batch.transmission.shape == (40,)
+        np.testing.assert_array_equal(batch.transmission, points)
+
+    def test_noise_averages_only_emitters_with_spread(self, monkeypatch):
+        # emitter 2 without spectral diffusion: the average is the
+        # one-emitter Gauss-Hermite rule, one solve per node
+        sigma, nodes = 0.8, 9
+        sys = WaveguideSystem((EmitterParams(2.0, 0.9, dephasing=0.1,
+                                             spectral_diffusion_sigma=sigma),
+                               EmitterParams(1.5, 0.8)), 0.3 * np.pi)
+        dets = np.array([[0.4, -0.3], [-1.0, 0.2], [2.5, 2.5]])
+        x, w = hermegauss(nodes)
+        w = w / np.sqrt(2.0 * np.pi)
+        ref = sum(wk * transmission_coherent(sys, dets + [sigma * xk, 0.0]
+                                             ).transmission
+                  for xk, wk in zip(x, w))
+        solves = []
+        monkeypatch.setattr(
+            observables, "effective_hamiltonian",
+            lambda *a: solves.append(1) or effective_hamiltonian(*a))
+        got = transmission_coherent(sys, dets, noise_nodes=nodes).transmission
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        assert len(solves) == nodes
+
+
+class TestTransmissionScan:
+    @pytest.mark.parametrize("noise", [
+        {"scheme": "none"},
+        {"scheme": "gauss_hermite", "nodes": 5},
+        {"scheme": "monte_carlo", "samples": 40},
+    ], ids=["none", "gauss_hermite", "monte_carlo"])
+    def test_rows_equal_point_by_point(self, noise):
+        cfg = resolve_config({
+            "experiment": "transmission-scan", "seed": 4, "noise": noise,
+            "grid": {"detuning1_ghz": {"start": -1.0, "stop": 1.0,
+                                       "points": 4},
+                     "detuning2_ghz": {"values": [-0.5, 0.0, 0.7]}}})
+        sigmas = [e.spectral_diffusion_sigma for e in cfg.system.emitters]
+        _, rows = run_experiment(cfg).tables["transmission"]
+        d1 = np.linspace(-1.0, 1.0, 4)
+        assert [(a, b) for a, b, _ in rows] == \
+            [(a, b) for a in d1 for b in (-0.5, 0.0, 0.7)]
+        for a, b, t in rows:
+            dets = ghz_to_angular([a, b])
+            if cfg.noise is None:
+                ref = transmission_coherent(cfg.system, dets).transmission
+            else:
+                ref = spectral_diffusion_average(
+                    lambda off: transmission_coherent(
+                        cfg.system, dets + off).transmission,
+                    sigmas, cfg.noise).value
+            assert t == ref
 
 
 class TestTransmissionSaturated:
