@@ -27,7 +27,7 @@ from .analytics import (PerturbativeSteadyState, analytic_g2_zero,
                         lifetime_irf_curve, perturbative_steady_state,
                         rabi_power_curve)
 from .scalability import (ScalabilityConfig, YieldResult, min_feasible_spread,
-                          poisson_weights, probability_per_chip,
-                          probability_per_waveguide)
+                          poisson_weights, probabilities_per_waveguide,
+                          probability_per_chip, probability_per_waveguide)
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .instrument import (DetectorModel, jitter_convolve,
 from .model import DriveConfig
 from .observables import (directionality, intensity_record,
                           transmission_coherent, transmission_saturated)
-from .scalability import probability_per_waveguide
+from .scalability import probabilities_per_waveguide
 from .units import angular_to_ghz, ghz_to_angular
 
 
@@ -478,14 +478,11 @@ def run_g2_map(cfg, threads=1):
 def run_scalability(cfg, threads=1):
     mode = cfg.scalability.get("mode", "both")
     modes = ["consecutive", "window_distinct"] if mode == "both" else [mode]
-    rows = []
-    for m in modes:
-        sc = scalability_config(cfg, mode=m)
-        res = probability_per_waveguide(sc)
-        rows.append((m, sc.n_set, sc.n_reg, sc.mu_qd, sc.delta_lambda,
-                     sc.n_wg, res.p_per_waveguide, res.standard_error,
-                     res.p_per_chip, res.truncation_n_max,
-                     res.truncated_mass))
+    configs = [scalability_config(cfg, mode=m) for m in modes]
+    rows = [(sc.mode, sc.n_set, sc.n_reg, sc.mu_qd, sc.delta_lambda,
+             sc.n_wg, res.p_per_waveguide, res.standard_error,
+             res.p_per_chip, res.truncation_n_max, res.truncated_mass)
+            for sc, res in zip(configs, probabilities_per_waveguide(configs))]
     meta = _base_metadata(
         cfg, runs=scalability_config(cfg).runs,
         note="consecutive reproduces the published sampling rule; "
@@ -508,18 +505,14 @@ def run_scalability_heatmap(cfg, threads=1):
                          "log": True})
     mode = cfg.scalability.get("mode", "consecutive")
     runs = cfg.scalability.get("runs", 20_000)
-
-    def point(pair):
-        mu, rel = pair
-        sc = scalability_config(
-            cfg, mu_qd=float(mu), mode=mode, runs=runs,
-            delta_lambda=float(rel) * cfg.scalability.get("sigma_qd_nm", 15.0))
-        res = probability_per_waveguide(sc)
-        return (mu, rel, res.p_per_waveguide, res.standard_error,
-                res.p_per_chip)
-
+    sigma = cfg.scalability.get("sigma_qd_nm", 15.0)
     pts = [(mu, rel) for mu in mus for rel in rels]
-    rows = _ordered_map(point, pts, threads)
+    results = probabilities_per_waveguide(
+        scalability_config(cfg, mu_qd=float(mu), mode=mode, runs=runs,
+                           delta_lambda=float(rel) * sigma)
+        for mu, rel in pts)
+    rows = [(mu, rel, res.p_per_waveguide, res.standard_error,
+             res.p_per_chip) for (mu, rel), res in zip(pts, results)]
     meta = _base_metadata(cfg, mode=mode, runs=runs,
                           resolved={"mu_qd": list(mus),
                                     "delta_over_sigma": list(rels)})

@@ -12,7 +12,6 @@ import numpy as np
 
 from .instrument import DetectorModel
 from .model import EmitterParams, WaveguideSystem
-from .scalability import ScalabilityConfig
 from .units import ghz_to_angular
 
 COUPLING_PHASE = 0.8 * np.pi
@@ -51,11 +50,3 @@ def qd_pair(detunings=(0.0, 0.0), phi=COUPLING_PHASE):
 def detector():
     return DetectorModel(irf_sigma=IRF_SIGMA_NS, bin_width=0.01)
 
-
-def scalability_defaults(**overrides):
-    """Device-representative yield parameters: μ=35, σ=15 nm, δλ=0.15 nm."""
-    base = dict(mu_qd=35.0, sigma_qd=15.0, delta_lambda=0.15,
-                n_reg=3, n_set=3, n_wg=100, runs=200_000, seed=20_240_101,
-                mode="consecutive")
-    base.update(overrides)
-    return ScalabilityConfig(**base)

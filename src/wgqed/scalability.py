@@ -26,8 +26,17 @@ region bitmasks ``1 << region`` (hence n_reg ≤ 64); a window is distinct
 when its popcount equals n_set.  For ``window_distinct`` it scans the end
 index j keeping the last index seen for each region: the shortest
 feasible window ending at j starts at the n_set-th largest of those
-indexes, at O(n·n_reg) cost per row.  ``min_feasible_spread`` runs the
-same kernel on a single sample.
+indexes, at O(n·n_reg) cost per row; when n_set = n_reg that is their
+minimum.  ``min_feasible_spread`` runs the same kernel on a single sample.
+
+A sample's minimal feasible spread depends on neither μ nor δλ, so
+``probabilities_per_waveguide`` evaluates a group of configs that share
+seed, σ, n_reg, n_set and runs, and differ only in μ, δλ and mode, in one
+pass over N: N runs over the union of their Poisson supports, each
+(N, chunk) is drawn once, the kernel runs once per mode on it, and only
+the number of spreads ≤ δλ/σ is kept for each config.  Each config's
+P(n_set) = Σ_N P(n_set | N)·P_pois(N) is then summed over its own support
+in increasing N, so the result does not depend on the rest of the group.
 
 Sampling is deterministic and parallelism-independent: samples are
 partitioned into fixed-size chunks with counter-based Philox streams keyed
@@ -38,8 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import ndtri
-from scipy.stats import poisson
+from scipy.special import gammaln, ndtri, xlogy
 
 CHUNK = 1 << 15
 MODES = ("consecutive", "window_distinct")
@@ -58,11 +66,11 @@ class ScalabilityConfig:
     mode: str = "consecutive"
 
     def __post_init__(self):
-        if self.mu_qd <= 0:
+        if not self.mu_qd > 0:
             raise ValueError("mu_qd must be > 0")
-        if self.sigma_qd <= 0:
+        if not self.sigma_qd > 0:
             raise ValueError("sigma_qd must be > 0")
-        if self.delta_lambda < 0:
+        if not self.delta_lambda >= 0:
             raise ValueError("delta_lambda must be >= 0")
         if not 1 <= self.n_set <= self.n_reg:
             raise ValueError("need n_reg >= n_set >= 1")
@@ -90,21 +98,22 @@ def poisson_weights(mu, mass_target=0.9995):
     """Poisson pmf values up to the smallest N covering ``mass_target``.
 
     The weights are NOT renormalized; the covered mass is reported so the
-    (tiny) truncated remainder stays visible.
+    (tiny) truncated remainder stays visible.  The mass is the running sum
+    of the weights in increasing N.
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be > 0")
-    out = []
-    acc = 0.0
-    n = 0
-    while acc < mass_target:
-        w = float(poisson.pmf(n, mu))
-        out.append((n, w))
-        acc += w
-        n += 1
-        if n > 100_000:
+    size = int(mu + 10.0 * np.sqrt(mu)) + 32
+    while True:
+        n = np.arange(min(size, 100_000))
+        w = np.exp(xlogy(n, mu) - gammaln(n + 1) - mu)
+        covered = np.flatnonzero(np.cumsum(w) >= mass_target)
+        if covered.size:
+            return list(zip(range(covered[0] + 1),
+                            w[:covered[0] + 1].tolist()))
+        if size >= 100_000:
             raise RuntimeError("Poisson truncation did not converge")
-    return out
+        size *= 2
 
 
 def _min_spreads(lam, regions, n_set, mode):
@@ -127,8 +136,21 @@ def _min_spreads(lam, regions, n_set, mode):
         return spread.min(axis=1)
     rows = np.arange(m)
     n_reg = int(regions.max()) + 1
-    last = np.full((m, max(n_reg, n_set)), -1)
     best = np.full(m, np.inf)
+    if n_reg <= n_set:
+        # every region is needed, so the window starts at the oldest last
+        # index; column-major rows make each step contiguous
+        lam_t = np.ascontiguousarray(lam.T)
+        regions_t = np.ascontiguousarray(regions.T)
+        last = np.full((n_set, m), -1)
+        for j in range(n):
+            last[regions_t[j], rows] = j
+            start = last.min(axis=0)
+            spread = np.where(start >= 0, lam_t[j] - lam_t[start, rows],
+                              np.inf)
+            np.minimum(best, spread, out=best)
+        return best
+    last = np.full((m, n_reg), -1)
     for j in range(n):
         last[rows, regions[:, j]] = j
         start = np.partition(last, -n_set, axis=1)[:, -n_set]
@@ -178,39 +200,82 @@ def _draw(n_qd, config, chunk_index, m):
     return ndtri(u), rng.integers(0, config.n_reg, size=(m, n_qd))
 
 
+def _success_counts(n_qd, config, runs, thresholds):
+    """Successes among ``runs`` waveguides with exactly n_qd emitters.
+
+    ``thresholds`` maps each mode to a list of tuning ranges in σ units;
+    the result maps it to the number of samples whose minimal feasible
+    spread fits inside each of them.  Every chunk is drawn once (seed and
+    n_reg from ``config``) and the kernel runs once per mode on it.
+    """
+    counts = {mode: np.zeros(len(t), dtype=np.int64)
+              for mode, t in thresholds.items()}
+    if n_qd < config.n_set:
+        return counts
+    for chunk_index, done in enumerate(range(0, runs, CHUNK)):
+        lam, regions = _draw(n_qd, config, chunk_index,
+                             min(CHUNK, runs - done))
+        for mode, t in thresholds.items():
+            spreads = np.sort(_min_spreads(lam, regions, config.n_set, mode))
+            counts[mode] += np.searchsorted(spreads, t, side="right")
+    return counts
+
+
 def conditional_success_count(n_qd, config, runs=None):
     """Successes among ``runs`` waveguides with exactly n_qd emitters: the
     samples whose minimal feasible spread fits inside the tuning range."""
     runs = config.runs if runs is None else runs
-    if n_qd < config.n_set:
-        return 0
     dl = config.delta_lambda / config.sigma_qd
-    succ = 0
-    for chunk_index, done in enumerate(range(0, runs, CHUNK)):
-        lam, regions = _draw(n_qd, config, chunk_index,
-                             min(CHUNK, runs - done))
-        spreads = _min_spreads(lam, regions, config.n_set, config.mode)
-        succ += int(np.count_nonzero(spreads <= dl))
-    return succ
+    return int(_success_counts(n_qd, config, runs,
+                               {config.mode: [dl]})[config.mode][0])
+
+
+def probabilities_per_waveguide(configs):
+    """``probability_per_waveguide`` of every config of a group, from one
+    draw per (N, chunk).
+
+    The configs must share seed, sigma_qd, n_reg, n_set and runs; they may
+    differ in mu_qd, delta_lambda, mode and n_wg.  Each result equals that
+    of the config evaluated alone.
+    """
+    configs = list(configs)
+    for c in configs[1:]:
+        differ = [f for f in ("seed", "sigma_qd", "n_reg", "n_set", "runs")
+                  if getattr(c, f) != getattr(configs[0], f)]
+        if differ:
+            raise ValueError(
+                f"grouped yield configs differ in {', '.join(differ)}")
+    thresholds, slots = {}, []
+    for c in configs:
+        t = thresholds.setdefault(c.mode, [])
+        slots.append(len(t))
+        t.append(c.delta_lambda / c.sigma_qd)
+    weights = [poisson_weights(c.mu_qd) for c in configs]
+    n_max = max((ws[-1][0] for ws in weights), default=-1)
+    counts = [_success_counts(n_qd, configs[0], configs[0].runs, thresholds)
+              for n_qd in range(n_max + 1)]
+    results = []
+    for c, ws, slot in zip(configs, weights, slots):
+        # Σ_N P(n_set | N)·P_pois(N) over the config's own support
+        p_total = 0.0
+        var_total = 0.0
+        for n_qd, w in ws:
+            p = int(counts[n_qd][c.mode][slot]) / c.runs
+            p_total += w * p
+            var_total += w * w * p * (1.0 - p) / c.runs
+        results.append(YieldResult(
+            p_per_waveguide=p_total,
+            standard_error=float(np.sqrt(var_total)),
+            p_per_chip=probability_per_chip(p_total, c.n_wg),
+            truncation_n_max=ws[-1][0],
+            mode=c.mode,
+            truncated_mass=float(sum(w for _, w in ws))))
+    return results
 
 
 def probability_per_waveguide(config):
     """P(n_set) = Σ_N P(n_set | N)·P_pois(N) with binomial standard error."""
-    weights = poisson_weights(config.mu_qd)
-    p_total = 0.0
-    var_total = 0.0
-    for n_qd, w in weights:
-        s = conditional_success_count(n_qd, config)
-        p = s / config.runs
-        p_total += w * p
-        var_total += w * w * p * (1.0 - p) / config.runs
-    return YieldResult(
-        p_per_waveguide=p_total,
-        standard_error=float(np.sqrt(var_total)),
-        p_per_chip=probability_per_chip(p_total, config.n_wg),
-        truncation_n_max=weights[-1][0],
-        mode=config.mode,
-        truncated_mass=float(sum(w for _, w in weights)))
+    return probabilities_per_waveguide([config])[0]
 
 
 def probability_per_chip(p_per_waveguide, n_wg):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.stats import chi2
+from hypothesis import example, given, settings, strategies as st
+from scipy.stats import chi2, poisson
 
-from wgqed.scalability import (ScalabilityConfig, _draw, _min_spreads,
-                               conditional_success_count,
+from wgqed import scalability
+from wgqed.scalability import (CHUNK, ScalabilityConfig, YieldResult, _draw,
+                               _min_spreads, conditional_success_count,
                                min_feasible_spread, poisson_weights,
+                               probabilities_per_waveguide,
                                probability_per_chip,
                                probability_per_waveguide)
 
@@ -34,6 +36,18 @@ class TestPoissonWeights:
     def test_not_renormalized(self):
         ws = poisson_weights(10.0)
         assert sum(w for _, w in ws) < 1.0
+
+    @pytest.mark.parametrize("mu", [1e-6, 0.5, 5, 10, 20, 35, 50, 75, 100,
+                                    123.4, 200, 300])
+    def test_equals_scipy_stats_pmf(self, mu):
+        want = []
+        acc = 0.0
+        while acc < 0.9995:
+            want.append((len(want), float(poisson.pmf(len(want), mu))))
+            acc += want[-1][1]
+        got = poisson_weights(mu)
+        assert got == want
+        assert all(type(n) is int and type(w) is float for n, w in got)
 
 
 class TestSampleWaveguide:
@@ -124,10 +138,39 @@ def spread_batches(draw):
     return lam, np.asarray(regions, dtype=np.int64).reshape(m, n), n_set
 
 
+def _batch(lam, regions, n_set):
+    return (np.asarray(lam, dtype=float), np.asarray(regions, dtype=np.int64),
+            n_set)
+
+
+def partition_min_spreads(lam, regions, n_set):
+    """The ``window_distinct`` scan with the n_set-th largest last index
+    taken by ``np.partition`` for every n_set: the reference for the
+    n_set = n_reg fast path."""
+    m, n = lam.shape
+    rows = np.arange(m)
+    last = np.full((m, max(int(regions.max()) + 1, n_set)), -1)
+    best = np.full(m, np.inf)
+    for j in range(n):
+        last[rows, regions[:, j]] = j
+        start = np.partition(last, -n_set, axis=1)[:, -n_set]
+        spread = np.where(start >= 0, lam[:, j] - lam[rows, start], np.inf)
+        np.minimum(best, spread, out=best)
+    return best
+
+
 class TestSpreadKernel:
     @pytest.mark.parametrize("mode", ["consecutive", "window_distinct"])
     @settings(max_examples=300, deadline=None)
     @given(batch=spread_batches())
+    # n_set = n_reg: ties, and a region missing from one row
+    @example(batch=_batch([[0.0, 0.5, 0.5, 1.0]], [[0, 0, 0, 0]], 1))
+    @example(batch=_batch([[0.0, 0.25, 0.25, 0.25, 0.5, 1.0],
+                           [0.0, 0.0, 0.5, 0.75, 0.75, 1.5]],
+                          [[0, 1, 1, 2, 0, 1], [0, 2, 0, 2, 2, 0]], 3))
+    @example(batch=_batch([[0.0, 0.0, 0.25, 0.5, 0.5, 0.5, 1.0],
+                           [0.25, 0.5, 0.5, 0.75, 1.0, 1.0, 1.25]],
+                          [[3, 0, 1, 1, 2, 3, 0], [0, 1, 0, 1, 2, 2, 1]], 4))
     def test_matches_brute_force_row_by_row(self, mode, batch):
         lam, regions, n_set = batch
         got = _min_spreads(lam, regions, n_set, mode)
@@ -146,6 +189,13 @@ class TestSpreadKernel:
                    for l, r in zip(lam, regions))
         assert 0 < want < cfg.runs
         assert conditional_success_count(n_qd, cfg) == want
+
+    @pytest.mark.parametrize("n_reg,n_set", [(3, 3), (4, 4), (12, 4)])
+    def test_fast_path_equals_partition_on_a_chunk(self, n_reg, n_set):
+        lam, regions = _draw(10, config(n_reg=n_reg, n_set=n_set), 0, CHUNK)
+        got = _min_spreads(lam, regions, n_set, "window_distinct")
+        assert np.array_equal(got, partition_min_spreads(lam, regions, n_set))
+        assert np.isfinite(got).any() and np.isinf(got).any()
 
 
 class TestConditionalSuccess:
@@ -234,6 +284,57 @@ class TestProbabilityPerWaveguide:
             1 - (1 - res.p_per_waveguide) ** 250, rel=1e-12)
 
 
+def reference_yield(cfg):
+    """Σ_N w·P(n_set | N) by one conditional_success_count call per N."""
+    weights = poisson_weights(cfg.mu_qd)
+    p_total = 0.0
+    var_total = 0.0
+    for n_qd, w in weights:
+        p = conditional_success_count(n_qd, cfg) / cfg.runs
+        p_total += w * p
+        var_total += w * w * p * (1.0 - p) / cfg.runs
+    return YieldResult(
+        p_per_waveguide=p_total,
+        standard_error=float(np.sqrt(var_total)),
+        p_per_chip=probability_per_chip(p_total, cfg.n_wg),
+        truncation_n_max=weights[-1][0], mode=cfg.mode,
+        truncated_mass=float(sum(w for _, w in weights)))
+
+
+class TestGroupedYield:
+    @pytest.mark.parametrize("n_reg,n_set", [(3, 3), (4, 3), (12, 4)])
+    def test_equals_per_config_reference(self, monkeypatch, n_reg, n_set):
+        # a small chunk so that runs span several chunks, the last partial
+        monkeypatch.setattr(scalability, "CHUNK", 256)
+        configs = [config(mu_qd=mu, sigma_qd=1.5, delta_lambda=dl,
+                          n_reg=n_reg, n_set=n_set, n_wg=n_wg, runs=700,
+                          mode=mode)
+                   for mode in ("consecutive", "window_distinct")
+                   for mu, n_wg in ((2.0, 10), (5.0, 100), (9.0, 250))
+                   for dl in (0.0, 0.2, 0.9, 4.5)]
+        got = probabilities_per_waveguide(configs)
+        want = [reference_yield(cfg) for cfg in configs]
+        assert got == want
+        assert len({r.truncation_n_max for r in got}) == 3
+        assert 0.0 < min(r.p_per_waveguide for r in got[1::4])
+
+    def test_single_config_equals_group_of_one(self):
+        cfg = config(mu_qd=4.0, runs=2_000, mode="window_distinct")
+        assert probability_per_waveguide(cfg) == \
+            probabilities_per_waveguide([cfg])[0] == reference_yield(cfg)
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 8), ("sigma_qd", 14.0), ("n_reg", 4), ("n_set", 2),
+        ("runs", 999)])
+    def test_group_must_share_draw_parameters(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            probabilities_per_waveguide([config(mu_qd=5.0),
+                                         config(**{field: value})])
+
+    def test_empty_group(self):
+        assert probabilities_per_waveguide([]) == []
+
+
 class TestProbabilityPerChip:
     def test_published_chip_values(self):
         assert probability_per_chip(0.04, 100) == pytest.approx(0.983, abs=2e-3)
@@ -259,3 +360,8 @@ class TestConfigValidation:
             config(mode="bogus")
         with pytest.raises(ValueError):
             config(runs=0)
+
+    @pytest.mark.parametrize("field", ["mu_qd", "sigma_qd", "delta_lambda"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError):
+            config(**{field: float("nan")})
