@@ -306,9 +306,40 @@ def _check_scalability(cfg):
         scalability_config(cfg, delta_lambda=float(rel) * sigma)
 
 
+# A Lindblad experiment holds dense 4ᴺ×4ᴺ complex superoperators; a config
+# whose estimate exceeds this budget is refused before anything is built.
+DENSE_BUDGET_BYTES = 2 * 1024 ** 3
+_DENSE_WORK = 8     # build temporaries, L(t), D, SVD factors, expm Padé terms
+_DENSE_EXPERIMENTS = ("transmission-saturation", "lifetime", "phase-sweep",
+                      "detuning-sweep", "g2-cw", "g2-pulsed", "g2-map")
+
+
+def dense_bytes(cfg):
+    """Estimated bytes of the dense superoperators that cfg's experiment
+    holds at once: the static generator, one drive part per driven
+    emitter, work matrices, and for the pulsed maps one step propagator
+    per grid step that overlaps the pulse.  0 when it builds none."""
+    if cfg.experiment not in _DENSE_EXPERIMENTS:
+        return 0
+    driven = 1 if cfg.drive is None else \
+        sum(r != 0 for r in cfg.drive.rabi_amplitude)
+    count = 1 + driven + _DENSE_WORK
+    if cfg.experiment in ("g2-pulsed", "g2-map") and not cfg.drive.is_cw:
+        dt = cfg.grid.get("dt_ns", 0.01)
+        count += min(int(np.ceil(12.0 * cfg.drive.pulse.sigma_t / dt)) + 2,
+                     int(round(cfg.grid.get("window_ns", 4.0) / dt)))
+    return 16 * 16 ** cfg.system.n * count
+
+
 def _check_experiment(cfg):
     """Rules an experiment puts on the rest of its config, checked at
     resolution so that ``validate`` rejects what ``run`` would."""
+    need = dense_bytes(cfg)
+    if need > DENSE_BUDGET_BYTES:
+        raise ConfigError(
+            f"{cfg.experiment} with {cfg.system.n} emitters needs about "
+            f"{need / 1024 ** 3:.1f} GiB of dense superoperators, above the "
+            f"{DENSE_BUDGET_BYTES / 1024 ** 3:.0f} GiB budget")
     if cfg.experiment == "transmission-saturation":
         fracs = expand_range(cfg.grid.get("rabi_over_gamma"), [1.0])
         if not np.all(fracs > 0):

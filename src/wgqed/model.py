@@ -262,32 +262,32 @@ class DriveConfig:
                 raise ValueError(
                     "repetition_period must exceed 10x the longest lifetime")
 
+    def envelope_at(self, t):
+        """Envelope f(t) of the nearest pulse, shared: Ω_m(t) = w_m·f(t)."""
+        period = self.pulse.repetition_period
+        t_local = t - period * np.floor((t - self.pulse.center) / period + 0.5)
+        return self.pulse.envelope(t_local)
+
     def rabi_at(self, t):
         """Per-emitter Rabi rates Ω_m(t) in rad/ns (nearest pulse only)."""
         if self.is_cw:
             return np.array(self.rabi_amplitude)
-        period = self.pulse.repetition_period
-        t_local = t - period * np.floor((t - self.pulse.center) / period + 0.5)
-        return np.array(self.rabi_amplitude) * self.pulse.envelope(t_local)
+        return np.array(self.rabi_amplitude) * self.envelope_at(t)
 
-    def breakpoints(self, t0, t1):
-        """Times in (t0, t1) where the envelope turns on/off; integrator
-        segments must not step across a pulse."""
+    def pulse_windows(self, t0, t1):
+        """Supports (lo, hi) of the pulses with lo <= t1 and hi > t0, i.e.
+        every pulse that acts in [t0, t1]; none without a driven pulse."""
         if self.is_cw or all(r == 0 for r in self.rabi_amplitude):
             return []
         period = self.pulse.repetition_period
         lo, hi = self.pulse.support
-        pts = []
+        out = []
         k = int(np.floor((t0 - hi) / period))
-        while True:
-            a, b = lo + k * period, hi + k * period
-            if a > t1:
-                break
-            for x in (a, b):
-                if t0 < x < t1:
-                    pts.append(x)
+        while lo + k * period <= t1:
+            if hi + k * period > t0:
+                out.append((lo + k * period, hi + k * period))
             k += 1
-        return pts
+        return out
 
 
 def _spre_spost(a, b):
@@ -374,12 +374,10 @@ class LindbladGenerator:
                 out += w * d
         return out
 
-    def apply(self, t, rho_vec):
-        """Right-hand side L(t)·vec(ρ) without materializing L(t)."""
-        out = self.static_superoperator @ rho_vec
-        env = self.drive.rabi_at(t) if not self.drive.is_cw \
-            else np.array(self.drive.rabi_amplitude)
-        for w, d in zip(env, self._drive_ops):
-            if d is not None and w != 0.0:
-                out += w * (d @ rho_vec)
-        return out
+    def drive_superoperator(self):
+        """D = Σ_m w_m D_m, so that a pulse gives L(t) = L₀ + f(t)·D."""
+        d = np.zeros_like(self.static_superoperator)
+        for w, op in zip(self.drive.rabi_amplitude, self._drive_ops):
+            if op is not None:
+                d += w * op
+        return d

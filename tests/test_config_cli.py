@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 import yaml
 
+from wgqed import model
 from wgqed.cli import main
-from wgqed.config import (expand_range, load_config, resolve_config,
-                          validate_config)
+from wgqed.config import (DENSE_BUDGET_BYTES, dense_bytes, expand_range,
+                          load_config, resolve_config, validate_config)
 from wgqed.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -180,3 +181,44 @@ class TestCLI:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "transmission-scan" in proc.stdout
+
+
+def collinear(n):
+    return {"coupling_phase_over_pi": 0.0,
+            "emitters": [{"gamma_ghz": 0.388, "beta": 0.95}] * n}
+
+
+class TestDenseSizeGuard:
+    @pytest.mark.parametrize("experiment", [
+        "transmission-saturation", "lifetime", "phase-sweep", "g2-cw",
+        "g2-pulsed", "g2-map"])
+    def test_seven_emitters_exit_2_before_allocating(
+            self, tmp_path, capsys, monkeypatch, experiment):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense generator built")
+
+        monkeypatch.setattr(model.LindbladGenerator, "__init__", refuse)
+        p = write_yaml(tmp_path, {"experiment": experiment,
+                                  "system": collinear(7)})
+        for argv in (["validate", str(p)],
+                     ["run", str(p), "--out", str(tmp_path / "x")]):
+            assert main(argv) == 2
+            report = json.loads(capsys.readouterr().err)
+            assert report["error"] == "config"
+            assert "GiB budget" in report["message"]
+
+    def test_estimate_counts_superoperators(self):
+        # N = 7: one 16384² complex superoperator alone is 4 GiB
+        cfg = resolve_config({"experiment": "transmission-scan",
+                              "system": collinear(7)})
+        cfg.experiment = "g2-cw"
+        cfg.drive = model.DriveConfig.off(7)
+        assert dense_bytes(cfg) == 16 * 16 ** 7 * 9 > DENSE_BUDGET_BYTES
+        small = resolve_config({"experiment": "g2-map",
+                                "system": collinear(4)})
+        assert 0 < dense_bytes(small) < DENSE_BUDGET_BYTES
+
+    def test_twelve_emitter_transmission_scan_resolves(self):
+        cfg = resolve_config({"experiment": "transmission-scan",
+                              "system": collinear(12)})
+        assert dense_bytes(cfg) == 0

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from wgqed import presets
+from wgqed import dynamics, presets
 from wgqed.dynamics import (g2_cw, integrated_pulsed_g2, propagate,
                             pulsed_g2_map, steady_state, two_time_correlation)
-from wgqed.errors import DegenerateSteadyStateError
+from wgqed.errors import DegenerateSteadyStateError, NumericalError
 from wgqed.hilbert import DensityState, basis_ket, collective_state
-from wgqed.model import (DriveConfig, EmitterParams, PulseSpec,
-                         WaveguideSystem, field_operator)
+from wgqed.model import (DriveConfig, EmitterParams, LindbladGenerator,
+                         PulseSpec, WaveguideSystem, field_operator)
 from wgqed.observables import intensity_record, population_projection
 from wgqed.analytics import perturbative_steady_state
 
@@ -78,6 +79,95 @@ class TestPropagate:
         assert slope == pytest.approx(-2 * gamma, rel=1e-3)
 
 
+def rk45_reference(system, drive, t):
+    """vec(ρ) on t (from 0) from |g…g⟩ by RK45 at rtol 1e-13 on L(t),
+    split at every pulse edge."""
+    gen = LindbladGenerator(system, drive)
+    y = np.zeros(gen.dim ** 2, dtype=complex)
+    y[-1] = 1.0
+    period, (lo, hi) = drive.pulse.repetition_period, drive.pulse.support
+    edges = {0.0, t[-1]} | {e + k * period for e in (lo, hi)
+                            for k in range(int(t[-1] // period) + 1)}
+    edges = sorted(e for e in edges if 0.0 <= e <= t[-1])
+    out = [y[None, :]]
+    for a, b in zip(edges[:-1], edges[1:]):
+        inside = [x for x in t if a < x <= b]
+        t_eval = inside + [b] * int(not inside or inside[-1] < b)
+        in_pulse = (0.5 * (a + b) - lo) % period < hi - lo
+        sol = solve_ivp(lambda tt, x: gen.superoperator(tt) @ x, (a, b), y,
+                        t_eval=t_eval, rtol=1e-13, atol=1e-15,
+                        max_step=drive.pulse.sigma_t / 20 if in_pulse
+                        else np.inf)
+        out.append(sol.y[:, :len(inside)].T)
+        y = sol.y[:, -1]
+    return np.concatenate(out)
+
+
+class TestExactPropagation:
+    """Exact steps between pulses, RK45 inside them."""
+
+    def test_pulse_end_between_grid_points(self):
+        sys = presets.qd_pair()
+        drive = DriveConfig((1.0, 0.6), (0.0, 0.9), "pulsed",
+                            PulseSpec(sigma_t=0.03, area=np.pi))
+        t = np.arange(0.0, 3.0 + 1e-9, 0.025)   # pulse ends at 0.36
+        assert t[14] < drive.pulse.support[1] < t[15]
+        traj = propagate(basis_ket("gg"), sys, drive, t, validate=False)
+        np.testing.assert_allclose(traj.states.reshape(len(t), -1),
+                                   rk45_reference(sys, drive, t),
+                                   rtol=0, atol=1e-9)
+
+    def test_non_uniform_grid(self):
+        # criterion 2's grid: the pulse end, then steps equal up to rounding
+        sys = identical_pair(beta=1.0)
+        pulse = PulseSpec(sigma_t=0.002, area=0.5 * np.pi)
+        drive = DriveConfig((1.0, 1.0), (0.0, 0.7), "pulsed", pulse)
+        prompt = pulse.center + 6.0 * pulse.sigma_t
+        t = np.concatenate([[0.0], np.arange(prompt, prompt + 0.4001,
+                                             0.002)])
+        traj = propagate(basis_ket("gg"), sys, drive, t, validate=False)
+        np.testing.assert_allclose(traj.states.reshape(len(t), -1),
+                                   rk45_reference(sys, drive, t),
+                                   rtol=0, atol=1e-9)
+
+    def test_static_generator_makes_no_ode_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_ivp called for a static generator")
+
+        monkeypatch.setattr(dynamics, "solve_ivp", refuse)
+        sys = presets.qd_pair()
+        propagate(basis_ket("eg"), sys, DriveConfig.off(2),
+                  np.linspace(0.0, 5.0, 51))
+        drive = DriveConfig((0.3, 0.0), (0.0, 0.0), "cw")
+        rho = steady_state(sys, drive)
+        e_l = field_operator(sys, "L")
+        tau = np.linspace(0.0, 2.0, 21)
+        late = two_time_correlation(sys, drive, e_l, e_l, rho, tau,
+                                    t_start=1.3)
+        early = two_time_correlation(sys, drive, e_l, e_l, rho, tau)
+        np.testing.assert_allclose(late.values, early.values, rtol=1e-10)
+
+    def test_one_ode_call_per_pulse_window(self, monkeypatch):
+        spans = []
+
+        def counting(fun, t_span, *args, **kwargs):
+            spans.append(tuple(t_span))
+            return solve_ivp(fun, t_span, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", counting)
+        sys = presets.qd_pair()
+        pulse = PulseSpec(sigma_t=0.03, area=np.pi)
+        drive = DriveConfig((1.0, 0.0), (0.0, 0.0), "pulsed", pulse)
+        t = np.arange(0.0, 16.0, 0.25)    # the second pulse lies in between
+        traj = propagate(basis_ket("gg"), sys, drive, t, validate=False)
+        lo, hi = pulse.support
+        period = pulse.repetition_period
+        assert spans == [(lo, hi), (lo + period, hi + period)]
+        np.testing.assert_allclose(traj.states.reshape(len(t), -1),
+                                   rk45_reference(sys, drive, t),
+                                   rtol=0, atol=1e-9)
+
+
 class TestSteadyState:
     def test_weak_drive_two_level_population(self):
         gamma = 2.0
@@ -120,6 +210,56 @@ class TestSteadyState:
         assert abs(rho.matrix[1, 3] - pert.c_eg) < 5 * rel * abs(pert.c_eg)
         assert abs(rho.matrix[2, 3] - pert.c_ge) < 5 * rel * abs(pert.c_ge)
         assert abs(rho.matrix[0, 3] - pert.c_ee) < 5 * rel * abs(pert.c_ee)
+
+    @staticmethod
+    def fast_pair():
+        # Γ/2π = 1000 GHz at Ω/Γ = 50: ‖L‖ ~ 3e5 rad/ns
+        gamma = 2 * np.pi * 1000.0
+        e = EmitterParams(gamma, 0.9, dephasing=0.01 * gamma)
+        sys = WaveguideSystem((e, e), 0.8 * np.pi)
+        return sys, DriveConfig((50.0 * gamma, 0.0), (0.0, 0.0), "cw")
+
+    def test_fast_pair_not_rejected(self):
+        sys, drive = self.fast_pair()
+        rho = steady_state(sys, drive)
+        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [1e-2, 1e3])
+    @pytest.mark.parametrize("case", ["device", "fast"])
+    def test_rate_scaling_leaves_state_unchanged(self, case, lam):
+        if case == "fast":
+            sys, drive = self.fast_pair()
+        else:
+            sys = presets.qd_pair()
+            drive = DriveConfig((0.2, 0.1), (0.0, 0.7), "cw")
+        scaled_sys = WaveguideSystem(
+            tuple(EmitterParams(e.gamma_total * lam, e.beta,
+                                detuning=e.detuning * lam,
+                                dephasing=e.dephasing * lam)
+                  for e in sys.emitters), sys.coupling_phase)
+        scaled_drive = DriveConfig(
+            tuple(r * lam for r in drive.rabi_amplitude), drive.drive_phase,
+            "cw")
+        rho = steady_state(sys, drive).matrix
+        np.testing.assert_allclose(
+            steady_state(scaled_sys, scaled_drive).matrix, rho,
+            rtol=0, atol=1e-9 * np.abs(rho).max())
+
+    def test_anti_hermitian_part_is_checked(self, monkeypatch):
+        svd = np.linalg.svd
+
+        def skewed(a):
+            u, s, vh = svd(a)
+            dim = int(round(np.sqrt(vh.shape[1])))
+            skew = np.zeros((dim, dim), dtype=complex)
+            skew[0, 1], skew[1, 0] = 1e-6, -1e-6
+            vh[-1] += skew.reshape(-1)
+            return u, s, vh
+
+        monkeypatch.setattr(dynamics.np.linalg, "svd", skewed)
+        sys = presets.qd_pair()
+        with pytest.raises(NumericalError, match="anti-Hermitian"):
+            steady_state(sys, DriveConfig((0.2, 0.1), (0.0, 0.7), "cw"))
 
 
 class TestTwoTimeCorrelation:
