@@ -12,9 +12,11 @@ import yaml
 from jsonschema import Draft202012Validator
 
 from . import presets
+from .dynamics import node_chunk
 from .errors import ConfigError
 from .instrument import DetectorModel, NoiseAveragingPlan
 from .model import DriveConfig, EmitterParams, PulseSpec, WaveguideSystem
+from .observables import saturation_powers
 from .scalability import ScalabilityConfig
 from .units import ghz_to_angular
 
@@ -125,9 +127,11 @@ SCHEMA = {
                 "window_ns": {"type": "number", "exclusiveMinimum": 0},
                 "dt_ns": {"type": "number", "exclusiveMinimum": 0},
                 "integration_windows_ns": {
-                    "type": "array", "items": {"type": "number"}},
+                    "type": "array", "items": {"type": "number"},
+                    "minItems": 1},
                 "pairs": {"type": "array",
-                          "items": {"enum": ["LL", "RR", "LR", "RL"]}},
+                          "items": {"enum": ["LL", "RR", "LR", "RL"]},
+                          "minItems": 1},
                 "ports": {"enum": ["LL", "RR", "LR", "RL"]},
             },
         },
@@ -267,6 +271,24 @@ def _build_drive(section, system, default_mode, default_rabi_ghz=None,
     return drive
 
 
+# Grid values other than range axes that each experiment falls back on,
+# filled in at resolution so that the rules and the experiment read the
+# same numbers.
+_GRID_DEFAULTS = {
+    "lifetime": {"t_max_ns": 8.0, "dt_ns": 0.004},
+    "phase-sweep": {"dt_ns": 0.005, "integration_windows_ns": [0.4, 3.0]},
+    "detuning-sweep": {"t_max_ns": 5.0, "dt_ns": 0.02, "window_ns": 2.0},
+    "g2-cw": {"tau_max_ns": 6.0, "dt_ns": 0.005,
+              "pairs": ["LL", "RR", "LR", "RL"]},
+    "g2-pulsed": {"window_ns": 4.0, "dt_ns": 0.01,
+                  "pairs": ["LL", "RR", "LR", "RL"]},
+    "g2-map": {"window_ns": 4.0, "dt_ns": 0.01, "ports": "LL"},
+}
+# the grid span an experiment steps through in dt_ns
+_SPANS = {"lifetime": "t_max_ns", "detuning-sweep": "t_max_ns",
+          "g2-cw": "tau_max_ns", "g2-pulsed": "window_ns",
+          "g2-map": "window_ns"}
+
 _DEFAULT_DRIVES = {
     # weak resonant CW drive of emitter 1 (units: Omega/2pi GHz)
     "g2-cw": ("cw", "weak_left"),
@@ -317,23 +339,59 @@ _DENSE_EXPERIMENTS = ("transmission-saturation", "lifetime", "phase-sweep",
 def dense_bytes(cfg):
     """Estimated bytes of the dense superoperators that cfg's experiment
     holds at once: the static generator, one drive part per driven
-    emitter, work matrices, and for the pulsed maps one step propagator
-    per grid step that overlaps the pulse.  0 when it builds none."""
+    emitter, work matrices, for the pulsed maps one step propagator per
+    grid step that overlaps the pulse, and for g2-cw one chunk of stacked
+    noise nodes: two per node beyond the first, whose pair the work
+    matrices already count.  0 when it builds none."""
     if cfg.experiment not in _DENSE_EXPERIMENTS:
         return 0
     driven = 1 if cfg.drive is None else \
         sum(r != 0 for r in cfg.drive.rabi_amplitude)
     count = 1 + driven + _DENSE_WORK
     if cfg.experiment in ("g2-pulsed", "g2-map") and not cfg.drive.is_cw:
-        dt = cfg.grid.get("dt_ns", 0.01)
+        dt = cfg.grid["dt_ns"]
         count += min(int(np.ceil(12.0 * cfg.drive.pulse.sigma_t / dt)) + 2,
-                     int(round(cfg.grid.get("window_ns", 4.0) / dt)))
+                     int(round(cfg.grid["window_ns"] / dt)))
+    if cfg.experiment == "g2-cw":
+        count += 2 * (min(_noise_node_count(cfg),
+                          node_chunk(2 ** cfg.system.n)) - 1)
     return 16 * 16 ** cfg.system.n * count
+
+
+def _noise_node_count(cfg):
+    """Nodes of cfg's spectral-diffusion average (1 without one)."""
+    active = sum(e.spectral_diffusion_sigma > 0 for e in cfg.system.emitters)
+    if cfg.noise is None or active == 0:
+        return 1
+    if cfg.noise.scheme == "gauss_hermite":
+        return cfg.noise.samples_or_nodes ** active
+    return cfg.noise.samples_or_nodes
 
 
 def _check_experiment(cfg):
     """Rules an experiment puts on the rest of its config, checked at
     resolution so that ``validate`` rejects what ``run`` would."""
+    grid = cfg.grid
+    for key, spec in grid.items():
+        if isinstance(spec, dict) and "values" not in spec and \
+                spec.get("log") and not (spec["start"] > 0 < spec["stop"] or
+                                         spec["start"] < 0 > spec["stop"]):
+            raise ConfigError(f"grid.{key}: a log range needs start and "
+                              "stop of one sign")
+    if cfg.experiment in _DEFAULT_DRIVES:
+        mode = _DEFAULT_DRIVES[cfg.experiment][0]
+        if cfg.drive.mode != mode:
+            raise ConfigError(f"{cfg.experiment} needs a {mode} drive")
+    span = _SPANS.get(cfg.experiment)
+    if span is not None and grid[span] < grid["dt_ns"]:
+        raise ConfigError(f"grid.{span} must be at least grid.dt_ns")
+    if cfg.experiment in ("g2-pulsed", "g2-map") and \
+            grid["window_ns"] > cfg.drive.pulse.repetition_period:
+        raise ConfigError("grid.window_ns exceeds the pulse period")
+    if cfg.experiment == "phase-sweep" and \
+            min(grid["integration_windows_ns"]) < grid["dt_ns"]:
+        raise ConfigError("grid.integration_windows_ns must each be at "
+                          "least grid.dt_ns")
     need = dense_bytes(cfg)
     if need > DENSE_BUDGET_BYTES:
         raise ConfigError(
@@ -348,6 +406,9 @@ def _check_experiment(cfg):
             raise ConfigError("transmission-saturation sets the power through "
                               "emitter 1's waveguide coupling: it needs "
                               "beta > 0")
+        if not all(p > 0 for p in saturation_powers(cfg.system, fracs)):
+            raise ConfigError("rabi_over_gamma grid too small: the input "
+                              "power underflows to 0")
     elif cfg.experiment == "detuning-sweep" and cfg.system.n != 2:
         raise ConfigError("detuning-sweep requires a two-emitter system")
     elif cfg.experiment.startswith("scalability"):
@@ -418,7 +479,7 @@ def _resolve(data):
         drive=drive,
         detector=detector,
         noise=noise,
-        grid=dict(data.get("grid", {})),
+        grid={**_GRID_DEFAULTS.get(experiment, {}), **data.get("grid", {})},
         scalability=scal,
         raw=data,
     )

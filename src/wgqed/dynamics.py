@@ -13,10 +13,18 @@ propagator that evolves ρ,
 
     G_αβ(τ) = Tr[E_β†E_β · Λ_τ(E_α ρ E_α†)].
 
-CW correlations start from the steady state and are τ-stationary; pulsed
-correlations are computed as fully time-resolved maps G(t₁, t₂) over one
-pulse window (same-pulse) and across one repetition period
-(different-pulse), then integrated along the diagonal.
+CW correlations start from the steady state and are τ-stationary.
+``g2_cw`` takes a stack of systems, such as the spectral-diffusion nodes
+of a noise average: one generator and steady state per node, one stacked
+expm(L·dt) and one batched product per τ step for all of them.  Callers
+march long stacks in chunks of ``node_chunk`` nodes, whose superoperators
+fit NODE_STACK_BYTES.  Pulsed correlations are computed as fully
+time-resolved maps G(t₁, t₂) over one pulse window (same-pulse) and
+across one repetition period (different-pulse), then integrated along the
+diagonal; one ``pulsed_g2_map`` call serves every port pair from one set
+of step propagators.  Stacking and sharing leave each node's and pair's
+arithmetic as in a call of its own, so the results are bit-identical to
+one call per node and pair and the example tables did not change.
 """
 
 import warnings
@@ -28,9 +36,11 @@ from scipy.linalg import expm
 
 from .errors import DegenerateSteadyStateError, IntegrationError, NumericalError
 from .hilbert import DensityState
-from .model import DriveConfig, LindbladGenerator, field_operator
+from .model import (DriveConfig, LindbladGenerator, WaveguideSystem,
+                    field_operator)
 
 NEGATIVE_G_TOL = 1e-10  # regression numerics may produce tiny negatives
+NODE_STACK_BYTES = 16 * 1024 ** 2   # stacked superoperators of one g2_cw call
 
 
 @dataclass
@@ -140,20 +150,24 @@ def propagate(initial, system, drive, t_grid, rtol=1e-10, atol=1e-12,
     return Trajectory(times=t_grid, states=states, drive=drive)
 
 
-def steady_state(system, drive):
+def steady_state(system, drive=None):
     """Unique steady state of the CW-driven generator.
 
-    Every check is relative to the scale ‖L‖₂ (the largest singular
-    value), so scaling all rates and the drive by λ leaves the decisions
-    unchanged.  Uniqueness is certified by the second-smallest singular
-    value s₋₂ exceeding 1e-11·‖L‖₂.  The null vector, phase-fixed by its
-    trace, may carry an anti-Hermitian part of at most 1e-12·‖L‖₂/s₋₂ of
-    its norm (the SVD accuracy) before it is symmetrized; the returned
-    state has unit trace and satisfies max|L(ρ_ss)| ≤ 1e-12·‖L‖₂.
+    ``system`` may be a LindbladGenerator already built for a CW drive,
+    which is then used as is (``drive`` is ignored).  Every check is
+    relative to the scale ‖L‖₂ (the largest singular value), so scaling
+    all rates and the drive by λ leaves the decisions unchanged.
+    Uniqueness is certified by the second-smallest singular value s₋₂
+    exceeding 1e-11·‖L‖₂.  The null vector, phase-fixed by its trace, may
+    carry an anti-Hermitian part of at most 1e-12·‖L‖₂/s₋₂ of its norm (the
+    SVD accuracy) before it is symmetrized; the returned state has unit
+    trace and satisfies max|L(ρ_ss)| ≤ 1e-12·‖L‖₂.
     """
-    if not drive.is_cw:
+    gen = system if isinstance(system, LindbladGenerator) else None
+    if not (drive if gen is None else gen.drive).is_cw:
         raise ValueError("steady_state requires a CW drive")
-    gen = LindbladGenerator(system, drive)
+    if gen is None:
+        gen = LindbladGenerator(system, drive)
     l = gen.superoperator()
     _, s, vh = np.linalg.svd(l)
     scale = s[0]
@@ -220,42 +234,78 @@ def two_time_correlation(system, drive, a_op, b_op, rho, tau_grid,
     return _clip_correlations(tau_grid, np.real(ys @ w))
 
 
-def g2_cw(system, drive, pairs=("LL", "RR", "LR", "RL"), tau_max=6.0,
+def node_chunk(dim):
+    """Systems per ``g2_cw`` stack for a Hilbert dimension ``dim``.
+
+    Each system of a stack holds two dim²×dim² complex superoperators, L
+    and expm(L·dt); a chunk keeps them within NODE_STACK_BYTES (but has at
+    least one system).
+    """
+    return max(1, NODE_STACK_BYTES // (2 * 16 * dim ** 4))
+
+
+def g2_cw(systems, drive, pairs=("LL", "RR", "LR", "RL"), tau_max=6.0,
           dt=0.005):
     """Steady-state g²_αβ(τ) for the requested port pairs.
 
-    Returns a dict with 'tau', per-pair normalized 'g2' (τ ≥ 0), steady
-    intensities, and clip diagnostics.  Negative delays follow from
-    g²_αβ(−τ) = g²_βα(τ).
-    """
-    rho_ss = steady_state(system, drive)
-    ops = {"L": field_operator(system, "L"), "R": field_operator(system, "R")}
-    intens = {p: max(np.real(rho_ss.expectation(ops[p].conj().T @ ops[p])), 0.0)
-              for p in "LR"}
-    tau = np.arange(0.0, tau_max + dt / 2, dt)
-    out = {"tau": tau, "intensity": intens, "g2": {}, "G2": {}, "clipped": {}}
-    gen = LindbladGenerator(system, drive)
-    step = expm(gen.superoperator() * dt)
+    ``systems`` is one WaveguideSystem or a sequence of them sharing the
+    CW drive and dimension, such as the detuning nodes of a noise average.
+    Each gets its own generator and steady state; the one-step
+    propagators expm(L·dt) are taken as one stack and all seeds march
+    together, one batched product per τ step.  The stack holds two
+    superoperators per system: pass at most ``node_chunk(dim)`` systems to
+    stay within NODE_STACK_BYTES.
 
-    # all pair seeds march through the same propagator in one pass
-    seeds = np.stack(
-        [(ops[p[0]] @ rho_ss.matrix @ ops[p[0]].conj().T).reshape(-1)
-         for p in pairs], axis=1)
-    weights = np.stack([_trace_weight(ops[p[1]].conj().T @ ops[p[1]])
-                        for p in pairs], axis=0)
-    raw = np.empty((len(tau), len(pairs)))
-    x = seeds
+    Returns a dict with 'tau', per-pair normalized 'g2' (τ ≥ 0) and 'G2',
+    steady intensities, and per-pair clip counts.  For a sequence every
+    value carries a leading system axis; one system gives them without
+    it.  Negative delays follow from g²_αβ(−τ) = g²_βα(τ).
+    """
+    single = isinstance(systems, WaveguideSystem)
+    stack = [systems] if single else list(systems)
+    tau = np.arange(0.0, tau_max + dt / 2, dt)
+    l, seeds, weights = None, [], []
+    intens = {"L": [], "R": []}
+    for k, system in enumerate(stack):
+        gen = LindbladGenerator(system, drive)
+        rho_ss = steady_state(gen)
+        ops = {p: field_operator(system, p) for p in "LR"}
+        for p in "LR":
+            intens[p].append(max(np.real(rho_ss.expectation(
+                ops[p].conj().T @ ops[p])), 0.0))
+        if l is None:
+            l = np.empty((len(stack),) + gen.static_superoperator.shape,
+                         dtype=complex)
+        l[k] = gen.superoperator()
+        seeds.append(np.stack(
+            [(ops[p[0]] @ rho_ss.matrix @ ops[p[0]].conj().T).reshape(-1)
+             for p in pairs], axis=1))
+        weights.append(np.stack(
+            [_trace_weight(ops[p[1]].conj().T @ ops[p[1]]) for p in pairs],
+            axis=0))
+    intens = {p: np.array(v) for p, v in intens.items()}
+    l *= dt
+    step = expm(l)
+    del l
+    weights = np.stack(weights)             # (K, P, dim²)
+    x = np.stack(seeds)                     # (K, dim², P)
+    raw = np.empty((len(tau), len(stack), len(pairs)))
     for i in range(len(tau)):
-        raw[i] = np.real(np.einsum("pj,jp->p", weights, x))
+        raw[i] = np.real(np.einsum("kpj,kjp->kp", weights, x))
         x = step @ x
-    for k, pair in enumerate(pairs):
-        res = _clip_correlations(tau, raw[:, k])
+    out = {"tau": tau, "intensity": intens, "g2": {}, "G2": {}, "clipped": {}}
+    for j, pair in enumerate(pairs):
+        res = _clip_correlations(tau, raw[:, :, j])
         denom = intens[pair[0]] * intens[pair[1]]
-        if denom <= 0:
+        if np.any(denom <= 0):
             raise NumericalError(f"zero steady flux for pair {pair}")
-        out["G2"][pair] = res.values
-        out["g2"][pair] = res.values / denom
-        out["clipped"][pair] = res.clipped
+        out["G2"][pair] = res.values.T
+        out["g2"][pair] = res.values.T / denom[:, None]
+        out["clipped"][pair] = np.sum(raw[:, :, j] < -NEGATIVE_G_TOL, axis=0)
+    if single:
+        out["intensity"] = {p: v[0] for p, v in intens.items()}
+        for key in ("g2", "G2", "clipped"):
+            out[key] = {pair: v[0] for pair, v in out[key].items()}
     return out
 
 
@@ -315,12 +365,17 @@ def pulsed_g2_map(system, drive, ports="LL", window=4.0, dt=0.01,
                   separation_periods=500):
     """Fully time-resolved G²_αβ(t₁, t₂) maps for one pulse window.
 
-    Returns same-pulse and different-pulse maps on the full (t₁, t₂)
-    square; for t₂ < t₁ the same-pulse map holds G_βα(t₂, t₁).  The
-    different-pulse map correlates t₁ in one pulse window with t₂ a large
-    number of repetition periods later (coincidence hardware pairs pulses
-    hundreds of periods apart), so it factorizes into I(t₁)I(t₂) once the
-    system has fully relaxed.
+    ``ports`` is one port pair such as "LR", which returns its
+    PulsedG2Result, or a sequence of pairs, which returns a dict pair →
+    PulsedG2Result.  All pairs share one set of step propagators, one
+    march per seed port and one far-window march per first port.
+
+    Each result holds same-pulse and different-pulse maps on the full
+    (t₁, t₂) square; for t₂ < t₁ the same-pulse map holds G_βα(t₂, t₁).
+    The different-pulse map correlates t₁ in one pulse window with t₂ a
+    large number of repetition periods later (coincidence hardware pairs
+    pulses hundreds of periods apart), so it factorizes into I(t₁)I(t₂)
+    once the system has fully relaxed.
 
     By default every period starts from |g…g⟩ and the pulse does the
     excitation.  ``initial`` instead models an ideal preparation: the
@@ -329,11 +384,18 @@ def pulsed_g2_map(system, drive, ports="LL", window=4.0, dt=0.01,
     the far-away different-pulse window alike.  The pulse still acts after
     the reset when its area is nonzero.
     """
-    if not (len(ports) == 2 and set(ports) <= set("LR")):
-        raise ValueError("ports must be two of 'L'/'R'")
+    pairs = [ports] if isinstance(ports, str) else list(ports)
+    for pair in pairs:
+        if not (len(pair) == 2 and set(pair) <= set("LR")):
+            raise ValueError("ports must be two of 'L'/'R'")
     if drive.is_cw:
         raise ValueError("pulsed_g2_map requires a pulsed drive")
-    a, b = ports[0], ports[1]
+    period = drive.pulse.repetition_period
+    gap = period - window
+    if gap < 0:
+        raise ValueError("window exceeds the repetition period")
+    if separation_periods < 1:
+        raise ValueError("separation_periods must be >= 1")
     gen = LindbladGenerator(system, drive)
     dim, dim2 = gen.dim, gen.dim ** 2
     nt = int(round(window / dt)) + 1
@@ -362,13 +424,11 @@ def pulsed_g2_map(system, drive, ports="LL", window=4.0, dt=0.01,
         return np.stack([(e @ r @ e.conj().T).reshape(-1) for r in rho_t],
                         axis=1)  # (dim2, nt)
 
-    banks = {a: seeds_for(a)}
-    if b != a:
-        banks[b] = seeds_for(b)
-
-    g_upper = {}  # (alpha, beta) -> map over t1 <= t2
-    for alpha, beta in {(a, b), (b, a)}:
-        g_upper[(alpha, beta)] = np.zeros((nt, nt))
+    banks = {p: seeds_for(p) for p in sorted({q for pair in pairs
+                                               for q in pair})}
+    # "αβ" -> map over t1 <= t2
+    g_upper = {key: np.zeros((nt, nt)) for pair in pairs
+               for key in (pair, pair[::-1])}
 
     # march all seed banks forward through the window
     live = {p: np.zeros((dim2, nt), dtype=complex) for p in banks}
@@ -381,16 +441,6 @@ def pulsed_g2_map(system, drive, ports="LL", window=4.0, dt=0.01,
             for p in banks:
                 live[p][:, :k + 1] = mats[k] @ live[p][:, :k + 1]
 
-    same = np.where(np.arange(nt)[None, :] >= np.arange(nt)[:, None],
-                    g_upper[(a, b)],
-                    g_upper[(b, a)].T)
-
-    period = drive.pulse.repetition_period
-    gap = period - window
-    if gap < 0:
-        raise ValueError("window exceeds the repetition period")
-    if separation_periods < 1:
-        raise ValueError("separation_periods must be >= 1")
     if initial is None:
         # relax across `separation_periods` repetitions, then march through
         # the far-away pulse window
@@ -401,35 +451,46 @@ def pulsed_g2_map(system, drive, ports="LL", window=4.0, dt=0.01,
                 p_window = m @ p_window
             p_gap = np.linalg.matrix_power(p_gap @ p_window,
                                            separation_periods - 1) @ p_gap
-        live[a] = p_gap @ live[a]
     else:
-        # the preparation recurs at the start of the far-away period; the
-        # propagation in between preserves the trace, so X ↦ Tr(X)·ρ₀ needs
-        # only the trace of each seed
         w_id = _trace_weight(np.eye(dim))
-        live[a] = np.outer(rho.reshape(-1), w_id @ live[a])
-    g_diff = np.zeros((nt, nt))
-    for k in range(nt):
-        g_diff[:, k] = np.real(w_tr[b] @ live[a])
-        if k < nt - 1:
-            live[a] = mats[k] @ live[a]
+    g_diff = {pair: np.zeros((nt, nt)) for pair in pairs}  # far-away window
+    for a in sorted({pair[0] for pair in pairs}):
+        if initial is None:
+            far = p_gap @ live[a]
+        else:
+            # the preparation recurs at the start of the far-away period;
+            # the propagation in between preserves the trace, so
+            # X ↦ Tr(X)·ρ₀ needs only the trace of each seed
+            far = np.outer(rho.reshape(-1), w_id @ live[a])
+        served = [pair for pair in g_diff if pair[0] == a]
+        for k in range(nt):
+            for pair in served:
+                g_diff[pair][:, k] = np.real(w_tr[pair[1]] @ far)
+            if k < nt - 1:
+                far = mats[k] @ far
 
-    n_neg = int(np.sum(same < -NEGATIVE_G_TOL) + np.sum(g_diff < -NEGATIVE_G_TOL))
-    if n_neg:
-        warnings.warn(f"{n_neg} map values below -{NEGATIVE_G_TOL:g} clipped",
-                      RuntimeWarning)
-    same = np.clip(same, 0.0, None)
-    g_diff = np.clip(g_diff, 0.0, None)
-
-    meta = {"ports": ports, "dt": dt, "window": window, "period": period,
-            "separation_periods": separation_periods}
-    return PulsedG2Result(
-        ports=ports, t=t,
-        same=CorrelationMap(t, t, same, "same_pulse", dict(meta)),
-        different=CorrelationMap(t, t + separation_periods * period, g_diff,
-                                 "different_pulse", dict(meta)),
-        intensity_a=intensity[a], intensity_b=intensity[b],
-        period=period, clipped=n_neg)
+    upper = np.arange(nt)[None, :] >= np.arange(nt)[:, None]
+    results = {}
+    for pair in pairs:
+        same = np.where(upper, g_upper[pair], g_upper[pair[::-1]].T)
+        diff = g_diff[pair]
+        n_neg = int(np.sum(same < -NEGATIVE_G_TOL)
+                    + np.sum(diff < -NEGATIVE_G_TOL))
+        if n_neg:
+            warnings.warn(f"{n_neg} map values below -{NEGATIVE_G_TOL:g} "
+                          f"clipped ({pair})", RuntimeWarning)
+        meta = {"ports": pair, "dt": dt, "window": window, "period": period,
+                "separation_periods": separation_periods}
+        results[pair] = PulsedG2Result(
+            ports=pair, t=t,
+            same=CorrelationMap(t, t, np.clip(same, 0.0, None),
+                                "same_pulse", dict(meta)),
+            different=CorrelationMap(t, t + separation_periods * period,
+                                     np.clip(diff, 0.0, None),
+                                     "different_pulse", dict(meta)),
+            intensity_a=intensity[pair[0]], intensity_b=intensity[pair[1]],
+            period=period, clipped=n_neg)
+    return results[ports] if isinstance(ports, str) else results
 
 
 @dataclass

@@ -16,13 +16,15 @@ import numpy as np
 from . import __version__, presets
 from .config import expand_range, scalability_config
 from .dynamics import (CorrelationMap, PulsedG2Result, g2_cw,
-                       integrated_pulsed_g2, propagate, pulsed_g2_map)
+                       integrated_pulsed_g2, node_chunk, propagate,
+                       pulsed_g2_map)
 from .hilbert import basis_ket
-from .instrument import (DetectorModel, jitter_convolve,
-                         spectral_diffusion_average)
+from .instrument import (DetectorModel, NodeAverage, jitter_convolve,
+                         noise_nodes, spectral_diffusion_average)
 from .model import DriveConfig
 from .observables import (directionality, intensity_record,
-                          transmission_coherent, transmission_saturated)
+                          saturation_powers, transmission_coherent,
+                          transmission_saturated)
 from .scalability import probabilities_per_waveguide
 from .units import angular_to_ghz, ghz_to_angular
 
@@ -117,33 +119,28 @@ def _noise_spec(cfg):
             "seed": cfg.noise.seed}
 
 
-def _sd_average(cfg, fn):
-    """Average dict-of-arrays results over spectral-diffusion offsets."""
+def _sd_average(cfg, results):
+    """Average dict-of-arrays node results over spectral-diffusion offsets.
+
+    ``results(offsets)`` takes the ``(K, N)`` node offsets of
+    ``noise_nodes`` and yields one dict per node, in order.  Each key is
+    reduced on its own with the arithmetic of
+    ``spectral_diffusion_average``; scalar values become floats.
+    """
     sigmas = [e.spectral_diffusion_sigma for e in cfg.system.emitters]
     if cfg.noise is None or all(s == 0 for s in sigmas):
-        return fn(np.zeros(len(sigmas)))
-
-    keys = None
-
-    def packed(offsets):
-        nonlocal keys
-        out = fn(offsets)
-        keys = list(out)
-        return np.concatenate([np.atleast_1d(np.asarray(out[k], float)).ravel()
-                               for k in keys])
-
-    first = fn(np.zeros(len(sigmas)))
-    keys = list(first)
-    shapes = [np.atleast_1d(np.asarray(first[k], float)).shape for k in keys]
-    sizes = [int(np.prod(s)) for s in shapes]
-    averaged = spectral_diffusion_average(packed, sigmas, cfg.noise).value
+        return next(iter(results(np.zeros((1, len(sigmas))))))
+    offsets, weights = noise_nodes(sigmas, cfg.noise)
+    sums = None
+    for node in results(offsets):
+        if sums is None:
+            sums = {key: NodeAverage(weights, cfg.noise) for key in node}
+        for key, value in node.items():
+            sums[key].add(value)
     out = {}
-    pos = 0
-    for k, shape, size in zip(keys, shapes, sizes):
-        out[k] = averaged[pos:pos + size].reshape(shape)
-        if out[k].size == 1:
-            out[k] = float(out[k].item())
-        pos += size
+    for key, avg in sums.items():
+        value = avg.result().value
+        out[key] = float(value) if value.ndim == 0 else value
     return out
 
 
@@ -186,8 +183,7 @@ def run_transmission_saturation(cfg, threads=1):
     fracs = expand_range(cfg.grid.get("rabi_over_gamma"),
                          {"start": 0.01, "stop": 50.0, "points": 21,
                           "log": True})
-    e1 = cfg.system.emitters[0]
-    powers = [(e1.gamma_total * f) ** 2 / (2.0 * e1.gamma_wg) for f in fracs]
+    powers = saturation_powers(cfg.system, fracs)
     points = transmission_saturated(cfg.system, powers)
     rows = [(f, p.power, p.transmission_coherent, p.transmission_flux)
             for f, p in zip(fracs, points)]
@@ -204,8 +200,8 @@ def run_transmission_saturation(cfg, threads=1):
 
 
 def run_lifetime(cfg, threads=1):
-    t_max = cfg.grid.get("t_max_ns", 8.0)
-    dt = cfg.grid.get("dt_ns", 0.004)
+    t_max = cfg.grid["t_max_ns"]
+    dt = cfg.grid["dt_ns"]
     t = np.arange(0.0, t_max + dt / 2, dt)
     init = basis_ket("g" * cfg.system.n)
 
@@ -215,7 +211,7 @@ def run_lifetime(cfg, threads=1):
         rec = intensity_record(traj, sys_off)
         return {"left": rec.left, "right": rec.right}
 
-    rec = _sd_average(cfg, curves)
+    rec = _sd_average(cfg, lambda offsets: map(curves, offsets))
     warn_msgs = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -240,11 +236,11 @@ def run_lifetime(cfg, threads=1):
 def run_phase_sweep(cfg, threads=1):
     thetas = expand_range(cfg.grid.get("theta_over_pi"),
                           {"start": 0.0, "stop": 2.0, "points": 41})
-    windows = cfg.grid.get("integration_windows_ns", [0.4, 3.0])
+    windows = cfg.grid["integration_windows_ns"]
     pulse = cfg.drive.pulse
     t_prompt = pulse.center + 6.0 * pulse.sigma_t
     t_end = t_prompt + max(windows)
-    dt = cfg.grid.get("dt_ns", 0.005)
+    dt = cfg.grid["dt_ns"]
     t = np.arange(0.0, t_end + dt / 2, dt)
     init = basis_ket("g" * cfg.system.n)
 
@@ -281,9 +277,9 @@ def run_phase_sweep(cfg, threads=1):
 def run_detuning_sweep(cfg, threads=1):
     deltas = expand_range(cfg.grid.get("detuning2_ghz"),
                           {"start": -6.0, "stop": 6.0, "points": 31})
-    t_max = cfg.grid.get("t_max_ns", 5.0)
-    dt = cfg.grid.get("dt_ns", 0.02)
-    window = cfg.grid.get("window_ns", 2.0)
+    t_max = cfg.grid["t_max_ns"]
+    dt = cfg.grid["dt_ns"]
+    window = cfg.grid["window_ns"]
     t = np.arange(0.0, t_max + dt / 2, dt)
     init = basis_ket("gg")
     pulse = cfg.drive.pulse
@@ -296,7 +292,7 @@ def run_detuning_sweep(cfg, threads=1):
             traj = propagate(init, sys_off, cfg.drive, t, validate=False)
             rec = intensity_record(traj, sys_off)
             return {"left": rec.left, "right": rec.right}
-        rec = _sd_average(cfg, curves)
+        rec = _sd_average(cfg, lambda offsets: map(curves, offsets))
         left_irf = jitter_convolve(t, rec["left"], cfg.detector)
         right_irf = jitter_convolve(t, rec["right"], cfg.detector)
         k0, k1 = np.searchsorted(t, [t0, t0 + window])
@@ -333,22 +329,25 @@ def _symmetrize_tau(tau, fwd, bwd):
 
 
 def run_g2_cw(cfg, threads=1):
-    pairs = tuple(cfg.grid.get("pairs", ["LL", "RR", "LR", "RL"]))
-    tau_max = cfg.grid.get("tau_max_ns", 6.0)
-    dt = cfg.grid.get("dt_ns", 0.005)
+    pairs = tuple(cfg.grid["pairs"])
+    tau_max = cfg.grid["tau_max_ns"]
+    dt = cfg.grid["dt_ns"]
 
-    need = set(pairs) | {p[::-1] for p in pairs}  # reversed for tau < 0
+    need = tuple(sorted(set(pairs) | {p[::-1] for p in pairs}))  # τ < 0
+    chunk = node_chunk(2 ** cfg.system.n)
 
-    def bundle(offsets):
-        sys_off = cfg.system.with_detuning_offsets(offsets)
-        res = g2_cw(sys_off, cfg.drive, pairs=tuple(sorted(need)),
-                    tau_max=tau_max, dt=dt)
-        out = {f"G2_{p}": res["G2"][p] for p in sorted(need)}
-        out["I_L"] = res["intensity"]["L"]
-        out["I_R"] = res["intensity"]["R"]
-        return out
+    def bundles(offsets):
+        for lo in range(0, len(offsets), chunk):
+            res = g2_cw([cfg.system.with_detuning_offsets(o)
+                         for o in offsets[lo:lo + chunk]], cfg.drive,
+                        pairs=need, tau_max=tau_max, dt=dt)
+            for k in range(len(res["intensity"]["L"])):
+                out = {f"G2_{p}": res["G2"][p][k] for p in need}
+                out["I_L"] = res["intensity"]["L"][k]
+                out["I_R"] = res["intensity"]["R"][k]
+                yield out
 
-    avg = _sd_average(cfg, bundle)
+    avg = _sd_average(cfg, bundles)
     tau = np.arange(0.0, tau_max + dt / 2, dt)
     # CW correlograms: sigma_IRF is the correlator's effective response
     # along the delay axis (matches the published antidip heights)
@@ -375,50 +374,58 @@ def run_g2_cw(cfg, threads=1):
     return ResultBundle(cfg.experiment, {"g2": (cols, rows)}, meta)
 
 
-def _pulsed_correlograms(cfg, ports, window, dt):
-    """Spectral-diffusion-averaged pulsed maps as a PulsedG2Result."""
+def _pulsed_correlograms(cfg, pairs, window, dt):
+    """Spectral-diffusion-averaged pulsed maps, pair → PulsedG2Result."""
     map_meta = {}
 
     def bundle(offsets):
         sys_off = cfg.system.with_detuning_offsets(offsets)
-        res = pulsed_g2_map(sys_off, cfg.drive, ports=ports, window=window,
+        res = pulsed_g2_map(sys_off, cfg.drive, ports=pairs, window=window,
                             dt=dt)
-        map_meta.update(res.different.normalization)
-        return {"same": res.same.values, "different": res.different.values,
-                "I_a": res.intensity_a, "I_b": res.intensity_b}
+        out = {}
+        for pair, r in res.items():
+            map_meta.update(r.different.normalization)
+            out[f"same_{pair}"] = r.same.values
+            out[f"different_{pair}"] = r.different.values
+            out[f"I_{pair[0]}"] = r.intensity_a
+            out[f"I_{pair[1]}"] = r.intensity_b
+        return out
 
-    avg = _sd_average(cfg, bundle)
+    avg = _sd_average(cfg, lambda offsets: map(bundle, offsets))
     t = np.arange(int(round(window / dt)) + 1) * dt
     period = cfg.drive.pulse.repetition_period
     separation = map_meta["separation_periods"]
-    meta = {"ports": ports, "dt": dt, "window": window, "period": period,
-            "separation_periods": separation,
-            "spectral_diffusion": _noise_spec(cfg)}
-    return PulsedG2Result(
-        ports=ports, t=t,
-        same=CorrelationMap(t, t, np.asarray(avg["same"]), "same_pulse",
-                            dict(meta)),
-        different=CorrelationMap(t, t + separation * period,
-                                 np.asarray(avg["different"]),
-                                 "different_pulse", dict(meta)),
-        intensity_a=np.asarray(avg["I_a"]),
-        intensity_b=np.asarray(avg["I_b"]),
-        period=period)
+    maps = {}
+    for pair in pairs:
+        meta = {"ports": pair, "dt": dt, "window": window, "period": period,
+                "separation_periods": separation,
+                "spectral_diffusion": _noise_spec(cfg)}
+        maps[pair] = PulsedG2Result(
+            ports=pair, t=t,
+            same=CorrelationMap(t, t, np.asarray(avg[f"same_{pair}"]),
+                                "same_pulse", dict(meta)),
+            different=CorrelationMap(t, t + separation * period,
+                                     np.asarray(avg[f"different_{pair}"]),
+                                     "different_pulse", dict(meta)),
+            intensity_a=np.asarray(avg[f"I_{pair[0]}"]),
+            intensity_b=np.asarray(avg[f"I_{pair[1]}"]),
+            period=period)
+    return maps
 
 
 def run_g2_pulsed(cfg, threads=1):
-    ports_list = cfg.grid.get("pairs", ["LL", "RR", "LR", "RL"])
-    window = cfg.grid.get("window_ns", 4.0)
-    dt = cfg.grid.get("dt_ns", 0.01)
+    ports_list = cfg.grid["pairs"]
+    window = cfg.grid["window_ns"]
+    dt = cfg.grid["dt_ns"]
     det_tau = DetectorModel(irf_sigma=np.sqrt(2.0) * cfg.detector.irf_sigma,
                             bin_width=cfg.detector.bin_width)
     cols = ["tau_ns"]
     data = {}
     heights = []
     tau_axis = None
+    maps = _pulsed_correlograms(cfg, ports_list, window, dt)
     for ports in ports_list:
-        maps = _pulsed_correlograms(cfg, ports, window, dt)
-        cg = integrated_pulsed_g2(maps)
+        cg = integrated_pulsed_g2(maps[ports])
         tau_axis = cg.tau
         center_irf = jitter_convolve(cg.tau, cg.center, det_tau)
         side_irf = jitter_convolve(cg.tau, cg.side, det_tau)
@@ -448,10 +455,10 @@ def run_g2_pulsed(cfg, threads=1):
 
 
 def run_g2_map(cfg, threads=1):
-    ports = cfg.grid.get("ports", "LL")
-    window = cfg.grid.get("window_ns", 4.0)
-    dt = cfg.grid.get("dt_ns", 0.01)
-    maps = _pulsed_correlograms(cfg, ports, window, dt)
+    ports = cfg.grid["ports"]
+    window = cfg.grid["window_ns"]
+    dt = cfg.grid["dt_ns"]
+    maps = _pulsed_correlograms(cfg, [ports], window, dt)[ports]
     t = maps.t
     same_irf = jitter_convolve(t, maps.same.values, cfg.detector, axes=(0, 1))
     diff_irf = jitter_convolve(t, maps.different.values, cfg.detector,

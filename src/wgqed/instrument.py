@@ -55,20 +55,23 @@ class AveragedResult:
     plan: NoiseAveragingPlan = None
 
 
-def spectral_diffusion_average(simulation, sigmas, plan):
-    """Average ``simulation(offsets)`` over Gaussian detuning offsets.
+def noise_nodes(sigmas, plan):
+    """Detuning offsets ``(K, N)`` and weights ``(K,)`` of the realizations
+    that ``plan`` averages over, in evaluation order.
 
-    ``simulation`` must be deterministic given the per-emitter offset
-    vector and may return a scalar or any ndarray; shapes must agree
-    across calls.  Emitters with zero sigma receive zero offset.
+    Gauss-Hermite: the tensor grid over the emitters with nonzero sigma
+    (last emitter fastest), each weight the product of the 1-D weights.
+    Monte Carlo: realization i draws from its own counter-based stream
+    (Philox, spawn key i), so results do not depend on evaluation order;
+    each weight is 1/K.  Emitters with zero sigma receive zero offset, and
+    with none at all there is one node at zero offset with weight 1.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     if np.any(sigmas < 0):
         raise ValueError("sigmas must be >= 0")
     active = np.nonzero(sigmas > 0)[0]
     if len(active) == 0:
-        return AveragedResult(simulation(np.zeros_like(sigmas)), None, plan)
-
+        return np.zeros((1, len(sigmas))), np.ones(1)
     if plan.scheme == "gauss_hermite":
         x, w = hermegauss(plan.samples_or_nodes)
         w = w / np.sqrt(2.0 * np.pi)
@@ -77,32 +80,71 @@ def spectral_diffusion_average(simulation, sigmas, plan):
         weights = np.ones_like(wgrids[0])
         for g in wgrids:
             weights = weights * g
-        total = None
-        for idx in range(weights.size):
-            offsets = np.zeros_like(sigmas)
-            for j, ax in enumerate(active):
-                offsets[ax] = sigmas[ax] * grids[j].ravel()[idx]
-            val = np.asarray(simulation(offsets), dtype=float)
-            total = val * weights.ravel()[idx] if total is None \
-                else total + val * weights.ravel()[idx]
-        return AveragedResult(total, None, plan)
-
-    # Monte Carlo with counter-based per-realization streams: results are
-    # independent of evaluation order/parallelism (fixed-order reduction).
+        offsets = np.zeros((weights.size, len(sigmas)))
+        for j, ax in enumerate(active):
+            offsets[:, ax] = sigmas[ax] * grids[j].ravel()
+        return offsets, weights.ravel()
     n = plan.samples_or_nodes
-    acc = None
-    acc2 = None
+    offsets = np.zeros((n, len(sigmas)))
     for i in range(n):
         rng = Generator(Philox(SeedSequence(plan.seed, spawn_key=(i,))))
-        offsets = np.zeros_like(sigmas)
-        offsets[active] = rng.standard_normal(len(active)) * sigmas[active]
-        val = np.asarray(simulation(offsets), dtype=float)
-        acc = val.copy() if acc is None else acc + val
-        acc2 = val ** 2 if acc2 is None else acc2 + val ** 2
-    mean = acc / n
-    var = np.maximum(acc2 / n - mean ** 2, 0.0)
-    se = np.sqrt(var / n)
-    return AveragedResult(mean, se, plan)
+        offsets[i, active] = rng.standard_normal(len(active)) * sigmas[active]
+    return offsets, np.full(n, 1.0 / n)
+
+
+class NodeAverage:
+    """Fixed-order reduction of per-node values added in node order.
+
+    Gauss-Hermite sums w_k·v_k.  Monte Carlo takes the sample mean
+    Σv_k / K and its standard error, so its weights are implied.
+    """
+
+    def __init__(self, weights, plan):
+        self.weights = weights
+        self.plan = plan
+        self.count = 0
+        self.total = None
+        self.squares = None
+
+    def add(self, value):
+        val = np.asarray(value, dtype=float)
+        if self.plan.scheme == "gauss_hermite":
+            term = val * self.weights[self.count]
+            self.total = term if self.total is None else self.total + term
+        elif self.total is None:
+            self.total, self.squares = val.copy(), val ** 2
+        else:
+            self.total = self.total + val
+            self.squares = self.squares + val ** 2
+        self.count += 1
+
+    def result(self):
+        if self.count != len(self.weights):
+            raise ValueError(
+                f"{self.count} of {len(self.weights)} nodes were added")
+        if self.plan.scheme == "gauss_hermite":
+            return AveragedResult(self.total, None, self.plan)
+        n = self.count
+        mean = self.total / n
+        var = np.maximum(self.squares / n - mean ** 2, 0.0)
+        return AveragedResult(mean, np.sqrt(var / n), self.plan)
+
+
+def spectral_diffusion_average(simulation, sigmas, plan):
+    """Average ``simulation(offsets)`` over Gaussian detuning offsets.
+
+    ``simulation`` must be deterministic given the per-emitter offset
+    vector and may return a scalar or any ndarray; shapes must agree
+    across calls.  The nodes are those of ``noise_nodes``; with no
+    nonzero sigma the single zero-offset value is returned as is.
+    """
+    offsets, weights = noise_nodes(sigmas, plan)
+    if not np.any(np.asarray(sigmas) > 0):
+        return AveragedResult(simulation(offsets[0]), None, plan)
+    avg = NodeAverage(weights, plan)
+    for off in offsets:
+        avg.add(simulation(off))
+    return avg.result()
 
 
 def _gaussian_kernel(sigma, dt):

@@ -263,10 +263,17 @@ class DriveConfig:
                     "repetition_period must exceed 10x the longest lifetime")
 
     def envelope_at(self, t):
-        """Envelope f(t) of the nearest pulse, shared: Ω_m(t) = w_m·f(t)."""
-        period = self.pulse.repetition_period
-        t_local = t - period * np.floor((t - self.pulse.center) / period + 0.5)
-        return self.pulse.envelope(t_local)
+        """Envelope f(t) of the nearest pulse, shared: Ω_m(t) = w_m·f(t).
+
+        Scalar t only; the bits equal ``pulse.envelope`` at the local time.
+        """
+        pulse = self.pulse
+        period = pulse.repetition_period
+        t_local = t - period * np.floor((t - pulse.center) / period + 0.5)
+        x = (t_local - pulse.center) / pulse.sigma_t
+        if not abs(x) <= 6.0:
+            return 0.0
+        return pulse.peak * np.exp(-0.5 * x * x)
 
     def rabi_at(self, t):
         """Per-emitter Rabi rates Ω_m(t) in rad/ns (nearest pulse only)."""

@@ -157,6 +157,14 @@ def waveguide_drive(system, power):
     return DriveConfig(rabi, phase, "cw")
 
 
+def saturation_powers(system, rabi_over_gamma):
+    """Input fluxes P at which emitter 1's Rabi rate √(2γᵂ₁P) is f·Γ₁,
+    one per ratio f."""
+    e1 = system.emitters[0]
+    return [(e1.gamma_total * f) ** 2 / (2.0 * e1.gamma_wg)
+            for f in rabi_over_gamma]
+
+
 @dataclass
 class SaturationPoint:
     power: float

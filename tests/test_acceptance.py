@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from wgqed import presets
+from wgqed import dynamics, experiments, presets
 from wgqed.analytics import (analytic_g2_zero,
                              analytic_intensities_single_drive,
                              g2_zero_from_populations,
@@ -24,6 +24,7 @@ from wgqed.dynamics import (g2_cw, integrated_pulsed_g2, propagate,
                             pulsed_g2_map, steady_state)
 from wgqed.experiments import run_g2_cw, run_g2_pulsed
 from wgqed.hilbert import basis_ket
+from wgqed.instrument import spectral_diffusion_average
 from wgqed.model import (DriveConfig, EmitterParams, LindbladGenerator,
                          PulseSpec, WaveguideSystem, field_operator)
 from wgqed.observables import (directionality, intensity, intensity_record,
@@ -399,3 +400,102 @@ def test_criterion_9_monte_carlo_exactness():
             f"worst |MC - enumeration|/(3 SE) = {worst:.3f} over "
             f"{2 * len(cases)} small instances; window_distinct dominates "
             f"consecutive on every sampled configuration: {dominance_ok}")
+
+
+# ---------------------------------------------------------------------------
+# The experiments march noise nodes as stacks and all port pairs of a pulsed
+# map at once; each must reproduce the one-node, one-pair path bit for bit.
+
+def _columns(bundle, table):
+    cols, rows = bundle.tables[table]
+    return {c: np.array([r[i] for r in rows]) for i, c in enumerate(cols)}
+
+
+def _cached_nodes(fn):
+    cache = {}
+
+    def node(offsets):
+        key = tuple(offsets)
+        if key not in cache:
+            cache[key] = fn(offsets)
+        return cache[key]
+    return node
+
+
+def _g2_cw_config(noise):
+    return resolve_config({
+        "experiment": "g2-cw", "seed": 3, "noise": noise,
+        "grid": {"tau_max_ns": 0.3, "dt_ns": 0.01, "pairs": ["LL", "LR"]}})
+
+
+@pytest.mark.parametrize("noise", [
+    {"scheme": "gauss_hermite", "nodes": 3},
+    {"scheme": "monte_carlo", "samples": 4}])
+def test_g2_cw_stack_matches_per_node_average(noise):
+    cfg = _g2_cw_config(noise)
+    sigmas = [e.spectral_diffusion_sigma for e in cfg.system.emitters]
+    need = ("LL", "LR", "RL")
+    node = _cached_nodes(lambda off: g2_cw(
+        cfg.system.with_detuning_offsets(off), cfg.drive, pairs=need,
+        tau_max=0.3, dt=0.01))
+    avg = {p: spectral_diffusion_average(lambda off: node(off)["G2"][p],
+                                         sigmas, cfg.noise).value
+           for p in need}
+    inten = {p: spectral_diffusion_average(
+        lambda off: node(off)["intensity"][p], sigmas, cfg.noise).value
+        for p in "LR"}
+    table = _columns(run_g2_cw(cfg), "g2")
+    for p in ("LL", "LR"):
+        denom = inten[p[0]] * inten[p[1]]
+        fwd, bwd = avg[p] / denom, avg[p[::-1]] / denom
+        assert np.array_equal(table[f"g2_{p}"],
+                              np.concatenate([bwd[::-1], fwd[1:]]))
+
+
+def test_g2_cw_node_chunks_match_one_stack(monkeypatch):
+    cfg = _g2_cw_config({"scheme": "gauss_hermite", "nodes": 3})
+    whole = run_g2_cw(cfg)
+    calls = []
+
+    def counted(systems, *args, **kwargs):
+        calls.append(len(systems))
+        return g2_cw(systems, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "g2_cw", counted)
+    monkeypatch.setattr(dynamics, "NODE_STACK_BYTES", 2 * 2 * 16 * 4 ** 4)
+    chunked = run_g2_cw(cfg)
+    assert calls == [2, 2, 2, 2, 1]
+    assert whole.tables["g2"][0] == chunked.tables["g2"][0]
+    assert np.array_equal(np.array(whole.tables["g2"][1]),
+                          np.array(chunked.tables["g2"][1]))
+    assert whole.metadata == chunked.metadata
+
+
+def test_g2_pulsed_noise_matches_per_pair_average():
+    cfg = resolve_config({
+        "experiment": "g2-pulsed", "noise": {"scheme": "gauss_hermite",
+                                             "nodes": 2},
+        "grid": {"window_ns": 0.6, "dt_ns": 0.05,
+                 "pairs": ["LL", "LR", "RL"]}})
+    sigmas = [e.spectral_diffusion_sigma for e in cfg.system.emitters]
+    table = _columns(run_g2_pulsed(cfg), "correlogram")
+    for pair in ("LL", "LR", "RL"):
+        node = _cached_nodes(lambda off: pulsed_g2_map(
+            cfg.system.with_detuning_offsets(off), cfg.drive, ports=pair,
+            window=0.6, dt=0.05))
+        def average(part):
+            return spectral_diffusion_average(lambda off: part(node(off)),
+                                              sigmas, cfg.noise).value
+
+        base = node(np.zeros(2))
+        res = dataclasses.replace(
+            base,
+            same=dataclasses.replace(base.same,
+                                     values=average(lambda r: r.same.values)),
+            different=dataclasses.replace(
+                base.different, values=average(lambda r: r.different.values)),
+            intensity_a=average(lambda r: r.intensity_a),
+            intensity_b=average(lambda r: r.intensity_b))
+        cg = integrated_pulsed_g2(res)
+        assert np.array_equal(table[f"center_{pair}"], cg.center)
+        assert np.array_equal(table[f"side_{pair}"], cg.side)

@@ -1,0 +1,156 @@
+"""Property test of the CLI contract over schema-valid configs.
+
+For any schema-valid config, ``validate`` exits 0 or 2 and ``run`` exits
+0, 2 or 3, with a JSON report on stderr for 2 and 3 and never a Python
+traceback; ``validate`` rejects with 2 whatever ``run`` rejects with 2.
+Grids, Monte Carlo runs and noise nodes are drawn tiny so that each run
+takes well under a second, and ``run`` is tried for N <= 3 emitters only.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from wgqed.cli import main
+from wgqed.config import EXPERIMENTS, validate_config
+
+PAIRS = ["LL", "RR", "LR", "RL"]
+small = st.floats(0.0, 2.0, allow_nan=False)
+signed = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def ranges(draw, lo=-3.0, hi=3.0):
+    if draw(st.booleans()):
+        return {"values": draw(st.lists(st.floats(lo, hi), min_size=1,
+                                        max_size=3))}
+    out = {"start": draw(st.floats(lo, hi)), "stop": draw(st.floats(lo, hi)),
+           "points": draw(st.integers(1, 3))}
+    if draw(st.booleans()):
+        out["log"] = draw(st.booleans())
+    return out
+
+
+@st.composite
+def emitters(draw):
+    e = {"gamma_ghz": draw(st.sampled_from([0.05, 0.388, 2.0])),
+         "beta": draw(st.sampled_from([0.0, 0.5, 0.95, 1.0]))}
+    for key, values in (("detuning_ghz", signed),
+                        ("dephasing_ghz", st.floats(0.0, 0.3)),
+                        ("spectral_diffusion_ghz", st.floats(0.0, 0.3)),
+                        ("fano_xi", signed)):
+        if draw(st.booleans()):
+            e[key] = draw(values)
+    return e
+
+
+@st.composite
+def drives(draw, n):
+    length = draw(st.sampled_from([n, n, n, n + 1]))
+    d = {}
+    if draw(st.booleans()):
+        d["mode"] = draw(st.sampled_from(["cw", "pulsed"]))
+    key = draw(st.sampled_from(["rabi_ghz", "weights", None]))
+    if key is not None:
+        d[key] = draw(st.lists(small, min_size=length, max_size=length))
+    if draw(st.booleans()):
+        d["phase_over_pi"] = draw(st.lists(signed, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        d["pulse"] = {"sigma_ns": draw(st.sampled_from([0.005, 0.03, 0.1])),
+                      "area_over_pi": draw(st.floats(0.0, 2.0)),
+                      "period_ns": draw(st.sampled_from([0.5, 4.0, 13.6]))}
+    return d
+
+
+@st.composite
+def configs(draw):
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    data = {"experiment": experiment, "seed": draw(st.integers(0, 5))}
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        data["system"] = {"emitters": draw(st.lists(emitters(), min_size=n,
+                                                    max_size=n))}
+        if draw(st.booleans()):
+            data["system"]["coupling_phase_over_pi"] = draw(signed)
+    if draw(st.booleans()):
+        data["drive"] = draw(drives(len(data.get("system", {}).get(
+            "emitters", [None, None]))))
+    if draw(st.booleans()):
+        data["noise"] = {"scheme": draw(st.sampled_from(
+            ["none", "gauss_hermite", "monte_carlo"])),
+            "nodes": draw(st.integers(1, 2)),
+            "samples": draw(st.integers(1, 2))}
+    if draw(st.booleans()):
+        data["detector"] = {"irf_sigma_ns": draw(st.floats(0.0, 0.3)),
+                            "bin_ns": draw(st.sampled_from([0.01, 0.5]))}
+    # tiny grids: few points, short records, coarse steps
+    dt = draw(st.sampled_from([0.01, 0.05, 0.2]))
+    grid = {"dt_ns": dt, "tau_max_ns": draw(st.floats(0.01, 0.3)),
+            "t_max_ns": draw(st.floats(0.01, 0.5)),
+            "window_ns": draw(st.sampled_from([0.1, 0.4, 1.0])),
+            "integration_windows_ns": draw(st.lists(signed, min_size=1,
+                                                   max_size=2)),
+            "pairs": draw(st.lists(st.sampled_from(PAIRS), min_size=1,
+                                    max_size=3)),
+            "ports": draw(st.sampled_from(PAIRS))}
+    for key in ("detuning1_ghz", "detuning2_ghz", "theta_over_pi",
+                "rabi_over_gamma", "delta_over_sigma"):
+        grid[key] = draw(ranges())
+    grid["mu_qd"] = draw(ranges(0.5, 8.0))
+    data["grid"] = {k: v for k, v in grid.items() if draw(st.booleans())
+                    or k in ("dt_ns", "t_max_ns", "tau_max_ns", "window_ns",
+                             "detuning1_ghz", "detuning2_ghz",
+                             "theta_over_pi", "rabi_over_gamma", "mu_qd",
+                             "delta_over_sigma")}
+    data["scalability"] = {
+        "mu_qd": draw(st.floats(0.5, 8.0)),
+        "sigma_qd_nm": draw(st.sampled_from([1.0, 15.0])),
+        "delta_lambda_nm": draw(st.floats(0.0, 2.0)),
+        "n_reg": draw(st.integers(1, 3)), "n_set": draw(st.integers(1, 3)),
+        "n_wg": draw(st.integers(1, 3)), "runs": draw(st.integers(1, 40)),
+        "mode": draw(st.sampled_from(["consecutive", "window_distinct",
+                                      "both"]))}
+    return data
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _report(err, kind):
+    report = json.loads(err.strip().splitlines()[-1])
+    assert report["error"] == kind
+    return report
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_cli_exit_codes_hold_for_schema_valid_configs(data):
+    assert validate_config(data) == []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump(data))
+        checked, err = _call(["validate", str(path)])
+        assert checked in (0, 2)
+        if checked == 2:
+            _report(err, "config")
+        n = len(data.get("system", {}).get("emitters", [None, None]))
+        if n > 3:
+            return
+        code, err = _call(["run", str(path), "--out", str(Path(tmp) / "o")])
+        assert code in (0, 2, 3)
+        if code == 2:
+            _report(err, "config")
+            assert checked == 2
+        elif code == 3:
+            _report(err, "numerical")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from wgqed import model
+from wgqed import dynamics, model
 from wgqed.cli import main
 from wgqed.config import (DENSE_BUDGET_BYTES, dense_bytes, expand_range,
                           load_config, resolve_config, validate_config)
@@ -162,9 +162,27 @@ class TestCLI:
          "grid": {"rabi_over_gamma": {"values": [-1.0]}}},
         {"experiment": "detuning-sweep",
          "system": {"emitters": [{"gamma_ghz": 0.388, "beta": 0.95}]}},
+        {"experiment": "transmission-saturation",
+         "grid": {"rabi_over_gamma": {"values": [1e-200]}}},
+        {"experiment": "lifetime",
+         "drive": {"mode": "cw", "rabi_ghz": [0.1, 0.0]}},
+        {"experiment": "g2-cw", "drive": {"mode": "pulsed"}},
+        {"experiment": "lifetime", "grid": {"t_max_ns": 0.01, "dt_ns": 0.05}},
+        {"experiment": "g2-map", "grid": {"window_ns": 14.0, "dt_ns": 2.0}},
+        {"experiment": "phase-sweep",
+         "grid": {"integration_windows_ns": [0.4, 0.001]}},
+        {"experiment": "phase-sweep",
+         "grid": {"theta_over_pi": {"start": 0.0, "stop": 1.0, "points": 3,
+                                    "log": True}}},
+        {"experiment": "phase-sweep",
+         "grid": {"theta_over_pi": {"start": -1.0, "stop": 2.0, "points": 3,
+                                    "log": True}}},
     ], ids=["short-period", "phase-n3", "n-set-above-n-reg",
             "saturation-beta-0", "saturation-negative-grid",
-            "sweep-one-emitter"])
+            "sweep-one-emitter", "saturation-power-underflow",
+            "lifetime-cw-drive", "g2-cw-pulsed-drive", "span-below-step",
+            "window-above-period", "integration-window-below-step",
+            "log-axis-through-zero", "log-axis-across-zero"])
     def test_physics_rule_violation_exit_2(self, tmp_path, capsys, data):
         p = write_yaml(tmp_path, data)
         for argv in (["validate", str(p)],
@@ -217,6 +235,24 @@ class TestDenseSizeGuard:
         small = resolve_config({"experiment": "g2-map",
                                 "system": collinear(4)})
         assert 0 < dense_bytes(small) < DENSE_BUDGET_BYTES
+
+    def test_stacked_noise_nodes_counted_one_chunk(self):
+        # 4 emitters with spread, 9 nodes each: 6561 stacked nodes would
+        # hold 2·6561 superoperators of 1 MiB; one chunk stays small
+        emitter = {"gamma_ghz": 0.388, "beta": 0.95,
+                   "spectral_diffusion_ghz": 0.3}
+        cfg = resolve_config({
+            "experiment": "g2-cw",
+            "system": {"coupling_phase_over_pi": 0.0,
+                       "emitters": [emitter] * 4},
+            "drive": {"mode": "cw", "rabi_ghz": [0.02, 0.0, 0.0, 0.0]},
+            "noise": {"scheme": "gauss_hermite", "nodes": 9}})
+        superop = 16 * 16 ** 4
+        assert 2 * 9 ** 4 * superop > DENSE_BUDGET_BYTES
+        chunk = dynamics.node_chunk(16)
+        assert 1 < chunk < 9 ** 4
+        assert dense_bytes(cfg) == superop * (10 + 2 * (chunk - 1))
+        assert dense_bytes(cfg) < DENSE_BUDGET_BYTES
 
     def test_twelve_emitter_transmission_scan_resolves(self):
         cfg = resolve_config({"experiment": "transmission-scan",

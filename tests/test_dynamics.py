@@ -7,6 +7,7 @@ from wgqed.dynamics import (g2_cw, integrated_pulsed_g2, propagate,
                             pulsed_g2_map, steady_state, two_time_correlation)
 from wgqed.errors import DegenerateSteadyStateError, NumericalError
 from wgqed.hilbert import DensityState, basis_ket, collective_state
+from wgqed.instrument import NoiseAveragingPlan, noise_nodes
 from wgqed.model import (DriveConfig, EmitterParams, LindbladGenerator,
                          PulseSpec, WaveguideSystem, field_operator)
 from wgqed.observables import intensity_record, population_projection
@@ -347,6 +348,84 @@ class TestG2CW:
         drive = DriveConfig((gamma1 / 16, 0.0), (0.0, 0.0), "cw")
         out = g2_cw(sys, drive, pairs=("LL", "RR"), tau_max=2.0)
         assert out["g2"]["RR"][0] > out["g2"]["LL"][0]
+
+    @pytest.mark.parametrize("plan", [
+        NoiseAveragingPlan("gauss_hermite", 3),
+        NoiseAveragingPlan("monte_carlo", 5, seed=7)])
+    def test_stack_equals_per_node_loop(self, plan):
+        sys = presets.qd_pair()
+        gamma1 = sys.emitters[0].gamma_total
+        drive = DriveConfig((gamma1 / 16, 0.0), (0.0, 0.0), "cw")
+        sigmas = [e.spectral_diffusion_sigma for e in sys.emitters]
+        offsets, _ = noise_nodes(sigmas, plan)
+        nodes = [sys.with_detuning_offsets(o) for o in offsets]
+        pairs = ("LL", "LR", "RL", "RR")
+        stacked = g2_cw(nodes, drive, pairs=pairs, tau_max=0.5, dt=0.01)
+        for k, node in enumerate(nodes):
+            one = g2_cw(node, drive, pairs=pairs, tau_max=0.5, dt=0.01)
+            for p in "LR":
+                assert stacked["intensity"][p][k] == one["intensity"][p]
+            for key in ("G2", "g2", "clipped"):
+                for pair in pairs:
+                    assert np.array_equal(stacked[key][pair][k],
+                                          one[key][pair])
+        assert np.array_equal(stacked["tau"], one["tau"])
+        assert stacked["G2"]["LL"].shape == (len(nodes), len(one["tau"]))
+
+
+def _assert_maps_equal(a, b):
+    assert a.ports == b.ports
+    for name in ("same", "different"):
+        ma, mb = getattr(a, name), getattr(b, name)
+        assert np.array_equal(ma.values, mb.values)
+        assert np.array_equal(ma.t2, mb.t2)
+        assert ma.normalization == mb.normalization
+    assert np.array_equal(a.intensity_a, b.intensity_a)
+    assert np.array_equal(a.intensity_b, b.intensity_b)
+    assert a.clipped == b.clipped
+
+
+class TestPulsedMapPairs:
+    PAIRS = ("LL", "RR", "LR", "RL")
+
+    def test_all_pairs_equal_one_call_per_pair(self):
+        sys = presets.qd_pair()
+        drive = DriveConfig((1.0, 1.0), (0.0, 0.0), "pulsed",
+                            PulseSpec(sigma_t=0.03, area=np.pi))
+        kw = dict(window=1.0, dt=0.05, separation_periods=3)
+        maps = pulsed_g2_map(sys, drive, ports=self.PAIRS, **kw)
+        assert list(maps) == list(self.PAIRS)
+        for pair in self.PAIRS:
+            _assert_maps_equal(maps[pair],
+                               pulsed_g2_map(sys, drive, ports=pair, **kw))
+
+    def test_all_pairs_equal_one_call_per_pair_with_preparation(self):
+        # the prepared far window factorizes exactly, so a pair whose far
+        # window correlates the wrong ports fails the product check
+        sys = presets.qd_pair()
+        drive_off = DriveConfig((1.0, 1.0), (0.0, 0.0), "pulsed",
+                                PulseSpec(sigma_t=0.002, area=0.0))
+        kw = dict(window=1.0, dt=0.05, initial=basis_ket("ee"))
+        maps = pulsed_g2_map(sys, drive_off, ports=["LR", "RL", "RR"], **kw)
+        for pair, res in maps.items():
+            _assert_maps_equal(res,
+                               pulsed_g2_map(sys, drive_off, ports=pair, **kw))
+            prod = np.outer(res.intensity_a, res.intensity_b)
+            np.testing.assert_allclose(res.different.values, prod,
+                                       rtol=1e-12, atol=1e-12 * prod.max())
+        assert not np.allclose(maps["LR"].intensity_a,
+                               maps["LR"].intensity_b, rtol=1e-3)
+        # rows t1 of the cross-port maps against the regression theorem
+        t = maps["LR"].t
+        traj = propagate(basis_ket("ee"), sys, drive_off, t, validate=False)
+        for pair in ("LR", "RL"):
+            a, b = (field_operator(sys, p) for p in pair)
+            for i in (0, 7):
+                ref = two_time_correlation(sys, drive_off, a, b,
+                                           traj.states[i], t[i:] - t[i],
+                                           t_start=t[i]).values
+                np.testing.assert_allclose(maps[pair].same.values[i, i:], ref,
+                                           rtol=1e-8, atol=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -206,6 +206,28 @@ class TestDriveConfig:
                                    drive.rabi_at(t0 + 13.6), rtol=1e-12)
 
 
+    @pytest.mark.parametrize("sigma,period", [(0.25, 16.0), (0.03, 13.6)])
+    def test_envelope_at_bits_equal_pulse_envelope(self, sigma, period):
+        pulse = PulseSpec(sigma_t=sigma, area=np.pi, repetition_period=period)
+        drive = DriveConfig((1.0,), (0.0,), "pulsed", pulse)
+        lo, hi = pulse.support
+        edges = [lo, hi]
+        if sigma == 0.25:   # binary fractions: the edges sit at x = ±6 exactly
+            assert (hi - pulse.center) / sigma == 6.0
+        ts = list(np.random.default_rng(4).uniform(0.0, 3 * period, 200))
+        for k in range(3):
+            for edge in edges:
+                t = edge + k * period
+                ts += [t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]
+        for t in ts:
+            local = t - period * np.floor((t - pulse.center) / period + 0.5)
+            ref = float(pulse.envelope(local))
+            got = drive.envelope_at(t)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+        assert drive.envelope_at(hi) > 0.0
+        assert drive.envelope_at(np.nextafter(hi + period, np.inf)) == 0.0
+
+
 class TestLindbladGenerator:
     def test_trace_annihilation(self):
         sys = presets.qd_pair(detunings=(0.4, -0.1))
