@@ -31,7 +31,8 @@ def _build_parser():
     p_run.add_argument("--out", default=None,
                        help="override the output directory")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads for grid evaluation")
+                       help="accepted for compatibility; no experiment "
+                            "uses threads (grid points are stacked)")
 
     p_val = sub.add_parser("validate", help="validate a config file")
     p_val.add_argument("config")

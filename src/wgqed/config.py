@@ -12,7 +12,7 @@ import yaml
 from jsonschema import Draft202012Validator
 
 from . import presets
-from .dynamics import node_chunk
+from .dynamics import TRACE_SUPEROPERATORS, node_chunk, trace_chunk
 from .errors import ConfigError
 from .instrument import DetectorModel, NoiseAveragingPlan
 from .model import DriveConfig, EmitterParams, PulseSpec, WaveguideSystem
@@ -191,14 +191,8 @@ def validate_config(data):
     return errors
 
 
-def expand_range(spec, default=None):
+def expand_range(spec):
     """Materialize a grid axis from {start,stop,points[,log]} or {values}."""
-    if spec is None:
-        spec = default
-    if spec is None:
-        raise ConfigError("missing grid axis")
-    if isinstance(spec, (list, tuple, np.ndarray)):
-        return np.asarray(spec, dtype=float)
     if "values" in spec:
         return np.asarray(spec["values"], dtype=float)
     if spec.get("log"):
@@ -271,23 +265,57 @@ def _build_drive(section, system, default_mode, default_rabi_ghz=None,
     return drive
 
 
-# Grid values other than range axes that each experiment falls back on,
-# filled in at resolution so that the rules and the experiment read the
-# same numbers.
+# Grid values and axes that each experiment falls back on, filled in at
+# resolution so that the rules and the experiment read the same numbers.
+_DETUNING_AXIS = {"start": -6.0, "stop": 6.0, "points": 41}
 _GRID_DEFAULTS = {
+    "transmission-scan": {"detuning1_ghz": _DETUNING_AXIS,
+                          "detuning2_ghz": _DETUNING_AXIS},
+    "transmission-saturation": {"rabi_over_gamma": {
+        "start": 0.01, "stop": 50.0, "points": 21, "log": True}},
     "lifetime": {"t_max_ns": 8.0, "dt_ns": 0.004},
-    "phase-sweep": {"dt_ns": 0.005, "integration_windows_ns": [0.4, 3.0]},
-    "detuning-sweep": {"t_max_ns": 5.0, "dt_ns": 0.02, "window_ns": 2.0},
+    "phase-sweep": {"theta_over_pi": {"start": 0.0, "stop": 2.0,
+                                      "points": 41},
+                    "dt_ns": 0.005, "integration_windows_ns": [0.4, 3.0]},
+    "detuning-sweep": {"detuning2_ghz": {"start": -6.0, "stop": 6.0,
+                                         "points": 31},
+                       "t_max_ns": 5.0, "dt_ns": 0.02, "window_ns": 2.0},
     "g2-cw": {"tau_max_ns": 6.0, "dt_ns": 0.005,
               "pairs": ["LL", "RR", "LR", "RL"]},
     "g2-pulsed": {"window_ns": 4.0, "dt_ns": 0.01,
                   "pairs": ["LL", "RR", "LR", "RL"]},
     "g2-map": {"window_ns": 4.0, "dt_ns": 0.01, "ports": "LL"},
+    "scalability-heatmap": {
+        "mu_qd": {"values": [5.0, 10.0, 20.0, 35.0, 50.0, 75.0, 100.0]},
+        "delta_over_sigma": {"start": 1e-3, "stop": 1.0, "points": 13,
+                             "log": True}},
 }
 # the grid span an experiment steps through in dt_ns
 _SPANS = {"lifetime": "t_max_ns", "detuning-sweep": "t_max_ns",
           "g2-cw": "tau_max_ns", "g2-pulsed": "window_ns",
           "g2-map": "window_ns"}
+
+
+def trace_times(cfg):
+    """Time grid of a time-trace experiment (lifetime, phase-sweep,
+    detuning-sweep): from 0 in steps of dt_ns through t_max_ns, or for
+    phase-sweep through the end of the pulse plus the longest integration
+    window."""
+    return np.arange(0.0, _trace_end(cfg), cfg.grid["dt_ns"])
+
+
+def _trace_end(cfg):
+    """The (exclusive) end of ``trace_times``, half a step past the last
+    time, so that ⌈end/dt_ns⌉ counts the times without building them."""
+    grid = cfg.grid
+    if cfg.experiment == "phase-sweep":
+        pulse = cfg.drive.pulse
+        last = pulse.center + 6.0 * pulse.sigma_t + \
+            max(grid["integration_windows_ns"])
+    else:
+        last = grid["t_max_ns"]
+    return last + grid["dt_ns"] / 2
+
 
 _DEFAULT_DRIVES = {
     # weak resonant CW drive of emitter 1 (units: Omega/2pi GHz)
@@ -322,14 +350,16 @@ def _check_scalability(cfg):
     if cfg.scalability.get("mode", "consecutive") == "both":
         raise ConfigError("scalability-heatmap runs one mode at a time")
     sigma = cfg.scalability.get("sigma_qd_nm", 15.0)
-    for mu in expand_range(cfg.grid.get("mu_qd"), [1.0]):
+    for mu in expand_range(cfg.grid["mu_qd"]):
         scalability_config(cfg, mu_qd=float(mu))
-    for rel in expand_range(cfg.grid.get("delta_over_sigma"), [0.0]):
+    for rel in expand_range(cfg.grid["delta_over_sigma"]):
         scalability_config(cfg, delta_lambda=float(rel) * sigma)
 
 
-# A Lindblad experiment holds dense 4ᴺ×4ᴺ complex superoperators; a config
-# whose estimate exceeds this budget is refused before anything is built.
+# An experiment holds dense complex matrices: the Lindblad experiments
+# 4ᴺ×4ᴺ superoperators, transmission-scan one N×N resolvent per grid
+# point.  A config whose estimate exceeds this budget is refused before
+# anything is built.
 DENSE_BUDGET_BYTES = 2 * 1024 ** 3
 _DENSE_WORK = 8     # build temporaries, L(t), D, SVD factors, expm Padé terms
 _DENSE_EXPERIMENTS = ("transmission-saturation", "lifetime", "phase-sweep",
@@ -337,12 +367,25 @@ _DENSE_EXPERIMENTS = ("transmission-saturation", "lifetime", "phase-sweep",
 
 
 def dense_bytes(cfg):
-    """Estimated bytes of the dense superoperators that cfg's experiment
-    holds at once: the static generator, one drive part per driven
-    emitter, work matrices, for the pulsed maps one step propagator per
-    grid step that overlaps the pulse, and for g2-cw one chunk of stacked
-    noise nodes: two per node beyond the first, whose pair the work
-    matrices already count.  0 when it builds none."""
+    """Estimated bytes of the dense matrices that cfg's experiment holds
+    at once; 0 when it builds none.
+
+    transmission-scan solves its P grid points as one batch of N×N
+    resolvents, 16·N²·P bytes.  The Lindblad experiments hold the static
+    generator, one drive part per driven emitter and work matrices, and
+    beyond those one chunk of their stacks: for the pulsed maps one step
+    propagator per grid step that overlaps the pulse; for g2-cw two per
+    noise node beyond the first; for the time traces TRACE_SUPEROPERATORS
+    per member of a ``propagate`` stack beyond the first (the θ points of
+    phase-sweep, the (Δ₂, noise node) pairs of detuning-sweep, the noise
+    nodes of lifetime).  The work matrices count the first member's.
+    """
+    n = cfg.system.n
+    if cfg.experiment == "transmission-scan":
+        points = len(expand_range(cfg.grid["detuning1_ghz"]))
+        if n > 1:
+            points *= len(expand_range(cfg.grid["detuning2_ghz"]))
+        return 16 * n * n * points
     if cfg.experiment not in _DENSE_EXPERIMENTS:
         return 0
     driven = 1 if cfg.drive is None else \
@@ -353,9 +396,18 @@ def dense_bytes(cfg):
         count += min(int(np.ceil(12.0 * cfg.drive.pulse.sigma_t / dt)) + 2,
                      int(round(cfg.grid["window_ns"] / dt)))
     if cfg.experiment == "g2-cw":
-        count += 2 * (min(_noise_node_count(cfg),
-                          node_chunk(2 ** cfg.system.n)) - 1)
-    return 16 * 16 ** cfg.system.n * count
+        count += 2 * (min(_noise_node_count(cfg), node_chunk(2 ** n)) - 1)
+    if cfg.experiment in ("lifetime", "phase-sweep", "detuning-sweep"):
+        if cfg.experiment == "phase-sweep":
+            members = len(expand_range(cfg.grid["theta_over_pi"]))
+        else:
+            members = _noise_node_count(cfg)
+        if cfg.experiment == "detuning-sweep":
+            members *= len(expand_range(cfg.grid["detuning2_ghz"]))
+        times = int(np.ceil(_trace_end(cfg) / cfg.grid["dt_ns"]))
+        chunk = trace_chunk(2 ** n, times)
+        count += TRACE_SUPEROPERATORS * (min(members, chunk) - 1)
+    return 16 * 16 ** n * count
 
 
 def _noise_node_count(cfg):
@@ -396,10 +448,10 @@ def _check_experiment(cfg):
     if need > DENSE_BUDGET_BYTES:
         raise ConfigError(
             f"{cfg.experiment} with {cfg.system.n} emitters needs about "
-            f"{need / 1024 ** 3:.1f} GiB of dense superoperators, above the "
+            f"{need / 1024 ** 3:.1f} GiB of dense matrices, above the "
             f"{DENSE_BUDGET_BYTES / 1024 ** 3:.0f} GiB budget")
     if cfg.experiment == "transmission-saturation":
-        fracs = expand_range(cfg.grid.get("rabi_over_gamma"), [1.0])
+        fracs = expand_range(cfg.grid["rabi_over_gamma"])
         if not np.all(fracs > 0):
             raise ConfigError("rabi_over_gamma grid must be > 0")
         if cfg.system.emitters[0].gamma_wg == 0:
@@ -415,15 +467,32 @@ def _check_experiment(cfg):
         _check_scalability(cfg)
 
 
+def _non_finite(data, path="<root>"):
+    """Paths of the NaN and infinite numbers in a raw config, which the
+    schema's bounds do not catch (every comparison with NaN is false)."""
+    if isinstance(data, float) and not np.isfinite(data):
+        yield path
+    elif isinstance(data, (dict, list)):
+        items = data.items() if isinstance(data, dict) else enumerate(data)
+        for key, value in items:
+            yield from _non_finite(
+                value, str(key) if path == "<root>" else f"{path}/{key}")
+
+
 def resolve_config(data):
     """Validate a raw dict and construct the physics objects.
 
+    A NaN or infinite number anywhere is refused like a schema violation.
     The physics constructors own their rules and raise ValueError; such a
-    failure is reported as a ConfigError, like a schema violation.
+    failure is reported as a ConfigError too.
     """
     errors = validate_config(data)
     if errors:
         raise ConfigError("config failed schema validation", details=errors)
+    bad = [{"path": path, "message": "not a finite number"}
+           for path in _non_finite(data)]
+    if bad:
+        raise ConfigError("config holds non-finite numbers", details=bad)
     try:
         cfg = _resolve(data)
         _check_experiment(cfg)

@@ -1,12 +1,22 @@
 """Time propagation, steady states, and one- and two-time correlations.
 
-``propagate`` and ``two_time_correlation`` share one propagation path.
-Between pulses the generator L₀ is constant and the state takes exact
-steps expm(L₀Δt), one matrix per step length.  Inside a pulse window
-(±6σ) RK45 (rtol 1e-10, atol 1e-12, max_step σ/5) integrates
-L₀y + f(t)·Dy, where f is the envelope all emitters share and
-D = Σ_m w_m D_m the weighted drive superoperator.  A CW or undriven
-generator is constant throughout and never calls the ODE solver.
+``propagate`` and ``two_time_correlation`` share one propagation path, a
+march of a stack of K systems that share one pulse timing, such as the
+grid points and noise nodes of a sweep (K = 1 for a single call).
+Between pulses each generator L₀ is constant and the stack takes exact
+steps expm(L₀Δt): one batched exponential per step length, applied as one
+batched product.  Inside a pulse window (±6σ) one RK45 solve (rtol 1e-10,
+atol 1e-12, max_step σ/5) integrates the flattened K·d² state under
+L₀x + f(t)·Dx, where f is the envelope all emitters and members share
+and D = Σ_m w_m D_m each member's weighted drive superoperator.  RK45's
+error norm (an RMS over the state) is pooled over the stack, and the
+stack's rtol and atol are those of one member divided by √K: a step is
+then accepted only if every member's own error norm would accept it.
+The steps are shared, so results differ from a call of their own within
+the tolerance.  A CW or undriven generator is constant throughout and
+never calls the ODE solver.  Long stacks are marched in chunks of
+``trace_chunk`` members, whose superoperators and trajectories fit
+NODE_STACK_BYTES.
 
 Two-time quantities use the quantum regression theorem: with Λ_τ the same
 propagator that evolves ρ,
@@ -22,9 +32,9 @@ fit NODE_STACK_BYTES.  Pulsed correlations are computed as fully
 time-resolved maps G(t₁, t₂) over one pulse window (same-pulse) and
 across one repetition period (different-pulse), then integrated along the
 diagonal; one ``pulsed_g2_map`` call serves every port pair from one set
-of step propagators.  Stacking and sharing leave each node's and pair's
-arithmetic as in a call of its own, so the results are bit-identical to
-one call per node and pair and the example tables did not change.
+of step propagators.  Stacking and sharing in ``g2_cw`` and
+``pulsed_g2_map`` leave each node's and pair's arithmetic as in a call of
+its own, so their results are bit-identical to one call per node and pair.
 """
 
 import warnings
@@ -40,7 +50,9 @@ from .model import (DriveConfig, LindbladGenerator, WaveguideSystem,
                     field_operator)
 
 NEGATIVE_G_TOL = 1e-10  # regression numerics may produce tiny negatives
-NODE_STACK_BYTES = 16 * 1024 ** 2   # stacked superoperators of one g2_cw call
+NODE_STACK_BYTES = 16 * 1024 ** 2   # stacked superoperators of one call
+_CACHED_STEPS = 3   # the grid step, and the steps into and out of a pulse
+TRACE_SUPEROPERATORS = 3 + _CACHED_STEPS   # per member of a propagate stack
 
 
 @dataclass
@@ -67,87 +79,169 @@ def _as_matrix(state):
     return state
 
 
-def _evolve(gen, y, t0, times, rtol, atol):
-    """vec(ρ) at each of ``times`` (increasing, all >= t0) from y at t0.
+def _stack(systems, drives):
+    """L₀ and D of each (system, drive) pair as (K, d², d²) stacks, with
+    the drive whose pulses the pairs share.
 
-    Pulse-free stretches take exact steps expm(L₀Δt), one matrix per step
-    length in this call (lengths within 1e-12 relative share it).  Pulse
-    windows run RK45 on L₀y + f(t)·Dy with max_step = σ/5.
+    A pulse-driven member gives its static L₀ and D = Σ_m w_m D_m; any
+    other member gives its constant generator as L₀ and D = 0.  D and the
+    drive are None when no member is pulse-driven.  Each generator is
+    dropped once its rows are copied, so the stacks are all that is held.
     """
-    drive = gen.drive
-    if gen.is_time_dependent:
-        l0, d = gen.static_superoperator, gen.drive_superoperator()
+    l0 = d = timed = None
+    for k, (system, drive) in enumerate(zip(systems, drives)):
+        gen = LindbladGenerator(system, drive)
+        if l0 is None:
+            l0 = np.empty((len(systems),) + gen.static_superoperator.shape,
+                          dtype=complex)
+        if gen.is_time_dependent:
+            if d is None:
+                d = np.zeros_like(l0)
+            l0[k], d[k], timed = (gen.static_superoperator,
+                                  gen.drive_superoperator(), drive)
+        else:
+            l0[k] = gen.superoperator()
+    return l0, d, timed
+
+
+def _evolve(l0, d, drive, y, t0, times, rtol, atol):
+    """vec(ρ) of each of K stacked systems at each of ``times``
+    (increasing, all >= t0) from y[k] at t0; returns (K, len(times), d²).
+
+    ``l0`` and ``d`` are (K, d², d²) stacks (``d`` None for constant
+    generators) and ``drive`` gives the pulse windows all members share.
+    Pulse-free stretches take exact steps expm(L₀Δt), one batched
+    exponential per step length for the whole stack (lengths within 1e-12
+    relative share it; the last _CACHED_STEPS lengths are kept).  Each
+    pulse window runs one RK45 solve on the flattened K·d² state,
+    L₀x + f(t)·Dx with max_step = σ/5.  Its error norm is pooled over the
+    stack, so rtol and atol are divided by √K: the pooled norm is then
+    the root of the sum of the members' own squared norms.
+    """
+    k, d2 = y.shape
+    if d is None:
+        windows = []
+    else:
         windows = [(max(lo, t0), min(hi, times[-1]))
                    for lo, hi in drive.pulse_windows(t0, times[-1])]
-    else:
-        l0, windows = gen.superoperator(), []
     steps = {}
 
     def free(dt):
-        for length, mat in steps.items():
+        for length in steps:
             if abs(length - dt) <= 1e-12 * dt:
-                return mat
+                steps[length] = steps.pop(length)   # most recent last
+                return steps[length]
+        if len(steps) == _CACHED_STEPS:
+            del steps[next(iter(steps))]
         steps[dt] = expm(l0 * dt)
         return steps[dt]
 
-    def rhs(t, x):
-        return l0 @ x + drive.envelope_at(t) * (d @ x)
+    def advance(step, y):
+        return (step @ y[:, :, None])[:, :, 0]
 
-    out = np.empty((len(times), y.size), dtype=complex)
+    def rhs(t, x):
+        x = x.reshape(k, d2, 1)
+        return (l0 @ x + drive.envelope_at(t) * (d @ x)).reshape(-1)
+
+    out = np.empty((k, len(times), d2), dtype=complex)
     t, i = t0, 0
     for a, b in windows + [(np.inf, np.inf)]:
         while i < len(times) and times[i] <= a:
             if times[i] > t:
-                y, t = free(times[i] - t) @ y, times[i]
-            out[i] = y
+                y, t = advance(free(times[i] - t), y), times[i]
+            out[:, i] = y
             i += 1
         if i == len(times):
             break
         if a > t:
-            y = free(a - t) @ y
+            y = advance(free(a - t), y)
         inside = times[i:][times[i:] <= b]
         t_eval = list(inside)
         if not t_eval or t_eval[-1] < b:
             t_eval.append(b)   # the window's end state carries on
-        sol = solve_ivp(rhs, (a, b), y, method="RK45", t_eval=t_eval,
-                        rtol=rtol, atol=atol,
+        sol = solve_ivp(rhs, (a, b), y.reshape(-1), method="RK45",
+                        t_eval=t_eval, rtol=rtol / np.sqrt(k),
+                        atol=atol / np.sqrt(k),
                         max_step=drive.pulse.sigma_t / 5.0)
         if not sol.success:
             raise IntegrationError(
                 f"integrator failed near t = {sol.t[-1] if len(sol.t) else a:.6g} ns: "
                 f"{sol.message}", t=float(sol.t[-1]) if len(sol.t) else a)
-        out[i:i + len(inside)] = sol.y[:, :len(inside)].T
+        ys = sol.y.reshape(k, d2, -1)
+        out[:, i:i + len(inside)] = ys[:, :, :len(inside)].transpose(0, 2, 1)
         i += len(inside)
-        y, t = sol.y[:, -1], b
+        y, t = ys[:, :, -1], b
     return out
+
+
+def trace_chunk(dim, nt):
+    """Members per ``propagate`` stack for Hilbert dimension ``dim`` and
+    ``nt`` grid times.
+
+    Each member holds TRACE_SUPEROPERATORS dim²×dim² complex matrices (L₀,
+    D, the scaled L₀·Δt that expm reads and up to _CACHED_STEPS cached
+    steps) and its trajectory (nt × dim² complex); a chunk keeps them
+    within NODE_STACK_BYTES (but has at least one member).
+    """
+    member = 16 * (TRACE_SUPEROPERATORS * dim ** 4 + nt * dim ** 2)
+    return max(1, NODE_STACK_BYTES // member)
 
 
 def propagate(initial, system, drive, t_grid, rtol=1e-10, atol=1e-12,
               validate=True):
     """Propagate a density state along t_grid (must start at 0, monotone).
 
+    ``system`` and ``drive`` are each one object or a sequence; a single
+    one is repeated to the length of the other.  One system under one
+    drive gives its Trajectory; otherwise the members march as one stack
+    and a list of Trajectories comes back in order.  All drives must
+    share their pulses (or all be CW), so that the members share their
+    pulse windows.  Stacks longer than ``trace_chunk`` are marched in
+    chunks of that size.
+
     Every stored state is checked against the DensityState invariants
     unless ``validate=False``; total trace drift beyond 1e-8 raises.
     """
+    single = isinstance(system, WaveguideSystem) and \
+        isinstance(drive, DriveConfig)
+    systems = [system] if isinstance(system, WaveguideSystem) else list(system)
+    drives = [drive] if isinstance(drive, DriveConfig) else list(drive)
+    if len(systems) == 1:
+        systems = systems * len(drives)
+    if len(drives) == 1:
+        drives = drives * len(systems)
+    if len(systems) != len(drives):
+        raise ValueError("systems and drives differ in number")
+    if len({None if dr.is_cw else dr.pulse for dr in drives}) > 1:
+        raise ValueError("the drives of a stack must share their pulses")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0:
         raise ValueError("t_grid must start at 0")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    gen = LindbladGenerator(system, drive)
     rho0 = _as_matrix(initial)
-    if rho0.shape != (gen.dim, gen.dim):
+    dim = rho0.shape[0]
+    if any(rho0.shape != (2 ** s.n, 2 ** s.n) for s in systems):
         raise ValueError("initial state dimension mismatch")
-    ys = _evolve(gen, rho0.reshape(-1), 0.0, t_grid, rtol, atol)
-    states = ys.reshape(len(t_grid), gen.dim, gen.dim)
-    traces = np.einsum("tii->t", states).real
-    drift = np.max(np.abs(traces - 1.0))
-    if drift > 1e-8:
-        raise NumericalError(f"trace drift {drift:.2e} exceeds 1e-8")
-    if validate:
-        for s in states:
-            DensityState(s)
-    return Trajectory(times=t_grid, states=states, drive=drive)
+    chunk = trace_chunk(dim, len(t_grid))
+    trajectories = []
+    for lo in range(0, len(systems), chunk):
+        l0, d, timed = _stack(systems[lo:lo + chunk], drives[lo:lo + chunk])
+        y = np.repeat(rho0.reshape(1, -1), len(l0), axis=0)
+        ys = _evolve(l0, d, timed, y, 0.0, t_grid, rtol, atol)
+        del l0, d
+        for member, dr in zip(ys, drives[lo:lo + chunk]):
+            states = member.reshape(len(t_grid), dim, dim)
+            traces = np.einsum("tii->t", states).real
+            drift = np.max(np.abs(traces - 1.0))
+            if drift > 1e-8:
+                raise NumericalError(f"trace drift {drift:.2e} exceeds 1e-8")
+            if validate:
+                for s in states:
+                    DensityState(s)
+            trajectories.append(Trajectory(times=t_grid, states=states,
+                                           drive=dr))
+    return trajectories[0] if single else trajectories
 
 
 def steady_state(system, drive=None):
@@ -226,11 +320,12 @@ def two_time_correlation(system, drive, a_op, b_op, rho, tau_grid,
     tau_grid = np.asarray(tau_grid, dtype=float)
     if np.any(tau_grid < 0) or np.any(np.diff(tau_grid) <= 0):
         raise ValueError("tau_grid must be nonnegative and increasing")
-    gen = LindbladGenerator(system, drive)
     rho_m = _as_matrix(rho)
-    seed = (a_op @ rho_m @ a_op.conj().T).reshape(-1)
+    seed = (a_op @ rho_m @ a_op.conj().T).reshape(1, -1)
     w = _trace_weight(b_op.conj().T @ b_op)
-    ys = _evolve(gen, seed, t_start, t_start + tau_grid, rtol, atol)
+    l0, d, timed = _stack([system], [drive])
+    ys = _evolve(l0, d, timed, seed, t_start, t_start + tau_grid, rtol,
+                 atol)[0]
     return _clip_correlations(tau_grid, np.real(ys @ w))
 
 

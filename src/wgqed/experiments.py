@@ -1,23 +1,24 @@
 """Named experiments: map configurations to module pipelines and tables.
 
 Every experiment returns a ResultBundle whose CSV tables and JSON metadata
-are byte-identical for identical (config, seed), independent of the thread
-count: grid points are pure computations collected in fixed order.
+are byte-identical for identical (config, seed).  No experiment uses
+threads: grid points and noise nodes are batched or stacked instead, and
+``threads`` is accepted and ignored.
 """
 
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, presets
-from .config import expand_range, scalability_config
+from .config import expand_range, scalability_config, trace_times
 from .dynamics import (CorrelationMap, PulsedG2Result, g2_cw,
                        integrated_pulsed_g2, node_chunk, propagate,
-                       pulsed_g2_map)
+                       pulsed_g2_map, trace_chunk)
 from .hilbert import basis_ket
 from .instrument import (DetectorModel, NodeAverage, jitter_convolve,
                          noise_nodes, spectral_diffusion_average)
@@ -73,13 +74,6 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _ordered_map(fn, items, threads):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _base_metadata(cfg, **extra):
     meta = {
         "version": __version__,
@@ -119,20 +113,28 @@ def _noise_spec(cfg):
             "seed": cfg.noise.seed}
 
 
-def _sd_average(cfg, results):
-    """Average dict-of-arrays node results over spectral-diffusion offsets.
-
-    ``results(offsets)`` takes the ``(K, N)`` node offsets of
-    ``noise_nodes`` and yields one dict per node, in order.  Each key is
-    reduced on its own with the arithmetic of
-    ``spectral_diffusion_average``; scalar values become floats.
-    """
+def _sd_nodes(cfg):
+    """Offsets ``(K, N)`` and weights of cfg's spectral-diffusion average
+    (``noise_nodes``); one zero-offset node and weights None without one."""
     sigmas = [e.spectral_diffusion_sigma for e in cfg.system.emitters]
     if cfg.noise is None or all(s == 0 for s in sigmas):
-        return next(iter(results(np.zeros((1, len(sigmas))))))
-    offsets, weights = noise_nodes(sigmas, cfg.noise)
+        return np.zeros((1, len(sigmas))), None
+    return noise_nodes(sigmas, cfg.noise)
+
+
+def _sd_average(cfg, weights, nodes):
+    """Average dict-of-arrays node results over spectral-diffusion offsets.
+
+    ``nodes`` yields one dict per node of ``_sd_nodes(cfg)``, in order,
+    and ``weights`` are that call's weights.  Each key is reduced on its
+    own with the arithmetic of ``spectral_diffusion_average``; scalar
+    values become floats.  Without a noise average (weights None) the one
+    node's dict is returned as is.
+    """
+    if weights is None:
+        return next(iter(nodes))
     sums = None
-    for node in results(offsets):
+    for node in islice(nodes, len(weights)):
         if sums is None:
             sums = {key: NodeAverage(weights, cfg.noise) for key in node}
         for key, value in node.items():
@@ -144,15 +146,28 @@ def _sd_average(cfg, results):
     return out
 
 
+def _traces(systems, drives, t):
+    """I_L(t) and I_R(t) of each (system, drive) pair from |g…g⟩, one dict
+    per pair in order.  The pairs march in ``propagate`` stacks of
+    ``trace_chunk`` members, so memory stays bounded for any number."""
+    init = basis_ket("g" * systems[0].n)
+    chunk = trace_chunk(2 ** systems[0].n, len(t))
+    for lo in range(0, len(systems), chunk):
+        members = systems[lo:lo + chunk]
+        for traj, system in zip(propagate(init, members,
+                                          drives[lo:lo + chunk], t,
+                                          validate=False), members):
+            rec = intensity_record(traj, system)
+            yield {"left": rec.left, "right": rec.right}
+
+
 # --------------------------------------------------------------------------
 # experiments
 
 
 def run_transmission_scan(cfg, threads=1):
-    d1 = expand_range(cfg.grid.get("detuning1_ghz"),
-                      {"start": -6.0, "stop": 6.0, "points": 41})
-    d2 = expand_range(cfg.grid.get("detuning2_ghz"),
-                      {"start": -6.0, "stop": 6.0, "points": 41})
+    d1 = expand_range(cfg.grid["detuning1_ghz"])
+    d2 = expand_range(cfg.grid["detuning2_ghz"])
     if cfg.system.n == 1:
         d2 = np.array([0.0])
     a = np.repeat(d1, len(d2))
@@ -180,9 +195,7 @@ def run_transmission_scan(cfg, threads=1):
 
 
 def run_transmission_saturation(cfg, threads=1):
-    fracs = expand_range(cfg.grid.get("rabi_over_gamma"),
-                         {"start": 0.01, "stop": 50.0, "points": 21,
-                          "log": True})
+    fracs = expand_range(cfg.grid["rabi_over_gamma"])
     powers = saturation_powers(cfg.system, fracs)
     points = transmission_saturated(cfg.system, powers)
     rows = [(f, p.power, p.transmission_coherent, p.transmission_flux)
@@ -202,16 +215,11 @@ def run_transmission_saturation(cfg, threads=1):
 def run_lifetime(cfg, threads=1):
     t_max = cfg.grid["t_max_ns"]
     dt = cfg.grid["dt_ns"]
-    t = np.arange(0.0, t_max + dt / 2, dt)
-    init = basis_ket("g" * cfg.system.n)
-
-    def curves(offsets):
-        sys_off = cfg.system.with_detuning_offsets(offsets)
-        traj = propagate(init, sys_off, cfg.drive, t, validate=False)
-        rec = intensity_record(traj, sys_off)
-        return {"left": rec.left, "right": rec.right}
-
-    rec = _sd_average(cfg, lambda offsets: map(curves, offsets))
+    t = trace_times(cfg)
+    offsets, weights = _sd_nodes(cfg)
+    systems = [cfg.system.with_detuning_offsets(o) for o in offsets]
+    rec = _sd_average(cfg, weights,
+                      _traces(systems, [cfg.drive] * len(systems), t))
     warn_msgs = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -234,34 +242,29 @@ def run_lifetime(cfg, threads=1):
 
 
 def run_phase_sweep(cfg, threads=1):
-    thetas = expand_range(cfg.grid.get("theta_over_pi"),
-                          {"start": 0.0, "stop": 2.0, "points": 41})
+    thetas = expand_range(cfg.grid["theta_over_pi"])
     windows = cfg.grid["integration_windows_ns"]
     pulse = cfg.drive.pulse
     t_prompt = pulse.center + 6.0 * pulse.sigma_t
-    t_end = t_prompt + max(windows)
     dt = cfg.grid["dt_ns"]
-    t = np.arange(0.0, t_end + dt / 2, dt)
-    init = basis_ket("g" * cfg.system.n)
-
-    def point(theta_over_pi):
-        phases = tuple(np.pi * theta_over_pi * (1 if m else 0)
-                       for m in range(cfg.system.n))
-        drive = DriveConfig(cfg.drive.rabi_amplitude, phases, "pulsed", pulse)
-        traj = propagate(init, cfg.system, drive, t, validate=False)
-        rec = intensity_record(traj, cfg.system)
-        k0 = int(np.searchsorted(t, t_prompt))
-        _, fr_prompt = directionality(rec.left[k0], rec.right[k0])
-        out = [theta_over_pi, fr_prompt]
-        for w in windows:
-            k1 = int(np.searchsorted(t, t_prompt + w))
-            i_l = np.trapezoid(rec.left[k0:k1], t[k0:k1])
-            i_r = np.trapezoid(rec.right[k0:k1], t[k0:k1])
-            fl, fr = directionality(i_l, i_r)
-            out.extend([fl, fr])
-        return tuple(out)
-
-    rows = _ordered_map(point, list(thetas), threads)
+    t = trace_times(cfg)
+    drives = [DriveConfig(cfg.drive.rabi_amplitude,
+                          tuple(np.pi * theta_over_pi * (1 if m else 0)
+                                for m in range(cfg.system.n)),
+                          "pulsed", pulse)
+              for theta_over_pi in thetas]
+    k0 = int(np.searchsorted(t, t_prompt))
+    ks = [int(np.searchsorted(t, t_prompt + w)) for w in windows]
+    rows = []
+    for theta_over_pi, rec in zip(thetas, _traces(
+            [cfg.system] * len(drives), drives, t)):
+        _, fr_prompt = directionality(rec["left"][k0], rec["right"][k0])
+        row = [theta_over_pi, fr_prompt]
+        for k1 in ks:
+            i_l = np.trapezoid(rec["left"][k0:k1], t[k0:k1])
+            i_r = np.trapezoid(rec["right"][k0:k1], t[k0:k1])
+            row.extend(directionality(i_l, i_r))
+        rows.append(tuple(row))
     cols = ["theta_over_pi", "frac_right_prompt"]
     for w in windows:
         cols.extend([f"frac_left_{w}ns", f"frac_right_{w}ns"])
@@ -275,37 +278,31 @@ def run_phase_sweep(cfg, threads=1):
 
 
 def run_detuning_sweep(cfg, threads=1):
-    deltas = expand_range(cfg.grid.get("detuning2_ghz"),
-                          {"start": -6.0, "stop": 6.0, "points": 31})
+    deltas = expand_range(cfg.grid["detuning2_ghz"])
     t_max = cfg.grid["t_max_ns"]
     dt = cfg.grid["dt_ns"]
     window = cfg.grid["window_ns"]
-    t = np.arange(0.0, t_max + dt / 2, dt)
-    init = basis_ket("gg")
+    t = trace_times(cfg)
     pulse = cfg.drive.pulse
     t0 = pulse.center + 6.0 * pulse.sigma_t
+    k0, k1 = np.searchsorted(t, [t0, t0 + window])
 
-    def point(delta_ghz):
-        def curves(offsets):
-            sys_off = cfg.system.with_detuning_offsets(
-                offsets + np.array([0.0, ghz_to_angular(delta_ghz)]))
-            traj = propagate(init, sys_off, cfg.drive, t, validate=False)
-            rec = intensity_record(traj, sys_off)
-            return {"left": rec.left, "right": rec.right}
-        rec = _sd_average(cfg, lambda offsets: map(curves, offsets))
-        left_irf = jitter_convolve(t, rec["left"], cfg.detector)
-        right_irf = jitter_convolve(t, rec["right"], cfg.detector)
-        k0, k1 = np.searchsorted(t, [t0, t0 + window])
-        i_l = np.trapezoid(rec["left"][k0:k1], t[k0:k1])
-        i_r = np.trapezoid(rec["right"][k0:k1], t[k0:k1])
-        fl, fr = directionality(i_l, i_r)
-        return rec["left"], rec["right"], left_irf, right_irf, fl, fr
-
-    results = _ordered_map(point, list(deltas), threads)
+    # every (detuning, noise node) pair in one stack, detuning outermost
+    offsets, weights = _sd_nodes(cfg)
+    systems = [cfg.system.with_detuning_offsets(
+        o + np.array([0.0, ghz_to_angular(delta)]))
+        for delta in deltas for o in offsets]
+    traces = _traces(systems, [cfg.drive] * len(systems), t)
     map_rows = []
     summary_rows = []
-    for delta, (il, ir, ili, iri, fl, fr) in zip(deltas, results):
-        summary_rows.append((delta, fl, fr))
+    for delta in deltas:
+        rec = _sd_average(cfg, weights, traces)
+        il, ir = rec["left"], rec["right"]
+        ili = jitter_convolve(t, il, cfg.detector)
+        iri = jitter_convolve(t, ir, cfg.detector)
+        i_l = np.trapezoid(il[k0:k1], t[k0:k1])
+        i_r = np.trapezoid(ir[k0:k1], t[k0:k1])
+        summary_rows.append((delta, *directionality(i_l, i_r)))
         for k in range(len(t)):
             map_rows.append((delta, t[k], il[k], ir[k], ili[k], iri[k]))
     meta = _base_metadata(cfg, noise=_noise_spec(cfg),
@@ -347,7 +344,8 @@ def run_g2_cw(cfg, threads=1):
                 out["I_R"] = res["intensity"]["R"][k]
                 yield out
 
-    avg = _sd_average(cfg, bundles)
+    offsets, weights = _sd_nodes(cfg)
+    avg = _sd_average(cfg, weights, bundles(offsets))
     tau = np.arange(0.0, tau_max + dt / 2, dt)
     # CW correlograms: sigma_IRF is the correlator's effective response
     # along the delay axis (matches the published antidip heights)
@@ -391,7 +389,8 @@ def _pulsed_correlograms(cfg, pairs, window, dt):
             out[f"I_{pair[1]}"] = r.intensity_b
         return out
 
-    avg = _sd_average(cfg, lambda offsets: map(bundle, offsets))
+    offsets, weights = _sd_nodes(cfg)
+    avg = _sd_average(cfg, weights, map(bundle, offsets))
     t = np.arange(int(round(window / dt)) + 1) * dt
     period = cfg.drive.pulse.repetition_period
     separation = map_meta["separation_periods"]
@@ -505,11 +504,8 @@ def run_scalability(cfg, threads=1):
 
 
 def run_scalability_heatmap(cfg, threads=1):
-    mus = expand_range(cfg.grid.get("mu_qd"),
-                       {"values": [5.0, 10.0, 20.0, 35.0, 50.0, 75.0, 100.0]})
-    rels = expand_range(cfg.grid.get("delta_over_sigma"),
-                        {"start": 1e-3, "stop": 1.0, "points": 13,
-                         "log": True})
+    mus = expand_range(cfg.grid["mu_qd"])
+    rels = expand_range(cfg.grid["delta_over_sigma"])
     mode = cfg.scalability.get("mode", "consecutive")
     runs = cfg.scalability.get("runs", 20_000)
     sigma = cfg.scalability.get("sigma_qd_nm", 15.0)

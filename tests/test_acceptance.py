@@ -22,7 +22,7 @@ from wgqed.analytics import (analytic_g2_zero,
 from wgqed.config import resolve_config
 from wgqed.dynamics import (g2_cw, integrated_pulsed_g2, propagate,
                             pulsed_g2_map, steady_state)
-from wgqed.experiments import run_g2_cw, run_g2_pulsed
+from wgqed.experiments import run_detuning_sweep, run_g2_cw, run_g2_pulsed
 from wgqed.hilbert import basis_ket
 from wgqed.instrument import spectral_diffusion_average
 from wgqed.model import (DriveConfig, EmitterParams, LindbladGenerator,
@@ -32,6 +32,7 @@ from wgqed.observables import (directionality, intensity, intensity_record,
 from wgqed.scalability import (ScalabilityConfig, conditional_success_count,
                                probability_per_chip,
                                probability_per_waveguide)
+from wgqed.units import ghz_to_angular
 
 from _oracles import qmc_conditional_probability
 
@@ -499,3 +500,43 @@ def test_g2_pulsed_noise_matches_per_pair_average():
         cg = integrated_pulsed_g2(res)
         assert np.array_equal(table[f"center_{pair}"], cg.center)
         assert np.array_equal(table[f"side_{pair}"], cg.side)
+
+
+def test_detuning_sweep_stack_matches_per_point_average(monkeypatch):
+    # all (Δ₂, node) pairs march as one stack, cut here into chunks of 3
+    # that straddle the groups of 4 nodes; each Δ₂ averages its own nodes
+    deltas = [-3.0, 0.0, 2.0]
+    cfg = resolve_config({
+        "experiment": "detuning-sweep",
+        "noise": {"scheme": "gauss_hermite", "nodes": 2},
+        "grid": {"detuning2_ghz": {"values": deltas}, "t_max_ns": 1.0,
+                 "dt_ns": 0.05, "window_ns": 0.5}})
+    t = np.arange(0.0, 1.0 + 0.025, 0.05)
+    member = 16 * (dynamics.TRACE_SUPEROPERATORS * 4 ** 4 + len(t) * 4 ** 2)
+    monkeypatch.setattr(dynamics, "NODE_STACK_BYTES", 3 * member)
+    sizes = []
+
+    def counted(init, systems, *args, **kwargs):
+        sizes.append(len(systems))
+        return propagate(init, systems, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "propagate", counted)
+    table = _columns(run_detuning_sweep(cfg), "time_resolved")
+    assert sizes == [3, 3, 3, 3]
+    sigmas = [e.spectral_diffusion_sigma for e in cfg.system.emitters]
+    for delta in deltas:
+        def curves(off):
+            system = cfg.system.with_detuning_offsets(
+                off + np.array([0.0, ghz_to_angular(delta)]))
+            rec = intensity_record(propagate(basis_ket("gg"), system,
+                                             cfg.drive, t, validate=False),
+                                   system)
+            return np.stack([rec.left, rec.right])
+
+        left, right = spectral_diffusion_average(curves, sigmas,
+                                                 cfg.noise).value
+        rows = table["detuning2_ghz"] == delta
+        np.testing.assert_allclose(table["intensity_left"][rows], left,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(table["intensity_right"][rows], right,
+                                   rtol=0, atol=1e-9)

@@ -5,11 +5,15 @@ For any schema-valid config, ``validate`` exits 0 or 2 and ``run`` exits
 traceback; ``validate`` rejects with 2 whatever ``run`` rejects with 2.
 Grids, Monte Carlo runs and noise nodes are drawn tiny so that each run
 takes well under a second, and ``run`` is tried for N <= 3 emitters only.
+About one config in four has a NaN or infinity in one of its number
+fields wherever the schema still accepts it; both commands must refuse
+such a config with 2.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -21,6 +25,7 @@ from wgqed.cli import main
 from wgqed.config import EXPERIMENTS, validate_config
 
 PAIRS = ["LL", "RR", "LR", "RL"]
+NON_FINITE = [math.nan, math.inf, -math.inf]
 small = st.floats(0.0, 2.0, allow_nan=False)
 signed = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -116,7 +121,30 @@ def configs(draw):
         "n_wg": draw(st.integers(1, 3)), "runs": draw(st.integers(1, 40)),
         "mode": draw(st.sampled_from(["consecutive", "window_distinct",
                                       "both"]))}
+    if draw(st.integers(0, 3)) == 0:
+        slots = _float_slots(data)
+        container, key = draw(st.sampled_from(slots))
+        kept = container[key]
+        container[key] = draw(st.sampled_from(NON_FINITE))
+        if validate_config(data):   # e.g. beta = inf breaks its maximum
+            container[key] = kept
     return data
+
+
+def _float_slots(data):
+    """(container, key) of every float in a config, in a fixed order."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    slots = []
+    for key, value in items:
+        if isinstance(value, float):
+            slots.append((data, key))
+        elif isinstance(value, (dict, list)):
+            slots.extend(_float_slots(value))
+    return slots
+
+
+def _finite(data):
+    return all(math.isfinite(c[k]) for c, k in _float_slots(data))
 
 
 def _call(argv):
@@ -144,11 +172,13 @@ def test_cli_exit_codes_hold_for_schema_valid_configs(data):
         assert checked in (0, 2)
         if checked == 2:
             _report(err, "config")
+        assert checked == 2 or _finite(data)
         n = len(data.get("system", {}).get("emitters", [None, None]))
         if n > 3:
             return
         code, err = _call(["run", str(path), "--out", str(Path(tmp) / "o")])
         assert code in (0, 2, 3)
+        assert code == 2 or _finite(data)
         if code == 2:
             _report(err, "config")
             assert checked == 2

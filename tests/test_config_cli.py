@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from wgqed import dynamics, model
+from wgqed import config, dynamics, model
 from wgqed.cli import main
 from wgqed.config import (DENSE_BUDGET_BYTES, dense_bytes, expand_range,
                           load_config, resolve_config, validate_config)
@@ -177,12 +177,22 @@ class TestCLI:
         {"experiment": "phase-sweep",
          "grid": {"theta_over_pi": {"start": -1.0, "stop": 2.0, "points": 3,
                                     "log": True}}},
+        {"experiment": "phase-sweep",
+         "grid": {"theta_over_pi": {"values": [float("nan")]},
+                  "dt_ns": 0.05}},
+        {"experiment": "lifetime", "grid": {"t_max_ns": float("inf")}},
+        {"experiment": "g2-cw", "system": {"emitters": [
+            {"gamma_ghz": float("nan"), "beta": 0.95},
+            {"gamma_ghz": 0.349, "beta": 0.85}]}},
+        {"experiment": "scalability",
+         "scalability": {"mu_qd": float("inf"), "runs": 10}},
     ], ids=["short-period", "phase-n3", "n-set-above-n-reg",
             "saturation-beta-0", "saturation-negative-grid",
             "sweep-one-emitter", "saturation-power-underflow",
             "lifetime-cw-drive", "g2-cw-pulsed-drive", "span-below-step",
             "window-above-period", "integration-window-below-step",
-            "log-axis-through-zero", "log-axis-across-zero"])
+            "log-axis-through-zero", "log-axis-across-zero",
+            "nan-grid-value", "inf-span", "nan-rate", "inf-density"])
     def test_physics_rule_violation_exit_2(self, tmp_path, capsys, data):
         p = write_yaml(tmp_path, data)
         for argv in (["validate", str(p)],
@@ -190,6 +200,16 @@ class TestCLI:
             assert main(argv) == 2
             report = json.loads(capsys.readouterr().err)
             assert report["error"] == "config"
+
+    def test_non_finite_numbers_named_in_report(self):
+        data = {"experiment": "phase-sweep",
+                "drive": {"phase_over_pi": [0.0, float("-inf")]},
+                "grid": {"theta_over_pi": {"values": [0.5, float("nan")]}}}
+        assert validate_config(data) == []
+        with pytest.raises(ConfigError, match="non-finite") as err:
+            resolve_config(data)
+        assert [d["path"] for d in err.value.details] == [
+            "drive/phase_over_pi/1", "grid/theta_over_pi/values/1"]
 
     def test_console_entrypoint(self):
         # the package need not be installed: run the source tree's copy
@@ -255,6 +275,68 @@ class TestDenseSizeGuard:
         assert dense_bytes(cfg) < DENSE_BUDGET_BYTES
 
     def test_twelve_emitter_transmission_scan_resolves(self):
+        # the batched resolvent: one 12×12 complex matrix per grid point
         cfg = resolve_config({"experiment": "transmission-scan",
                               "system": collinear(12)})
-        assert dense_bytes(cfg) == 0
+        assert dense_bytes(cfg) == 16 * 12 ** 2 * 41 * 41
+        assert dense_bytes(cfg) < DENSE_BUDGET_BYTES
+
+    def test_transmission_scan_resolvent_over_budget_exit_2(
+            self, tmp_path, capsys):
+        # 16·12²·P bytes: P = 932 068 points is the first above 2 GiB
+        def scan(points):
+            return {"experiment": "transmission-scan",
+                    "system": collinear(12),
+                    "grid": {"detuning1_ghz": {"start": -6.0, "stop": 6.0,
+                                               "points": points},
+                             "detuning2_ghz": {"values": [0.0]}}}
+
+        assert 16 * 144 * 932067 <= DENSE_BUDGET_BYTES < 16 * 144 * 932068
+        assert main(["validate", str(write_yaml(tmp_path, scan(932067)))]) \
+            == 0
+        p = write_yaml(tmp_path, scan(932068))
+        assert main(["validate", str(p)]) == 2
+        capsys.readouterr()
+        assert main(["run", str(p), "--out", str(tmp_path / "x")]) == 2
+        report = json.loads(capsys.readouterr().err)
+        assert "GiB budget" in report["message"]
+
+    @pytest.mark.parametrize("experiment, n, noise, members, times", [
+        ("phase-sweep", 3, None, 41, 613),
+        ("detuning-sweep", 2, {"scheme": "gauss_hermite", "nodes": 3},
+         31 * 9, 251),
+        ("lifetime", 2, {"scheme": "monte_carlo", "samples": 500}, 500,
+         2001)])
+    def test_stacked_traces_counted_one_chunk(
+            self, tmp_path, capsys, monkeypatch, experiment, n, noise,
+            members, times):
+        # the θ points, (Δ₂, node) pairs or nodes of one propagate stack
+        emitter = {"gamma_ghz": 0.388, "beta": 0.95,
+                   "spectral_diffusion_ghz": 0.3}
+        data = {"experiment": experiment,
+                "system": {"coupling_phase_over_pi": 0.0,
+                           "emitters": [emitter] * n}}
+        if noise:
+            data["noise"] = noise
+        cfg = resolve_config(data)
+        driven = sum(w != 0 for w in cfg.drive.rabi_amplitude)
+        chunk = dynamics.trace_chunk(2 ** n, times)
+        assert 1 < chunk < members
+        need = 16 * 16 ** n * (1 + driven + 8 + dynamics.TRACE_SUPEROPERATORS
+                               * (chunk - 1))
+        assert dense_bytes(cfg) == need
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense generator built")
+
+        monkeypatch.setattr(model.LindbladGenerator, "__init__", refuse)
+        p = write_yaml(tmp_path, data)
+        monkeypatch.setattr(config, "DENSE_BUDGET_BYTES", need)
+        assert main(["validate", str(p)]) == 0
+        monkeypatch.setattr(config, "DENSE_BUDGET_BYTES", need - 1)
+        capsys.readouterr()
+        for argv in (["validate", str(p)],
+                     ["run", str(p), "--out", str(tmp_path / "x")]):
+            assert main(argv) == 2
+            assert "GiB budget" in json.loads(
+                capsys.readouterr().err)["message"]

@@ -169,6 +169,104 @@ class TestExactPropagation:
                                    rtol=0, atol=1e-9)
 
 
+class TestStackedPropagation:
+    """One march for a stack of systems and drives sharing their pulses."""
+
+    def stack(self):
+        base = presets.qd_pair()
+        pulse = PulseSpec(sigma_t=0.03, area=np.pi)
+        systems = [base, base.with_detuning_offsets([0.0, 9.0]),
+                   base.with_detuning_offsets([-4.0, 2.0]), base]
+        drives = [DriveConfig((1.0, 0.6), (0.0, th), "pulsed", pulse)
+                  for th in (0.0, 0.9, 2.5)] + [
+            DriveConfig((0.0, 0.0), (0.0, 0.0), "pulsed", pulse)]
+        return systems, drives
+
+    def test_mixed_stack_matches_per_member_calls(self):
+        systems, drives = self.stack()
+        t = np.arange(0.0, 2.0 + 1e-9, 0.025)
+        stacked = propagate(basis_ket("gg"), systems, drives, t,
+                            validate=False)
+        assert len(stacked) == len(systems)
+        for traj, system, drive in zip(stacked, systems, drives):
+            alone = propagate(basis_ket("gg"), system, drive, t,
+                              validate=False)
+            assert traj.drive is drive
+            np.testing.assert_allclose(traj.states, alone.states, rtol=0,
+                                       atol=1e-9)
+
+    def test_single_system_keeps_trajectory_shape(self):
+        systems, drives = self.stack()
+        t = np.linspace(0.0, 1.0, 11)
+        traj = propagate(basis_ket("gg"), systems[0], drives[1], t)
+        assert isinstance(traj, dynamics.Trajectory)
+        assert traj.states.shape == (11, 4, 4)
+        assert traj.drive is drives[1]
+        # one system under a sequence of drives is repeated
+        trajs = propagate(basis_ket("gg"), systems[0], drives[:2], t)
+        assert [tr.drive for tr in trajs] == drives[:2]
+
+    def test_mismatched_pulses_rejected(self):
+        systems, drives = self.stack()
+        other = DriveConfig((1.0, 0.6), (0.0, 0.0), "pulsed",
+                            PulseSpec(sigma_t=0.02, area=np.pi))
+        t = np.linspace(0.0, 1.0, 11)
+        for odd in (other, DriveConfig((0.3, 0.0), (0.0, 0.0), "cw")):
+            with pytest.raises(ValueError, match="share their pulses"):
+                propagate(basis_ket("gg"), systems[0], [drives[0], odd], t)
+        with pytest.raises(ValueError, match="differ in number"):
+            propagate(basis_ket("gg"), systems[:2], drives[:3], t)
+
+    def test_stack_of_one_equals_single_call(self):
+        systems, drives = self.stack()
+        t = np.arange(0.0, 3.0 + 1e-9, 0.025)
+        (one,) = propagate(basis_ket("gg"), systems[:1], drives[:1], t,
+                           validate=False)
+        alone = propagate(basis_ket("gg"), systems[0], drives[0], t,
+                          validate=False)
+        assert np.array_equal(one.states, alone.states)
+        np.testing.assert_allclose(one.states.reshape(len(t), -1),
+                                   rk45_reference(systems[0], drives[0], t),
+                                   rtol=0, atol=1e-9)
+
+    def test_quiet_members_leave_step_control_unchanged(self):
+        # |gg⟩ is stationary without a drive, so 63 undriven members add
+        # nothing to the pooled error norm: with tolerances scaled by
+        # 1/√K the driven member takes the steps it takes alone
+        systems, drives = self.stack()
+        t = np.arange(0.0, 1.0 + 1e-9, 0.025)
+        alone = propagate(basis_ket("gg"), systems[0], drives[1], t,
+                          validate=False)
+        stacked = propagate(basis_ket("gg"), systems[0],
+                            [drives[1]] + [drives[3]] * 63, t,
+                            validate=False)
+        np.testing.assert_allclose(stacked[0].states, alone.states, rtol=0,
+                                   atol=1e-14)
+
+    def test_long_stack_marches_in_chunks(self, monkeypatch):
+        systems, drives = self.stack()
+        systems, drives = systems + systems[:1], drives + drives[2:3]
+        t = np.arange(0.0, 1.0 + 1e-9, 0.05)
+        whole = propagate(basis_ket("gg"), systems, drives, t,
+                          validate=False)
+        sizes = []
+
+        def counted(systems, drives):
+            sizes.append(len(systems))
+            return stack(systems, drives)
+
+        stack = dynamics._stack
+        monkeypatch.setattr(dynamics, "_stack", counted)
+        member = 16 * (dynamics.TRACE_SUPEROPERATORS * 4 ** 4
+                       + len(t) * 4 ** 2)
+        monkeypatch.setattr(dynamics, "NODE_STACK_BYTES", 2 * member)
+        chunked = propagate(basis_ket("gg"), systems, drives, t,
+                            validate=False)
+        assert sizes == [2, 2, 1]
+        for a, b in zip(whole, chunked):
+            np.testing.assert_allclose(a.states, b.states, rtol=0, atol=1e-9)
+
+
 class TestSteadyState:
     def test_weak_drive_two_level_population(self):
         gamma = 2.0
