@@ -81,7 +81,7 @@ def main(argv=None):
         return _config_error(exc)
 
     try:
-        bundle = run_experiment(cfg, threads=max(1, args.threads))
+        bundle = run_experiment(cfg)
         paths = bundle.write(cfg.output)
     except ConfigError as exc:
         return _config_error(exc)

@@ -343,33 +343,99 @@ def scalability_config(cfg, **overrides):
 
 def _check_scalability(cfg):
     """Build the yield configs the experiment builds, so that their rules
-    fail at resolution."""
+    fail at resolution.  The heatmap's rules on mu_qd and delta_lambda are
+    lower bounds, so its smallest grid values stand for all."""
     scalability_config(cfg)
     if cfg.experiment != "scalability-heatmap":
         return
     if cfg.scalability.get("mode", "consecutive") == "both":
         raise ConfigError("scalability-heatmap runs one mode at a time")
     sigma = cfg.scalability.get("sigma_qd_nm", 15.0)
-    for mu in expand_range(cfg.grid["mu_qd"]):
-        scalability_config(cfg, mu_qd=float(mu))
-    for rel in expand_range(cfg.grid["delta_over_sigma"]):
-        scalability_config(cfg, delta_lambda=float(rel) * sigma)
+    mu = expand_range(cfg.grid["mu_qd"]).min()
+    rel = expand_range(cfg.grid["delta_over_sigma"]).min()
+    scalability_config(cfg, mu_qd=float(mu))
+    scalability_config(cfg, delta_lambda=float(rel) * sigma)
 
 
-# An experiment holds dense complex matrices: the Lindblad experiments
+# An experiment holds dense complex matrices (the Lindblad experiments
 # 4ᴺ×4ᴺ superoperators, transmission-scan one N×N resolvent per grid
-# point.  A config whose estimate exceeds this budget is refused before
-# anything is built.
+# point), arrays that grow with its grid, and its table rows.  A config
+# whose estimate exceeds this budget is refused before anything is built.
 DENSE_BUDGET_BYTES = 2 * 1024 ** 3
 _DENSE_WORK = 8     # build temporaries, L(t), D, SVD factors, expm Padé terms
 _DENSE_EXPERIMENTS = ("transmission-saturation", "lifetime", "phase-sweep",
                       "detuning-sweep", "g2-cw", "g2-pulsed", "g2-map")
+_G2_ARRAYS = 3      # g2-cw's τ × node × pair floats: raw, G2 and g2
+_MAP_ARRAYS = 8     # pulsed nt × nt floats per pair: the raw maps of the
+                    # pair and its reverse, the far map, clipped results,
+                    # the node average and the jittered maps
+
+
+def axis_length(spec):
+    """Points of a grid axis, read from its spec without building it."""
+    return len(spec["values"]) if "values" in spec else spec["points"]
+
+
+def row_bytes(columns):
+    """Bytes of one table row of ``columns`` numbers, a tuple of np.float64
+    scalars in a list.  This bounds every example config's tables, which
+    tracemalloc measured at 52–243 bytes per row for 3–6 columns and 593
+    for 17."""
+    return 24 + 40 * columns
+
+
+def _points(span, dt):
+    """Points of a uniform grid from 0 through span in steps of dt."""
+    return int(round(span / dt)) + 1
+
+
+def _trace_count(cfg):
+    """Length of ``trace_times(cfg)``, without building it."""
+    return int(np.ceil(_trace_end(cfg) / cfg.grid["dt_ns"]))
+
+
+def _scan_points(cfg):
+    points = axis_length(cfg.grid["detuning1_ghz"])
+    if cfg.system.n > 1:
+        points *= axis_length(cfg.grid["detuning2_ghz"])
+    return points
+
+
+def _tables(cfg):
+    """(rows, columns) of each table that cfg's experiment builds."""
+    grid, experiment = cfg.grid, cfg.experiment
+    if experiment == "transmission-scan":
+        return [(_scan_points(cfg), 3)]
+    if experiment == "transmission-saturation":
+        return [(axis_length(grid["rabi_over_gamma"]), 4)]
+    if experiment == "lifetime":
+        return [(_trace_count(cfg), 5)]
+    if experiment == "phase-sweep":
+        return [(axis_length(grid["theta_over_pi"]),
+                 2 + 2 * len(grid["integration_windows_ns"]))]
+    if experiment == "detuning-sweep":
+        deltas = axis_length(grid["detuning2_ghz"])
+        return [(deltas * _trace_count(cfg), 6), (deltas, 3)]
+    if experiment == "g2-cw":
+        return [(2 * _points(grid["tau_max_ns"], grid["dt_ns"]) - 1,
+                 1 + 2 * len(grid["pairs"]))]
+    if experiment == "g2-pulsed":
+        return [(2 * _points(grid["window_ns"], grid["dt_ns"]) - 1,
+                 1 + 4 * len(grid["pairs"])), (len(grid["pairs"]), 3)]
+    if experiment == "g2-map":
+        return [(_points(grid["window_ns"], grid["dt_ns"]) ** 2, 6)]
+    if experiment == "scalability-heatmap":
+        return [(axis_length(grid["mu_qd"])
+                 * axis_length(grid["delta_over_sigma"]), 5)]
+    return [(2, 11)]    # scalability: one row per mode
 
 
 def dense_bytes(cfg):
-    """Estimated bytes of the dense matrices that cfg's experiment holds
-    at once; 0 when it builds none.
+    """Estimated bytes of the dense matrices, grid arrays and table rows
+    that cfg's experiment holds at once.
 
+    Every axis length is read from its spec, so nothing is built.  Each
+    experiment holds its table rows (``row_bytes`` each).
     transmission-scan solves its P grid points as one batch of N×N
     resolvents, 16·N²·P bytes.  The Lindblad experiments hold the static
     generator, one drive part per driven emitter and work matrices, and
@@ -379,35 +445,47 @@ def dense_bytes(cfg):
     per member of a ``propagate`` stack beyond the first (the θ points of
     phase-sweep, the (Δ₂, noise node) pairs of detuning-sweep, the noise
     nodes of lifetime).  The work matrices count the first member's.
+    Grid arrays are one chunk's trajectories (members × nt × d² complex)
+    for the time traces, _G2_ARRAYS τ × node × pair floats for one chunk
+    of g2-cw, and _MAP_ARRAYS nt × nt floats per port pair for the pulsed
+    maps.
     """
     n = cfg.system.n
+    grid = cfg.grid
+    total = sum(rows * row_bytes(columns) for rows, columns in _tables(cfg))
     if cfg.experiment == "transmission-scan":
-        points = len(expand_range(cfg.grid["detuning1_ghz"]))
-        if n > 1:
-            points *= len(expand_range(cfg.grid["detuning2_ghz"]))
-        return 16 * n * n * points
+        return total + 16 * n * n * _scan_points(cfg)
     if cfg.experiment not in _DENSE_EXPERIMENTS:
-        return 0
+        return total
+    dim2 = 4 ** n
     driven = 1 if cfg.drive is None else \
         sum(r != 0 for r in cfg.drive.rabi_amplitude)
     count = 1 + driven + _DENSE_WORK
     if cfg.experiment in ("g2-pulsed", "g2-map") and not cfg.drive.is_cw:
-        dt = cfg.grid["dt_ns"]
+        dt = grid["dt_ns"]
+        nt = _points(grid["window_ns"], dt)
         count += min(int(np.ceil(12.0 * cfg.drive.pulse.sigma_t / dt)) + 2,
-                     int(round(cfg.grid["window_ns"] / dt)))
+                     nt - 1)
+        pairs = 1 if cfg.experiment == "g2-map" else len(grid["pairs"])
+        total += 8 * _MAP_ARRAYS * pairs * nt ** 2
     if cfg.experiment == "g2-cw":
-        count += 2 * (min(_noise_node_count(cfg), node_chunk(2 ** n)) - 1)
+        chunk = min(_noise_node_count(cfg), node_chunk(2 ** n))
+        count += 2 * (chunk - 1)
+        pairs = set(grid["pairs"]) | {p[::-1] for p in grid["pairs"]}
+        total += 8 * _G2_ARRAYS * len(pairs) * chunk * \
+            _points(grid["tau_max_ns"], grid["dt_ns"])
     if cfg.experiment in ("lifetime", "phase-sweep", "detuning-sweep"):
         if cfg.experiment == "phase-sweep":
-            members = len(expand_range(cfg.grid["theta_over_pi"]))
+            members = axis_length(grid["theta_over_pi"])
         else:
             members = _noise_node_count(cfg)
         if cfg.experiment == "detuning-sweep":
-            members *= len(expand_range(cfg.grid["detuning2_ghz"]))
-        times = int(np.ceil(_trace_end(cfg) / cfg.grid["dt_ns"]))
-        chunk = trace_chunk(2 ** n, times)
-        count += TRACE_SUPEROPERATORS * (min(members, chunk) - 1)
-    return 16 * 16 ** n * count
+            members *= axis_length(grid["detuning2_ghz"])
+        times = _trace_count(cfg)
+        chunk = min(members, trace_chunk(2 ** n, times))
+        count += TRACE_SUPEROPERATORS * (chunk - 1)
+        total += 16 * chunk * times * dim2
+    return total + 16 * dim2 ** 2 * count
 
 
 def _noise_node_count(cfg):
@@ -448,8 +526,9 @@ def _check_experiment(cfg):
     if need > DENSE_BUDGET_BYTES:
         raise ConfigError(
             f"{cfg.experiment} with {cfg.system.n} emitters needs about "
-            f"{need / 1024 ** 3:.1f} GiB of dense matrices, above the "
-            f"{DENSE_BUDGET_BYTES / 1024 ** 3:.0f} GiB budget")
+            f"{need / 1024 ** 3:.1f} GiB of dense matrices, grid arrays and "
+            f"table rows, above the {DENSE_BUDGET_BYTES / 1024 ** 3:.0f} "
+            "GiB budget")
     if cfg.experiment == "transmission-saturation":
         fracs = expand_range(cfg.grid["rabi_over_gamma"])
         if not np.all(fracs > 0):
@@ -458,7 +537,8 @@ def _check_experiment(cfg):
             raise ConfigError("transmission-saturation sets the power through "
                               "emitter 1's waveguide coupling: it needs "
                               "beta > 0")
-        if not all(p > 0 for p in saturation_powers(cfg.system, fracs)):
+        # the power grows with the ratio: the smallest decides
+        if not saturation_powers(cfg.system, [fracs.min()])[0] > 0:
             raise ConfigError("rabi_over_gamma grid too small: the input "
                               "power underflows to 0")
     elif cfg.experiment == "detuning-sweep" and cfg.system.n != 2:

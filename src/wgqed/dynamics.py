@@ -1,22 +1,24 @@
 """Time propagation, steady states, and one- and two-time correlations.
 
-``propagate`` and ``two_time_correlation`` share one propagation path, a
-march of a stack of K systems that share one pulse timing, such as the
-grid points and noise nodes of a sweep (K = 1 for a single call).
-Between pulses each generator L₀ is constant and the stack takes exact
-steps expm(L₀Δt): one batched exponential per step length, applied as one
-batched product.  Inside a pulse window (±6σ) one RK45 solve (rtol 1e-10,
-atol 1e-12, max_step σ/5) integrates the flattened K·d² state under
-L₀x + f(t)·Dx, where f is the envelope all emitters and members share
-and D = Σ_m w_m D_m each member's weighted drive superoperator.  RK45's
-error norm (an RMS over the state) is pooled over the stack, and the
-stack's rtol and atol are those of one member divided by √K: a step is
-then accepted only if every member's own error norm would accept it.
-The steps are shared, so results differ from a call of their own within
-the tolerance.  A CW or undriven generator is constant throughout and
-never calls the ODE solver.  Long stacks are marched in chunks of
-``trace_chunk`` members, whose superoperators and trajectories fit
-NODE_STACK_BYTES.
+One propagation path, ``_evolve``, serves ``propagate``,
+``two_time_correlation`` and the step propagators of ``pulsed_g2_map``.
+It marches a stack of K systems that share one pulse timing, such as the
+grid points and noise nodes of a sweep (K = 1 for a single call), each
+with m columns: one state (m = 1), or the d² columns of the identity when
+it builds a propagator.  Between pulses each generator L₀ is constant and
+the stack takes exact steps expm(L₀Δt): one batched exponential per step
+length, applied as one batched product.  Inside a pulse window (±6σ) one
+RK45 solve (max_step σ/5) integrates the flattened K·d²·m state under
+L(t) = L₀ + f(t)·D, where f is the envelope all emitters and members
+share and D = Σ_m w_m D_m each member's weighted drive superoperator.
+One system's tolerances are RTOL = 1e-10 and ATOL = 1e-12 on the RMS
+error norm over its d²·m entries.  That norm is pooled over the stack, so
+the stack's rtol and atol are divided by √K: a step is then accepted only
+if every system's own error norm would accept it.  The steps are shared,
+so results differ from a call of their own within the tolerance.  A CW or
+undriven generator is constant throughout and never calls the ODE solver.
+Long stacks are marched in chunks of ``trace_chunk`` members, whose
+superoperators and trajectories fit NODE_STACK_BYTES.
 
 Two-time quantities use the quantum regression theorem: with Λ_τ the same
 propagator that evolves ρ,
@@ -32,9 +34,11 @@ fit NODE_STACK_BYTES.  Pulsed correlations are computed as fully
 time-resolved maps G(t₁, t₂) over one pulse window (same-pulse) and
 across one repetition period (different-pulse), then integrated along the
 diagonal; one ``pulsed_g2_map`` call serves every port pair from one set
-of step propagators.  Stacking and sharing in ``g2_cw`` and
-``pulsed_g2_map`` leave each node's and pair's arithmetic as in a call of
-its own, so their results are bit-identical to one call per node and pair.
+of step propagators: expm(L₀Δt) for the grid steps no pulse touches, and
+for each other step the identity marched through ``_evolve``.  Stacking
+and sharing in ``g2_cw`` and ``pulsed_g2_map`` leave each node's and
+pair's arithmetic as in a call of its own, so their results are
+bit-identical to one call per node and pair.
 """
 
 import warnings
@@ -50,6 +54,8 @@ from .model import (DriveConfig, LindbladGenerator, WaveguideSystem,
                     field_operator)
 
 NEGATIVE_G_TOL = 1e-10  # regression numerics may produce tiny negatives
+RTOL = 1e-10    # RK45 tolerances of one system inside a pulse window
+ATOL = 1e-12
 NODE_STACK_BYTES = 16 * 1024 ** 2   # stacked superoperators of one call
 _CACHED_STEPS = 3   # the grid step, and the steps into and out of a pulse
 TRACE_SUPEROPERATORS = 3 + _CACHED_STEPS   # per member of a propagate stack
@@ -104,21 +110,26 @@ def _stack(systems, drives):
     return l0, d, timed
 
 
-def _evolve(l0, d, drive, y, t0, times, rtol, atol):
-    """vec(ρ) of each of K stacked systems at each of ``times``
-    (increasing, all >= t0) from y[k] at t0; returns (K, len(times), d²).
+def _evolve(l0, d, drive, y, t0, times):
+    """Columns of each of K stacked systems at each of ``times``
+    (increasing, all >= t0) from y[k] at t0; returns (K, len(times), d², m).
 
-    ``l0`` and ``d`` are (K, d², d²) stacks (``d`` None for constant
-    generators) and ``drive`` gives the pulse windows all members share.
-    Pulse-free stretches take exact steps expm(L₀Δt), one batched
-    exponential per step length for the whole stack (lengths within 1e-12
-    relative share it; the last _CACHED_STEPS lengths are kept).  Each
-    pulse window runs one RK45 solve on the flattened K·d² state,
-    L₀x + f(t)·Dx with max_step = σ/5.  Its error norm is pooled over the
-    stack, so rtol and atol are divided by √K: the pooled norm is then
-    the root of the sum of the members' own squared norms.
+    ``y`` is (K, d², m): m columns per system, such as one vec(ρ) (m = 1)
+    or the identity (m = d², which gives the propagator).  ``l0`` and
+    ``d`` are (K, d², d²) stacks (``d`` None for constant generators) and
+    ``drive`` gives the pulse windows all members share.  Pulse-free
+    stretches take exact steps expm(L₀Δt), one batched exponential per
+    step length for the whole stack (lengths within 1e-12 relative share
+    it; the last _CACHED_STEPS lengths are kept).  Each pulse window runs
+    one RK45 solve on the flattened state with max_step = σ/5.  Its
+    right-hand side is L₀X + f(t)·(DX) for one column, where forming
+    L₀ + f(t)·D would cost as much as a product, and (L₀ + f(t)·D)X for
+    more, one product instead of two.  Its error norm is pooled over the
+    stack, so RTOL and ATOL are divided by √K: the pooled norm is then the
+    root of the sum of the systems' own squared norms, each an RMS over
+    that system's d²·m entries.
     """
-    k, d2 = y.shape
+    k, d2, m = y.shape
     if d is None:
         windows = []
     else:
@@ -136,41 +147,40 @@ def _evolve(l0, d, drive, y, t0, times, rtol, atol):
         steps[dt] = expm(l0 * dt)
         return steps[dt]
 
-    def advance(step, y):
-        return (step @ y[:, :, None])[:, :, 0]
-
     def rhs(t, x):
-        x = x.reshape(k, d2, 1)
-        return (l0 @ x + drive.envelope_at(t) * (d @ x)).reshape(-1)
+        x = x.reshape(k, d2, m)
+        if m == 1:
+            return (l0 @ x + drive.envelope_at(t) * (d @ x)).reshape(-1)
+        return ((l0 + drive.envelope_at(t) * d) @ x).reshape(-1)
 
-    out = np.empty((k, len(times), d2), dtype=complex)
+    out = np.empty((k, len(times), d2, m), dtype=complex)
     t, i = t0, 0
     for a, b in windows + [(np.inf, np.inf)]:
         while i < len(times) and times[i] <= a:
             if times[i] > t:
-                y, t = advance(free(times[i] - t), y), times[i]
+                y, t = free(times[i] - t) @ y, times[i]
             out[:, i] = y
             i += 1
         if i == len(times):
             break
         if a > t:
-            y = advance(free(a - t), y)
+            y = free(a - t) @ y
         inside = times[i:][times[i:] <= b]
         t_eval = list(inside)
         if not t_eval or t_eval[-1] < b:
             t_eval.append(b)   # the window's end state carries on
         sol = solve_ivp(rhs, (a, b), y.reshape(-1), method="RK45",
-                        t_eval=t_eval, rtol=rtol / np.sqrt(k),
-                        atol=atol / np.sqrt(k),
+                        t_eval=t_eval, rtol=RTOL / np.sqrt(k),
+                        atol=ATOL / np.sqrt(k),
                         max_step=drive.pulse.sigma_t / 5.0)
         if not sol.success:
             raise IntegrationError(
                 f"integrator failed near t = {sol.t[-1] if len(sol.t) else a:.6g} ns: "
                 f"{sol.message}", t=float(sol.t[-1]) if len(sol.t) else a)
-        ys = sol.y.reshape(k, d2, -1)
-        out[:, i:i + len(inside)] = ys[:, :, :len(inside)].transpose(0, 2, 1)
+        ys = sol.y.reshape(k, d2, m, -1)
+        out[:, i:i + len(inside)] = ys[..., :len(inside)].transpose(0, 3, 1, 2)
         i += len(inside)
-        y, t = ys[:, :, -1], b
+        y, t = ys[..., -1], b
     return out
 
 
@@ -187,8 +197,7 @@ def trace_chunk(dim, nt):
     return max(1, NODE_STACK_BYTES // member)
 
 
-def propagate(initial, system, drive, t_grid, rtol=1e-10, atol=1e-12,
-              validate=True):
+def propagate(initial, system, drive, t_grid, validate=True):
     """Propagate a density state along t_grid (must start at 0, monotone).
 
     ``system`` and ``drive`` are each one object or a sequence; a single
@@ -227,8 +236,8 @@ def propagate(initial, system, drive, t_grid, rtol=1e-10, atol=1e-12,
     trajectories = []
     for lo in range(0, len(systems), chunk):
         l0, d, timed = _stack(systems[lo:lo + chunk], drives[lo:lo + chunk])
-        y = np.repeat(rho0.reshape(1, -1), len(l0), axis=0)
-        ys = _evolve(l0, d, timed, y, 0.0, t_grid, rtol, atol)
+        y = np.repeat(rho0.reshape(1, -1, 1), len(l0), axis=0)
+        ys = _evolve(l0, d, timed, y, 0.0, t_grid)
         del l0, d
         for member, dr in zip(ys, drives[lo:lo + chunk]):
             states = member.reshape(len(t_grid), dim, dim)
@@ -291,7 +300,6 @@ class CorrelationResult:
     tau: np.ndarray
     values: np.ndarray
     clipped: int = 0            # entries below -NEGATIVE_G_TOL before clip
-    min_raw: float = 0.0
 
 
 def _trace_weight(op):
@@ -306,11 +314,11 @@ def _clip_correlations(tau, raw):
             f"{clipped} correlation values below -{NEGATIVE_G_TOL:g} clipped "
             f"to zero (min {raw.min():.3e})", RuntimeWarning)
     return CorrelationResult(tau=tau, values=np.clip(raw, 0.0, None),
-                             clipped=clipped, min_raw=float(raw.min()))
+                             clipped=clipped)
 
 
 def two_time_correlation(system, drive, a_op, b_op, rho, tau_grid,
-                         t_start=0.0, rtol=1e-10, atol=1e-12):
+                         t_start=0.0):
     """G(τ) = Tr[B†B Λ_τ(A ρ A†)] via the quantum regression theorem.
 
     ``rho`` is the state at absolute time ``t_start`` (the steady state for
@@ -321,11 +329,10 @@ def two_time_correlation(system, drive, a_op, b_op, rho, tau_grid,
     if np.any(tau_grid < 0) or np.any(np.diff(tau_grid) <= 0):
         raise ValueError("tau_grid must be nonnegative and increasing")
     rho_m = _as_matrix(rho)
-    seed = (a_op @ rho_m @ a_op.conj().T).reshape(1, -1)
+    seed = (a_op @ rho_m @ a_op.conj().T).reshape(1, -1, 1)
     w = _trace_weight(b_op.conj().T @ b_op)
     l0, d, timed = _stack([system], [drive])
-    ys = _evolve(l0, d, timed, seed, t_start, t_start + tau_grid, rtol,
-                 atol)[0]
+    ys = _evolve(l0, d, timed, seed, t_start, t_start + tau_grid)[0, :, :, 0]
     return _clip_correlations(tau_grid, np.real(ys @ w))
 
 
@@ -426,38 +433,31 @@ class PulsedG2Result:
     clipped: int = 0
 
 
-def _step_matrices(gen, t, rtol=1e-10, atol=1e-12):
-    """Propagator Φ_k over each [t_k, t_{k+1}]; static steps share one expm."""
-    dim2 = gen.dim ** 2
+def _step_matrices(gen, t):
+    """Propagator Φ_k over each [t_k, t_{k+1}] of the uniform grid t.
+
+    The steps that no pulse touches share one expm(L₀Δt); each other step
+    marches the identity through ``_evolve`` as one system of d² columns.
+    """
+    l0 = gen.static_superoperator
+    d = gen.drive_superoperator()[None]
+    eye = np.eye(len(l0), dtype=complex)[None]
     drive = gen.drive
-    dt = t[1] - t[0]
     p_static = None
     mats = []
-    for k in range(len(t) - 1):
-        a, b = t[k], t[k + 1]
-        if not drive.pulse_windows(a, b):
+    for a, b in zip(t[:-1], t[1:]):
+        if drive.pulse_windows(a, b):
+            mats.append(_evolve(l0[None], d, drive, eye, a,
+                                np.array([b]))[0, 0])
+        else:
             if p_static is None:
-                p_static = expm(gen.static_superoperator * dt)
+                p_static = expm(l0 * (t[1] - t[0]))
             mats.append(p_static)
-            continue
-
-        def rhs(tt, y):
-            phi = y.reshape(dim2, dim2)
-            return (gen.superoperator(tt) @ phi).reshape(-1)
-
-        sol = solve_ivp(rhs, (a, b), np.eye(dim2, dtype=complex).reshape(-1),
-                        method="RK45", rtol=rtol, atol=atol,
-                        max_step=drive.pulse.sigma_t / 5.0)
-        if not sol.success:
-            raise IntegrationError(f"propagator step failed in [{a}, {b}]",
-                                   t=a)
-        mats.append(sol.y[:, -1].reshape(dim2, dim2))
     return mats
 
 
 def pulsed_g2_map(system, drive, ports="LL", window=4.0, dt=0.01,
-                  initial=None, rtol=1e-10, atol=1e-12,
-                  separation_periods=500):
+                  initial=None, separation_periods=500):
     """Fully time-resolved G²_αβ(t₁, t₂) maps for one pulse window.
 
     ``ports`` is one port pair such as "LR", which returns its
@@ -495,7 +495,7 @@ def pulsed_g2_map(system, drive, ports="LL", window=4.0, dt=0.01,
     dim, dim2 = gen.dim, gen.dim ** 2
     nt = int(round(window / dt)) + 1
     t = np.arange(nt) * dt
-    mats = _step_matrices(gen, t, rtol, atol)
+    mats = _step_matrices(gen, t)
 
     ops = {"L": field_operator(system, "L"), "R": field_operator(system, "R")}
     w_tr = {p: _trace_weight(ops[p].conj().T @ ops[p]) for p in "LR"}

@@ -2,8 +2,7 @@
 
 Every experiment returns a ResultBundle whose CSV tables and JSON metadata
 are byte-identical for identical (config, seed).  No experiment uses
-threads: grid points and noise nodes are batched or stacked instead, and
-``threads`` is accepted and ignored.
+threads: grid points and noise nodes are batched or stacked instead.
 """
 
 import json
@@ -165,7 +164,7 @@ def _traces(systems, drives, t):
 # experiments
 
 
-def run_transmission_scan(cfg, threads=1):
+def run_transmission_scan(cfg):
     d1 = expand_range(cfg.grid["detuning1_ghz"])
     d2 = expand_range(cfg.grid["detuning2_ghz"])
     if cfg.system.n == 1:
@@ -194,7 +193,7 @@ def run_transmission_scan(cfg, threads=1):
                         meta)
 
 
-def run_transmission_saturation(cfg, threads=1):
+def run_transmission_saturation(cfg):
     fracs = expand_range(cfg.grid["rabi_over_gamma"])
     powers = saturation_powers(cfg.system, fracs)
     points = transmission_saturated(cfg.system, powers)
@@ -212,7 +211,7 @@ def run_transmission_saturation(cfg, threads=1):
                         meta)
 
 
-def run_lifetime(cfg, threads=1):
+def run_lifetime(cfg):
     t_max = cfg.grid["t_max_ns"]
     dt = cfg.grid["dt_ns"]
     t = trace_times(cfg)
@@ -241,7 +240,7 @@ def run_lifetime(cfg, threads=1):
                         meta)
 
 
-def run_phase_sweep(cfg, threads=1):
+def run_phase_sweep(cfg):
     thetas = expand_range(cfg.grid["theta_over_pi"])
     windows = cfg.grid["integration_windows_ns"]
     pulse = cfg.drive.pulse
@@ -277,7 +276,7 @@ def run_phase_sweep(cfg, threads=1):
                         meta)
 
 
-def run_detuning_sweep(cfg, threads=1):
+def run_detuning_sweep(cfg):
     deltas = expand_range(cfg.grid["detuning2_ghz"])
     t_max = cfg.grid["t_max_ns"]
     dt = cfg.grid["dt_ns"]
@@ -325,7 +324,7 @@ def _symmetrize_tau(tau, fwd, bwd):
     return full_tau, np.concatenate([bwd[::-1], fwd[1:]])
 
 
-def run_g2_cw(cfg, threads=1):
+def run_g2_cw(cfg):
     pairs = tuple(cfg.grid["pairs"])
     tau_max = cfg.grid["tau_max_ns"]
     dt = cfg.grid["dt_ns"]
@@ -412,7 +411,7 @@ def _pulsed_correlograms(cfg, pairs, window, dt):
     return maps
 
 
-def run_g2_pulsed(cfg, threads=1):
+def run_g2_pulsed(cfg):
     ports_list = cfg.grid["pairs"]
     window = cfg.grid["window_ns"]
     dt = cfg.grid["dt_ns"]
@@ -453,7 +452,7 @@ def run_g2_pulsed(cfg, threads=1):
         meta)
 
 
-def run_g2_map(cfg, threads=1):
+def run_g2_map(cfg):
     ports = cfg.grid["ports"]
     window = cfg.grid["window_ns"]
     dt = cfg.grid["dt_ns"]
@@ -481,7 +480,7 @@ def run_g2_map(cfg, threads=1):
         meta)
 
 
-def run_scalability(cfg, threads=1):
+def run_scalability(cfg):
     mode = cfg.scalability.get("mode", "both")
     modes = ["consecutive", "window_distinct"] if mode == "both" else [mode]
     configs = [scalability_config(cfg, mode=m) for m in modes]
@@ -503,7 +502,7 @@ def run_scalability(cfg, threads=1):
         meta)
 
 
-def run_scalability_heatmap(cfg, threads=1):
+def run_scalability_heatmap(cfg):
     mus = expand_range(cfg.grid["mu_qd"])
     rels = expand_range(cfg.grid["delta_over_sigma"])
     mode = cfg.scalability.get("mode", "consecutive")
@@ -556,5 +555,9 @@ DESCRIPTIONS = {
 
 
 def run_experiment(cfg, threads=1):
-    fn = EXPERIMENTS[cfg.experiment]
-    return fn(cfg, threads=threads)
+    """The ResultBundle of cfg's experiment.
+
+    ``threads`` is ignored, since no experiment uses threads; it is still
+    accepted because callers such as ``perfbench/run.py`` pass it.
+    """
+    return EXPERIMENTS[cfg.experiment](cfg)

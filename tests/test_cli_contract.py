@@ -7,7 +7,9 @@ Grids, Monte Carlo runs and noise nodes are drawn tiny so that each run
 takes well under a second, and ``run`` is tried for N <= 3 emitters only.
 About one config in four has a NaN or infinity in one of its number
 fields wherever the schema still accepts it; both commands must refuse
-such a config with 2.
+such a config with 2.  A second test draws long grids, spans up to 1e12 ns
+and axes up to 1e12 points, for ``validate`` alone, which must exit 0 or
+2 with JSON there too.
 """
 
 import contextlib
@@ -131,6 +133,41 @@ def configs(draw):
     return data
 
 
+long_spans = st.one_of(st.floats(0.01, 1e12),
+                       st.sampled_from([1e3, 1e6, 1e9, 1e12]))
+long_counts = st.one_of(st.integers(1, 10 ** 12),
+                        st.sampled_from([10 ** 3, 10 ** 6, 10 ** 9, 10 ** 12]))
+
+
+@st.composite
+def long_grids(draw):
+    """A config at the default system and drive whose grid spans, pulse
+    period and axis lengths may each be long."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    data = {"experiment": experiment}
+    if draw(st.booleans()):
+        data["noise"] = {"scheme": "gauss_hermite",
+                         "nodes": draw(st.integers(1, 9))}
+    if experiment in ("g2-pulsed", "g2-map") and draw(st.booleans()):
+        data["drive"] = {"pulse": {"period_ns": draw(long_spans)}}
+    grid = {}
+    for key in ("tau_max_ns", "t_max_ns", "window_ns"):
+        if draw(st.booleans()):
+            grid[key] = draw(long_spans)
+    if draw(st.booleans()):
+        grid["dt_ns"] = draw(st.sampled_from([0.001, 0.01, 0.2]))
+    if draw(st.booleans()):
+        grid["integration_windows_ns"] = [0.4, draw(long_spans)]
+    for key in ("detuning1_ghz", "detuning2_ghz", "theta_over_pi",
+                "rabi_over_gamma", "mu_qd", "delta_over_sigma"):
+        if draw(st.booleans()):
+            grid[key] = {"start": 0.1, "stop": 2.0,
+                         "points": draw(long_counts),
+                         "log": draw(st.booleans())}
+    data["grid"] = grid
+    return data
+
+
 def _float_slots(data):
     """(container, key) of every float in a config, in a fixed order."""
     items = data.items() if isinstance(data, dict) else enumerate(data)
@@ -184,3 +221,17 @@ def test_cli_exit_codes_hold_for_schema_valid_configs(data):
             assert checked == 2
         elif code == 3:
             _report(err, "numerical")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(long_grids())
+def test_validate_exit_codes_hold_for_long_grids(data):
+    assert validate_config(data) == []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump(data))
+        checked, err = _call(["validate", str(path)])
+        assert checked in (0, 2)
+        if checked == 2:
+            _report(err, "config")

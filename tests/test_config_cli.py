@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from wgqed import config, dynamics, model
+from wgqed import cli, config, dynamics, model
 from wgqed.cli import main
 from wgqed.config import (DENSE_BUDGET_BYTES, dense_bytes, expand_range,
                           load_config, resolve_config, validate_config)
@@ -22,6 +22,16 @@ def write_yaml(tmp_path, data, name="cfg.yaml"):
     p.write_text(yaml.safe_dump(data))
     return p
 
+
+# grids whose time axis, delays, maps or table rows alone would not fit
+LONG_GRIDS = [
+    {"experiment": "lifetime", "grid": {"t_max_ns": 1.0e9, "dt_ns": 0.004}},
+    {"experiment": "g2-cw", "grid": {"tau_max_ns": 1.0e9}},
+    {"experiment": "g2-map", "drive": {"pulse": {"period_ns": 1.0e6}},
+     "grid": {"window_ns": 1.0e5}},
+    {"experiment": "phase-sweep",
+     "grid": {"theta_over_pi": {"start": 0, "stop": 2, "points": 10 ** 12}}},
+]
 
 FAST_LIFETIME = {
     "experiment": "lifetime",
@@ -186,20 +196,31 @@ class TestCLI:
             {"gamma_ghz": 0.349, "beta": 0.85}]}},
         {"experiment": "scalability",
          "scalability": {"mu_qd": float("inf"), "runs": 10}},
-    ], ids=["short-period", "phase-n3", "n-set-above-n-reg",
-            "saturation-beta-0", "saturation-negative-grid",
-            "sweep-one-emitter", "saturation-power-underflow",
-            "lifetime-cw-drive", "g2-cw-pulsed-drive", "span-below-step",
-            "window-above-period", "integration-window-below-step",
-            "log-axis-through-zero", "log-axis-across-zero",
-            "nan-grid-value", "inf-span", "nan-rate", "inf-density"])
-    def test_physics_rule_violation_exit_2(self, tmp_path, capsys, data):
+    ] + LONG_GRIDS, ids=[
+        "short-period", "phase-n3", "n-set-above-n-reg", "saturation-beta-0",
+        "saturation-negative-grid", "sweep-one-emitter",
+        "saturation-power-underflow", "lifetime-cw-drive",
+        "g2-cw-pulsed-drive", "span-below-step", "window-above-period",
+        "integration-window-below-step", "log-axis-through-zero",
+        "log-axis-across-zero", "nan-grid-value", "inf-span", "nan-rate",
+        "inf-density", "long-lifetime-span", "long-g2-cw-delay",
+        "long-g2-map-window", "huge-theta-axis"])
+    def test_physics_rule_violation_exit_2(self, tmp_path, capsys,
+                                           monkeypatch, data):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generator, axis or experiment built")
+
+        monkeypatch.setattr(model.LindbladGenerator, "__init__", refuse)
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        if data in LONG_GRIDS:
+            monkeypatch.setattr(config, "expand_range", refuse)
         p = write_yaml(tmp_path, data)
         for argv in (["validate", str(p)],
                      ["run", str(p), "--out", str(tmp_path / "x")]):
             assert main(argv) == 2
             report = json.loads(capsys.readouterr().err)
             assert report["error"] == "config"
+            assert data not in LONG_GRIDS or "GiB budget" in report["message"]
 
     def test_non_finite_numbers_named_in_report(self):
         data = {"experiment": "phase-sweep",
@@ -251,7 +272,12 @@ class TestDenseSizeGuard:
                               "system": collinear(7)})
         cfg.experiment = "g2-cw"
         cfg.drive = model.DriveConfig.off(7)
-        assert dense_bytes(cfg) == 16 * 16 ** 7 * 9 > DENSE_BUDGET_BYTES
+        cfg.grid = {"tau_max_ns": 6.0, "dt_ns": 0.005, "pairs": ["LL", "RR"]}
+        # 1201 delays: 2401 table rows of 5 columns, and raw, G2 and g2
+        # for one node and two pairs
+        grid = 2401 * config.row_bytes(5) + 3 * 8 * 1201 * 2
+        assert dense_bytes(cfg) == 16 * 16 ** 7 * 9 + grid
+        assert 16 * 16 ** 7 * 9 > DENSE_BUDGET_BYTES
         small = resolve_config({"experiment": "g2-map",
                                 "system": collinear(4)})
         assert 0 < dense_bytes(small) < DENSE_BUDGET_BYTES
@@ -271,19 +297,24 @@ class TestDenseSizeGuard:
         assert 2 * 9 ** 4 * superop > DENSE_BUDGET_BYTES
         chunk = dynamics.node_chunk(16)
         assert 1 < chunk < 9 ** 4
-        assert dense_bytes(cfg) == superop * (10 + 2 * (chunk - 1))
+        # 1201 delays: 2401 table rows of 9 columns, and raw, G2 and g2
+        # for one chunk of nodes and four pairs
+        grid = 2401 * config.row_bytes(9) + 3 * 8 * 1201 * chunk * 4
+        assert dense_bytes(cfg) == superop * (10 + 2 * (chunk - 1)) + grid
         assert dense_bytes(cfg) < DENSE_BUDGET_BYTES
 
     def test_twelve_emitter_transmission_scan_resolves(self):
-        # the batched resolvent: one 12×12 complex matrix per grid point
+        # the batched resolvent: one 12×12 complex matrix per grid point,
+        # and one table row of 3 columns
         cfg = resolve_config({"experiment": "transmission-scan",
                               "system": collinear(12)})
-        assert dense_bytes(cfg) == 16 * 12 ** 2 * 41 * 41
+        assert dense_bytes(cfg) == (16 * 12 ** 2 + config.row_bytes(3)) \
+            * 41 * 41
         assert dense_bytes(cfg) < DENSE_BUDGET_BYTES
 
     def test_transmission_scan_resolvent_over_budget_exit_2(
             self, tmp_path, capsys):
-        # 16·12²·P bytes: P = 932 068 points is the first above 2 GiB
+        # (16·12² + 144)·P bytes: P = 877 241 is the first above 2 GiB
         def scan(points):
             return {"experiment": "transmission-scan",
                     "system": collinear(12),
@@ -291,10 +322,11 @@ class TestDenseSizeGuard:
                                                "points": points},
                              "detuning2_ghz": {"values": [0.0]}}}
 
-        assert 16 * 144 * 932067 <= DENSE_BUDGET_BYTES < 16 * 144 * 932068
-        assert main(["validate", str(write_yaml(tmp_path, scan(932067)))]) \
+        per_point = 16 * 144 + config.row_bytes(3)
+        assert per_point * 877240 <= DENSE_BUDGET_BYTES < per_point * 877241
+        assert main(["validate", str(write_yaml(tmp_path, scan(877240)))]) \
             == 0
-        p = write_yaml(tmp_path, scan(932068))
+        p = write_yaml(tmp_path, scan(877241))
         assert main(["validate", str(p)]) == 2
         capsys.readouterr()
         assert main(["run", str(p), "--out", str(tmp_path / "x")]) == 2
@@ -310,7 +342,11 @@ class TestDenseSizeGuard:
     def test_stacked_traces_counted_one_chunk(
             self, tmp_path, capsys, monkeypatch, experiment, n, noise,
             members, times):
-        # the θ points, (Δ₂, node) pairs or nodes of one propagate stack
+        # the θ points, (Δ₂, node) pairs or nodes of one propagate stack,
+        # with one chunk's trajectories and the (rows, columns) of the tables
+        tables = {"phase-sweep": [(41, 6)],
+                  "detuning-sweep": [(31 * 251, 6), (31, 3)],
+                  "lifetime": [(2001, 5)]}[experiment]
         emitter = {"gamma_ghz": 0.388, "beta": 0.95,
                    "spectral_diffusion_ghz": 0.3}
         data = {"experiment": experiment,
@@ -323,7 +359,9 @@ class TestDenseSizeGuard:
         chunk = dynamics.trace_chunk(2 ** n, times)
         assert 1 < chunk < members
         need = 16 * 16 ** n * (1 + driven + 8 + dynamics.TRACE_SUPEROPERATORS
-                               * (chunk - 1))
+                               * (chunk - 1)) \
+            + 16 * chunk * times * 4 ** n \
+            + sum(rows * config.row_bytes(cols) for rows, cols in tables)
         assert dense_bytes(cfg) == need
 
         def refuse(*args, **kwargs):

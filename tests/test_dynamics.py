@@ -267,6 +267,76 @@ class TestStackedPropagation:
             np.testing.assert_allclose(a.states, b.states, rtol=0, atol=1e-9)
 
 
+class TestPropagatorColumns:
+    """m columns per system: states, or the identity for a propagator."""
+
+    def pulse_between_grid_points(self):
+        sys = presets.qd_pair()
+        pulse = PulseSpec(sigma_t=0.03, area=np.pi, center=0.2)
+        drive = DriveConfig((1.0, 0.6), (0.0, 0.9), "pulsed", pulse)
+        t = np.arange(21) * 0.025       # support [0.02, 0.38]
+        assert t[0] < pulse.support[0] < t[1]
+        assert t[15] < pulse.support[1] < t[16]
+        return sys, drive, t
+
+    def test_step_propagators_match_rk45_reference(self):
+        # the edge steps split expm–RK45–expm inside one grid step
+        sys, drive, t = self.pulse_between_grid_points()
+        gen = LindbladGenerator(sys, drive)
+        mats = dynamics._step_matrices(gen, t)
+        lo, hi = drive.pulse.support
+        dim2 = gen.dim ** 2
+
+        def rhs(tt, x):
+            return (gen.superoperator(tt) @ x.reshape(dim2, dim2)).reshape(-1)
+
+        for k, (a, b) in enumerate(zip(t[:-1], t[1:])):
+            edges = sorted({a, b} | {e for e in (lo, hi) if a < e < b})
+            phi = np.eye(dim2, dtype=complex)
+            for u, v in zip(edges[:-1], edges[1:]):
+                inside = lo <= 0.5 * (u + v) <= hi
+                sol = solve_ivp(rhs, (u, v), phi.reshape(-1), t_eval=[v],
+                                rtol=1e-13, atol=1e-15,
+                                max_step=drive.pulse.sigma_t / 20 if inside
+                                else np.inf)
+                phi = sol.y[:, -1].reshape(dim2, dim2)
+            np.testing.assert_allclose(mats[k], phi, rtol=0, atol=1e-9)
+
+    def test_stack_of_columns_equals_single_column_calls(self):
+        sys, drive, t = self.pulse_between_grid_points()
+        systems = [sys, sys.with_detuning_offsets([0.0, 5.0])]
+        drives = [drive, DriveConfig((0.4, 1.0), (0.0, 0.0), "pulsed",
+                                     drive.pulse)]
+        l0, d, timed = dynamics._stack(systems, drives)
+        columns = np.stack([np.outer(a, a.conj()).reshape(-1) for a in
+                            map(basis_ket, ("gg", "eg", "ee"))], axis=1)
+        y = np.stack([columns, columns[:, ::-1]])
+        assert y.shape == (2, 16, 3)
+        times = t[3:]
+        stacked = dynamics._evolve(l0, d, timed, y, 0.01, times)
+        assert stacked.shape == (2, len(times), 16, 3)
+        for k in range(2):
+            for j in range(3):
+                alone = dynamics._evolve(l0[k:k + 1], d[k:k + 1], timed,
+                                         y[k:k + 1, :, j:j + 1], 0.01, times)
+                np.testing.assert_allclose(stacked[k, :, :, j],
+                                           alone[0, :, :, 0], rtol=0,
+                                           atol=1e-9)
+
+    def test_pulsed_map_solves_keep_only_requested_times(self, monkeypatch):
+        calls = []
+
+        def recording(fun, t_span, *args, **kwargs):
+            calls.append(kwargs.get("t_eval"))
+            return solve_ivp(fun, t_span, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", recording)
+        sys, drive, t = self.pulse_between_grid_points()
+        pulsed_g2_map(sys, drive, ports=("LL", "LR"), window=0.5, dt=0.025)
+        assert len(calls) == 16    # one per grid step the pulse touches
+        assert all(t_eval is not None for t_eval in calls)
+
+
 class TestSteadyState:
     def test_weak_drive_two_level_population(self):
         gamma = 2.0
@@ -624,14 +694,15 @@ class TestPulsedMaps:
         ).center_height()
         assert via_pulse == pytest.approx(via_state, abs=0.02)
 
-    def test_grid_refinement_stability(self):
+    def test_grid_refinement_stability(self, monkeypatch):
         sys = presets.qd_pair()
         drive = DriveConfig((1.0, 1.0), (0.0, 0.0), "pulsed",
                             PulseSpec(sigma_t=0.03, area=np.pi))
         vals = []
         for rtol in (1e-9, 1e-11):
-            res = pulsed_g2_map(sys, drive, ports="LL", window=2.0, dt=0.02,
-                                rtol=rtol, atol=rtol * 1e-2)
+            monkeypatch.setattr(dynamics, "RTOL", rtol)
+            monkeypatch.setattr(dynamics, "ATOL", rtol * 1e-2)
+            res = pulsed_g2_map(sys, drive, ports="LL", window=2.0, dt=0.02)
             cg = integrated_pulsed_g2(res)
             vals.append(cg.center_height())
         assert abs(vals[0] - vals[1]) < 1e-4
