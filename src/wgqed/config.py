@@ -12,7 +12,7 @@ import yaml
 from jsonschema import Draft202012Validator
 
 from . import presets
-from .dynamics import TRACE_SUPEROPERATORS, node_chunk, trace_chunk
+from .dynamics import STACK_SUPEROPERATORS, stack_chunk
 from .errors import ConfigError
 from .instrument import DetectorModel, NoiseAveragingPlan
 from .model import DriveConfig, EmitterParams, PulseSpec, WaveguideSystem
@@ -365,7 +365,7 @@ DENSE_BUDGET_BYTES = 2 * 1024 ** 3
 _DENSE_WORK = 8     # build temporaries, L(t), D, SVD factors, expm Padé terms
 _DENSE_EXPERIMENTS = ("transmission-saturation", "lifetime", "phase-sweep",
                       "detuning-sweep", "g2-cw", "g2-pulsed", "g2-map")
-_G2_ARRAYS = 3      # g2-cw's τ × node × pair floats: raw, G2 and g2
+_G2_ARRAYS = 2      # g2-cw's τ × node × pair floats: G2 and g2
 _MAP_ARRAYS = 8     # pulsed nt × nt floats per pair: the raw maps of the
                     # pair and its reverse, the far map, clipped results,
                     # the node average and the jittered maps
@@ -440,15 +440,15 @@ def dense_bytes(cfg):
     resolvents, 16·N²·P bytes.  The Lindblad experiments hold the static
     generator, one drive part per driven emitter and work matrices, and
     beyond those one chunk of their stacks: for the pulsed maps one step
-    propagator per grid step that overlaps the pulse; for g2-cw two per
-    noise node beyond the first; for the time traces TRACE_SUPEROPERATORS
-    per member of a ``propagate`` stack beyond the first (the θ points of
-    phase-sweep, the (Δ₂, noise node) pairs of detuning-sweep, the noise
-    nodes of lifetime).  The work matrices count the first member's.
-    Grid arrays are one chunk's trajectories (members × nt × d² complex)
-    for the time traces, _G2_ARRAYS τ × node × pair floats for one chunk
-    of g2-cw, and _MAP_ARRAYS nt × nt floats per port pair for the pulsed
-    maps.
+    propagator per grid step that overlaps the pulse; for g2-cw and the
+    time traces STACK_SUPEROPERATORS per member of an ``_evolve`` stack
+    beyond the first (the noise nodes of g2-cw and lifetime, the θ points
+    of phase-sweep, the (Δ₂, noise node) pairs of detuning-sweep).  The
+    work matrices count the first member's.  Grid arrays are one chunk's
+    readouts (members × nt × r·m complex: P × P pair entries per delay for
+    g2-cw's P pairs, the trace and two intensities per time for the time
+    traces), g2-cw's _G2_ARRAYS τ × node × pair outputs for one chunk, and
+    _MAP_ARRAYS nt × nt floats per port pair for the pulsed maps.
     """
     n = cfg.system.n
     grid = cfg.grid
@@ -468,23 +468,23 @@ def dense_bytes(cfg):
                      nt - 1)
         pairs = 1 if cfg.experiment == "g2-map" else len(grid["pairs"])
         total += 8 * _MAP_ARRAYS * pairs * nt ** 2
+    members = pairs = 0
     if cfg.experiment == "g2-cw":
-        chunk = min(_noise_node_count(cfg), node_chunk(2 ** n))
-        count += 2 * (chunk - 1)
-        pairs = set(grid["pairs"]) | {p[::-1] for p in grid["pairs"]}
-        total += 8 * _G2_ARRAYS * len(pairs) * chunk * \
-            _points(grid["tau_max_ns"], grid["dt_ns"])
-    if cfg.experiment in ("lifetime", "phase-sweep", "detuning-sweep"):
+        pairs = len(set(grid["pairs"]) | {p[::-1] for p in grid["pairs"]})
+        members, width = _noise_node_count(cfg), pairs ** 2
+        times = _points(grid["tau_max_ns"], grid["dt_ns"])
+    elif cfg.experiment in ("lifetime", "phase-sweep", "detuning-sweep"):
         if cfg.experiment == "phase-sweep":
             members = axis_length(grid["theta_over_pi"])
         else:
             members = _noise_node_count(cfg)
         if cfg.experiment == "detuning-sweep":
             members *= axis_length(grid["detuning2_ghz"])
-        times = _trace_count(cfg)
-        chunk = min(members, trace_chunk(2 ** n, times))
-        count += TRACE_SUPEROPERATORS * (chunk - 1)
-        total += 16 * chunk * times * dim2
+        times, width = _trace_count(cfg), 3
+    if members:
+        chunk = min(members, stack_chunk(2 ** n, times, width))
+        count += STACK_SUPEROPERATORS * (chunk - 1)
+        total += (16 * width + 8 * _G2_ARRAYS * pairs) * chunk * times
     return total + 16 * dim2 ** 2 * count
 
 

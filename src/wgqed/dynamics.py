@@ -1,24 +1,24 @@
 """Time propagation, steady states, and one- and two-time correlations.
 
 One propagation path, ``_evolve``, serves ``propagate``,
-``two_time_correlation`` and the step propagators of ``pulsed_g2_map``.
-It marches a stack of K systems that share one pulse timing, such as the
-grid points and noise nodes of a sweep (K = 1 for a single call), each
-with m columns: one state (m = 1), or the d² columns of the identity when
-it builds a propagator.  Between pulses each generator L₀ is constant and
-the stack takes exact steps expm(L₀Δt): one batched exponential per step
-length, applied as one batched product.  Inside a pulse window (±6σ) one
-RK45 solve (max_step σ/5) integrates the flattened K·d²·m state under
-L(t) = L₀ + f(t)·D, where f is the envelope all emitters and members
-share and D = Σ_m w_m D_m each member's weighted drive superoperator.
-One system's tolerances are RTOL = 1e-10 and ATOL = 1e-12 on the RMS
-error norm over its d²·m entries.  That norm is pooled over the stack, so
-the stack's rtol and atol are divided by √K: a step is then accepted only
-if every system's own error norm would accept it.  The steps are shared,
-so results differ from a call of their own within the tolerance.  A CW or
-undriven generator is constant throughout and never calls the ODE solver.
-Long stacks are marched in chunks of ``trace_chunk`` members, whose
-superoperators and trajectories fit NODE_STACK_BYTES.
+``intensity_traces``, ``two_time_correlation``, ``g2_cw`` and the step
+propagators of ``pulsed_g2_map``.  It marches a stack of K systems that
+share one pulse timing, such as the grid points and noise nodes of a
+sweep, each with m columns: one state, the seeds of several port pairs,
+or the identity when it builds a propagator.  At each stored time it
+keeps a linear readout of each column, such as Tr ρ and the two port
+intensities, or the column itself.  Between pulses each generator L₀ is
+constant and the stack takes exact steps expm(L₀Δt), one batched
+exponential per step length.  Inside a pulse window (±6σ) one RK45 solve
+integrates the flattened stack under L(t) = L₀ + f(t)·D, where f is the
+envelope all emitters and members share and D = Σ_m w_m D_m each
+member's weighted drive superoperator, at tolerances pooled over the
+stack so that every system meets RTOL = 1e-10 and ATOL = 1e-12 of its
+own; the steps are shared, so results differ from a call of their own
+within the tolerance.  A CW or undriven generator is constant throughout
+and never calls the ODE solver.  Long stacks are marched in chunks of
+``stack_chunk`` members, whose superoperators and readouts fit
+NODE_STACK_BYTES.
 
 Two-time quantities use the quantum regression theorem: with Λ_τ the same
 propagator that evolves ρ,
@@ -27,18 +27,18 @@ propagator that evolves ρ,
 
 CW correlations start from the steady state and are τ-stationary.
 ``g2_cw`` takes a stack of systems, such as the spectral-diffusion nodes
-of a noise average: one generator and steady state per node, one stacked
-expm(L·dt) and one batched product per τ step for all of them.  Callers
-march long stacks in chunks of ``node_chunk`` nodes, whose superoperators
-fit NODE_STACK_BYTES.  Pulsed correlations are computed as fully
-time-resolved maps G(t₁, t₂) over one pulse window (same-pulse) and
-across one repetition period (different-pulse), then integrated along the
-diagonal; one ``pulsed_g2_map`` call serves every port pair from one set
-of step propagators: expm(L₀Δt) for the grid steps no pulse touches, and
-for each other step the identity marched through ``_evolve``.  Stacking
-and sharing in ``g2_cw`` and ``pulsed_g2_map`` leave each node's and
-pair's arithmetic as in a call of its own, so their results are
-bit-identical to one call per node and pair.
+of a noise average: one generator and steady state per node, then one
+``_evolve`` march of the pairs' seeds E_α ρ_ss E_α† as columns, read by
+the pairs' weights E_β†E_β as rows; pair p is the diagonal entry (p, p).
+Pulsed correlations are computed as fully time-resolved maps G(t₁, t₂)
+over one pulse window (same-pulse) and across one repetition period
+(different-pulse), then integrated along the diagonal; one
+``pulsed_g2_map`` call serves every port pair from one set of step
+propagators: expm(L₀Δt) for the grid steps no pulse touches, and for
+each other step the identity marched through ``_evolve``.  Stacking and
+sharing in ``g2_cw`` and ``pulsed_g2_map`` leave each node's and pair's
+arithmetic as in a call of its own, so their results are bit-identical
+to one call per node and pair.
 """
 
 import warnings
@@ -49,16 +49,16 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import DegenerateSteadyStateError, IntegrationError, NumericalError
-from .hilbert import DensityState
+from .hilbert import DensityState, basis_ket
 from .model import (DriveConfig, LindbladGenerator, WaveguideSystem,
                     field_operator)
 
 NEGATIVE_G_TOL = 1e-10  # regression numerics may produce tiny negatives
 RTOL = 1e-10    # RK45 tolerances of one system inside a pulse window
 ATOL = 1e-12
-NODE_STACK_BYTES = 16 * 1024 ** 2   # stacked superoperators of one call
+NODE_STACK_BYTES = 16 * 1024 ** 2   # one chunk of a stack
 _CACHED_STEPS = 3   # the grid step, and the steps into and out of a pulse
-TRACE_SUPEROPERATORS = 3 + _CACHED_STEPS   # per member of a propagate stack
+STACK_SUPEROPERATORS = 3 + _CACHED_STEPS   # per member of an _evolve stack
 
 
 @dataclass
@@ -67,9 +67,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray          # (nt, dim, dim) complex
     drive: DriveConfig
-
-    def state(self, i):
-        return DensityState(self.states[i], validate=False)
 
     def expectation(self, op):
         """⟨op⟩(t) for all grid times."""
@@ -110,12 +107,15 @@ def _stack(systems, drives):
     return l0, d, timed
 
 
-def _evolve(l0, d, drive, y, t0, times):
-    """Columns of each of K stacked systems at each of ``times``
-    (increasing, all >= t0) from y[k] at t0; returns (K, len(times), d², m).
+def _evolve(l0, d, drive, y, t0, times, readout=None):
+    """Readouts of the columns of each of K stacked systems at each of
+    ``times`` (increasing, all >= t0) from y[k] at t0; returns
+    (K, len(times), r, m).
 
     ``y`` is (K, d², m): m columns per system, such as one vec(ρ) (m = 1)
-    or the identity (m = d², which gives the propagator).  ``l0`` and
+    or the identity (m = d², which gives the propagator).  ``readout`` W
+    is (K, r, d²): each stored time keeps W[k]·y[k], r rows per column;
+    without it the columns themselves are kept (r = d²).  ``l0`` and
     ``d`` are (K, d², d²) stacks (``d`` None for constant generators) and
     ``drive`` gives the pulse windows all members share.  Pulse-free
     stretches take exact steps expm(L₀Δt), one batched exponential per
@@ -153,13 +153,18 @@ def _evolve(l0, d, drive, y, t0, times):
             return (l0 @ x + drive.envelope_at(t) * (d @ x)).reshape(-1)
         return ((l0 + drive.envelope_at(t) * d) @ x).reshape(-1)
 
-    out = np.empty((k, len(times), d2, m), dtype=complex)
+    def read(x):    # x is (K, d², m) or (K, d², m, n)
+        return x if readout is None else \
+            np.einsum("krj,kj...->kr...", readout, x)
+
+    rows = d2 if readout is None else readout.shape[1]
+    out = np.empty((k, len(times), rows, m), dtype=complex)
     t, i = t0, 0
     for a, b in windows + [(np.inf, np.inf)]:
         while i < len(times) and times[i] <= a:
             if times[i] > t:
                 y, t = free(times[i] - t) @ y, times[i]
-            out[:, i] = y
+            out[:, i] = read(y)
             i += 1
         if i == len(times):
             break
@@ -178,23 +183,48 @@ def _evolve(l0, d, drive, y, t0, times):
                 f"integrator failed near t = {sol.t[-1] if len(sol.t) else a:.6g} ns: "
                 f"{sol.message}", t=float(sol.t[-1]) if len(sol.t) else a)
         ys = sol.y.reshape(k, d2, m, -1)
-        out[:, i:i + len(inside)] = ys[..., :len(inside)].transpose(0, 3, 1, 2)
+        out[:, i:i + len(inside)] = \
+            read(ys[..., :len(inside)]).transpose(0, 3, 1, 2)
         i += len(inside)
         y, t = ys[..., -1], b
     return out
 
 
-def trace_chunk(dim, nt):
-    """Members per ``propagate`` stack for Hilbert dimension ``dim`` and
-    ``nt`` grid times.
+def stack_chunk(dim, nt, width):
+    """Members per ``_evolve`` stack for Hilbert dimension ``dim``, ``nt``
+    stored times and ``width`` = r·m readout entries per time.
 
-    Each member holds TRACE_SUPEROPERATORS dim²×dim² complex matrices (L₀,
+    Each member holds STACK_SUPEROPERATORS dim²×dim² complex matrices (L₀,
     D, the scaled L₀·Δt that expm reads and up to _CACHED_STEPS cached
-    steps) and its trajectory (nt × dim² complex); a chunk keeps them
-    within NODE_STACK_BYTES (but has at least one member).
+    steps) and its readout (nt × width complex); a chunk keeps them within
+    NODE_STACK_BYTES (but has at least one member).
     """
-    member = 16 * (TRACE_SUPEROPERATORS * dim ** 4 + nt * dim ** 2)
+    member = 16 * (STACK_SUPEROPERATORS * dim ** 4 + nt * width)
     return max(1, NODE_STACK_BYTES // member)
+
+
+def _march(rho0, systems, drives, t_grid, readout=None):
+    """Each member's readout (len(t_grid), r) from ρ₀ at t = 0, in order,
+    marched in ``_evolve`` stacks of ``stack_chunk`` members.
+
+    Without ``readout`` a member reads its states (r = d²); else
+    readout[k] holds member k's r rows, row 0 reading Tr ρ.  A trace that
+    drifts from 1 by more than 1e-8 raises.
+    """
+    dim = len(rho0)
+    width = dim ** 2 if readout is None else readout.shape[1]
+    chunk = stack_chunk(dim, len(t_grid), width)
+    for lo in range(0, len(systems), chunk):
+        l0, d, timed = _stack(systems[lo:lo + chunk], drives[lo:lo + chunk])
+        y = np.repeat(rho0.reshape(1, -1, 1), len(l0), axis=0)
+        w = None if readout is None else readout[lo:lo + chunk]
+        ys = _evolve(l0, d, timed, y, 0.0, t_grid, w)[..., 0]
+        del l0, d
+        traces = ys[..., ::dim + 1].sum(axis=-1) if w is None else ys[..., 0]
+        drift = np.max(np.abs(traces.real - 1.0))
+        if drift > 1e-8:
+            raise NumericalError(f"trace drift {drift:.2e} exceeds 1e-8")
+        yield from ys
 
 
 def propagate(initial, system, drive, t_grid, validate=True):
@@ -205,7 +235,7 @@ def propagate(initial, system, drive, t_grid, validate=True):
     drive gives its Trajectory; otherwise the members march as one stack
     and a list of Trajectories comes back in order.  All drives must
     share their pulses (or all be CW), so that the members share their
-    pulse windows.  Stacks longer than ``trace_chunk`` are marched in
+    pulse windows.  Stacks longer than ``stack_chunk`` are marched in
     chunks of that size.
 
     Every stored state is checked against the DensityState invariants
@@ -229,28 +259,34 @@ def propagate(initial, system, drive, t_grid, validate=True):
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     rho0 = _as_matrix(initial)
-    dim = rho0.shape[0]
     if any(rho0.shape != (2 ** s.n, 2 ** s.n) for s in systems):
         raise ValueError("initial state dimension mismatch")
-    chunk = trace_chunk(dim, len(t_grid))
     trajectories = []
-    for lo in range(0, len(systems), chunk):
-        l0, d, timed = _stack(systems[lo:lo + chunk], drives[lo:lo + chunk])
-        y = np.repeat(rho0.reshape(1, -1, 1), len(l0), axis=0)
-        ys = _evolve(l0, d, timed, y, 0.0, t_grid)
-        del l0, d
-        for member, dr in zip(ys, drives[lo:lo + chunk]):
-            states = member.reshape(len(t_grid), dim, dim)
-            traces = np.einsum("tii->t", states).real
-            drift = np.max(np.abs(traces - 1.0))
-            if drift > 1e-8:
-                raise NumericalError(f"trace drift {drift:.2e} exceeds 1e-8")
-            if validate:
-                for s in states:
-                    DensityState(s)
-            trajectories.append(Trajectory(times=t_grid, states=states,
-                                           drive=dr))
+    for states, dr in zip(_march(rho0, systems, drives, t_grid), drives):
+        states = states.reshape((len(t_grid),) + rho0.shape)
+        if validate:
+            for s in states:
+                DensityState(s)
+        trajectories.append(Trajectory(times=t_grid, states=states,
+                                       drive=dr))
     return trajectories[0] if single else trajectories
+
+
+def intensity_traces(systems, drives, t_grid):
+    """I_L(t) and I_R(t) of each (system, drive) pair from |g…g⟩ at t = 0,
+    one dict {"left", "right"} per pair in order, clipped at zero.
+
+    The drives share their pulses.  The march reads three rows per member:
+    Tr ρ (checked for drift), ⟨E_L†E_L⟩ and ⟨E_R†E_R⟩.
+    """
+    rho0 = _as_matrix(basis_ket("g" * systems[0].n))
+    readout = np.stack([[_trace_weight(np.eye(len(rho0)))] + [
+        _trace_weight(e.conj().T @ e)
+        for e in (field_operator(system, p) for p in "LR")]
+        for system in systems])
+    for read in _march(rho0, systems, drives, t_grid, readout):
+        yield {"left": np.maximum(read[:, 1].real, 0.0),
+               "right": np.maximum(read[:, 2].real, 0.0)}
 
 
 def steady_state(system, drive=None):
@@ -330,20 +366,10 @@ def two_time_correlation(system, drive, a_op, b_op, rho, tau_grid,
         raise ValueError("tau_grid must be nonnegative and increasing")
     rho_m = _as_matrix(rho)
     seed = (a_op @ rho_m @ a_op.conj().T).reshape(1, -1, 1)
-    w = _trace_weight(b_op.conj().T @ b_op)
+    w = _trace_weight(b_op.conj().T @ b_op).reshape(1, 1, -1)
     l0, d, timed = _stack([system], [drive])
-    ys = _evolve(l0, d, timed, seed, t_start, t_start + tau_grid)[0, :, :, 0]
-    return _clip_correlations(tau_grid, np.real(ys @ w))
-
-
-def node_chunk(dim):
-    """Systems per ``g2_cw`` stack for a Hilbert dimension ``dim``.
-
-    Each system of a stack holds two dim²×dim² complex superoperators, L
-    and expm(L·dt); a chunk keeps them within NODE_STACK_BYTES (but has at
-    least one system).
-    """
-    return max(1, NODE_STACK_BYTES // (2 * 16 * dim ** 4))
+    g = _evolve(l0, d, timed, seed, t_start, t_start + tau_grid, w)
+    return _clip_correlations(tau_grid, np.real(g[0, :, 0, 0]))
 
 
 def g2_cw(systems, drive, pairs=("LL", "RR", "LR", "RL"), tau_max=6.0,
@@ -352,11 +378,9 @@ def g2_cw(systems, drive, pairs=("LL", "RR", "LR", "RL"), tau_max=6.0,
 
     ``systems`` is one WaveguideSystem or a sequence of them sharing the
     CW drive and dimension, such as the detuning nodes of a noise average.
-    Each gets its own generator and steady state; the one-step
-    propagators expm(L·dt) are taken as one stack and all seeds march
-    together, one batched product per τ step.  The stack holds two
-    superoperators per system: pass at most ``node_chunk(dim)`` systems to
-    stay within NODE_STACK_BYTES.
+    Each gets its own generator and steady state; all march as one
+    ``_evolve`` stack, the pairs' seeds its columns and their weights its
+    readout, so pass at most ``stack_chunk(dim, len(tau), P²)`` systems.
 
     Returns a dict with 'tau', per-pair normalized 'g2' (τ ≥ 0) and 'G2',
     steady intensities, and per-pair clip counts.  For a sequence every
@@ -366,35 +390,27 @@ def g2_cw(systems, drive, pairs=("LL", "RR", "LR", "RL"), tau_max=6.0,
     single = isinstance(systems, WaveguideSystem)
     stack = [systems] if single else list(systems)
     tau = np.arange(0.0, tau_max + dt / 2, dt)
-    l, seeds, weights = None, [], []
+    l, seeds, weights = [], [], []
     intens = {"L": [], "R": []}
-    for k, system in enumerate(stack):
+    for system in stack:
         gen = LindbladGenerator(system, drive)
         rho_ss = steady_state(gen)
         ops = {p: field_operator(system, p) for p in "LR"}
         for p in "LR":
             intens[p].append(max(np.real(rho_ss.expectation(
                 ops[p].conj().T @ ops[p])), 0.0))
-        if l is None:
-            l = np.empty((len(stack),) + gen.static_superoperator.shape,
-                         dtype=complex)
-        l[k] = gen.superoperator()
+        l.append(gen.superoperator())
         seeds.append(np.stack(
             [(ops[p[0]] @ rho_ss.matrix @ ops[p[0]].conj().T).reshape(-1)
              for p in pairs], axis=1))
-        weights.append(np.stack(
-            [_trace_weight(ops[p[1]].conj().T @ ops[p[1]]) for p in pairs],
-            axis=0))
+        weights.append(
+            [_trace_weight(ops[p[1]].conj().T @ ops[p[1]]) for p in pairs])
     intens = {p: np.array(v) for p, v in intens.items()}
-    l *= dt
-    step = expm(l)
+    l = np.stack(l)
+    read = _evolve(l, None, None, np.stack(seeds), 0.0, tau,
+                   readout=np.stack(weights))   # (K, τ, P, P)
     del l
-    weights = np.stack(weights)             # (K, P, dim²)
-    x = np.stack(seeds)                     # (K, dim², P)
-    raw = np.empty((len(tau), len(stack), len(pairs)))
-    for i in range(len(tau)):
-        raw[i] = np.real(np.einsum("kpj,kjp->kp", weights, x))
-        x = step @ x
+    raw = np.real(np.einsum("ktpp->tkp", read))
     out = {"tau": tau, "intensity": intens, "g2": {}, "G2": {}, "clipped": {}}
     for j, pair in enumerate(pairs):
         res = _clip_correlations(tau, raw[:, :, j])
@@ -500,11 +516,8 @@ def pulsed_g2_map(system, drive, ports="LL", window=4.0, dt=0.01,
     ops = {"L": field_operator(system, "L"), "R": field_operator(system, "R")}
     w_tr = {p: _trace_weight(ops[p].conj().T @ ops[p]) for p in "LR"}
 
-    if initial is None:
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[-1, -1] = 1.0   # ground state |g...g⟩
-    else:
-        rho = _as_matrix(initial)
+    rho = _as_matrix(basis_ket("g" * system.n) if initial is None
+                     else initial)
     rho_t = np.empty((nt, dim, dim), dtype=complex)
     rho_t[0] = rho
     for k in range(nt - 1):

@@ -16,15 +16,13 @@ import numpy as np
 from . import __version__, presets
 from .config import expand_range, scalability_config, trace_times
 from .dynamics import (CorrelationMap, PulsedG2Result, g2_cw,
-                       integrated_pulsed_g2, node_chunk, propagate,
-                       pulsed_g2_map, trace_chunk)
-from .hilbert import basis_ket
+                       integrated_pulsed_g2, intensity_traces, pulsed_g2_map,
+                       stack_chunk)
 from .instrument import (DetectorModel, NodeAverage, jitter_convolve,
                          noise_nodes, spectral_diffusion_average)
 from .model import DriveConfig
-from .observables import (directionality, intensity_record,
-                          saturation_powers, transmission_coherent,
-                          transmission_saturated)
+from .observables import (directionality, saturation_powers,
+                          transmission_coherent, transmission_saturated)
 from .scalability import probabilities_per_waveguide
 from .units import angular_to_ghz, ghz_to_angular
 
@@ -145,21 +143,6 @@ def _sd_average(cfg, weights, nodes):
     return out
 
 
-def _traces(systems, drives, t):
-    """I_L(t) and I_R(t) of each (system, drive) pair from |g…g⟩, one dict
-    per pair in order.  The pairs march in ``propagate`` stacks of
-    ``trace_chunk`` members, so memory stays bounded for any number."""
-    init = basis_ket("g" * systems[0].n)
-    chunk = trace_chunk(2 ** systems[0].n, len(t))
-    for lo in range(0, len(systems), chunk):
-        members = systems[lo:lo + chunk]
-        for traj, system in zip(propagate(init, members,
-                                          drives[lo:lo + chunk], t,
-                                          validate=False), members):
-            rec = intensity_record(traj, system)
-            yield {"left": rec.left, "right": rec.right}
-
-
 # --------------------------------------------------------------------------
 # experiments
 
@@ -217,16 +200,12 @@ def run_lifetime(cfg):
     t = trace_times(cfg)
     offsets, weights = _sd_nodes(cfg)
     systems = [cfg.system.with_detuning_offsets(o) for o in offsets]
-    rec = _sd_average(cfg, weights,
-                      _traces(systems, [cfg.drive] * len(systems), t))
-    warn_msgs = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        left_irf = jitter_convolve(t, rec["left"], cfg.detector)
-        right_irf = jitter_convolve(t, rec["right"], cfg.detector)
-        warn_msgs = [str(w.message) for w in caught]
+    rec = _sd_average(cfg, weights, intensity_traces(
+        systems, [cfg.drive] * len(systems), t))
+    left_irf = jitter_convolve(t, rec["left"], cfg.detector)
+    right_irf = jitter_convolve(t, rec["right"], cfg.detector)
     rows = list(zip(t, rec["left"], rec["right"], left_irf, right_irf))
-    meta = _base_metadata(cfg, noise=_noise_spec(cfg), warnings=warn_msgs,
+    meta = _base_metadata(cfg, noise=_noise_spec(cfg),
                           irf_sigma_ns=cfg.detector.irf_sigma,
                           resolved={"t_max_ns": t_max, "dt_ns": dt,
                                     "pulse_sigma_ns": cfg.drive.pulse.sigma_t,
@@ -255,7 +234,7 @@ def run_phase_sweep(cfg):
     k0 = int(np.searchsorted(t, t_prompt))
     ks = [int(np.searchsorted(t, t_prompt + w)) for w in windows]
     rows = []
-    for theta_over_pi, rec in zip(thetas, _traces(
+    for theta_over_pi, rec in zip(thetas, intensity_traces(
             [cfg.system] * len(drives), drives, t)):
         _, fr_prompt = directionality(rec["left"][k0], rec["right"][k0])
         row = [theta_over_pi, fr_prompt]
@@ -291,7 +270,7 @@ def run_detuning_sweep(cfg):
     systems = [cfg.system.with_detuning_offsets(
         o + np.array([0.0, ghz_to_angular(delta)]))
         for delta in deltas for o in offsets]
-    traces = _traces(systems, [cfg.drive] * len(systems), t)
+    traces = intensity_traces(systems, [cfg.drive] * len(systems), t)
     map_rows = []
     summary_rows = []
     for delta in deltas:
@@ -330,7 +309,8 @@ def run_g2_cw(cfg):
     dt = cfg.grid["dt_ns"]
 
     need = tuple(sorted(set(pairs) | {p[::-1] for p in pairs}))  # τ < 0
-    chunk = node_chunk(2 ** cfg.system.n)
+    tau = np.arange(0.0, tau_max + dt / 2, dt)
+    chunk = stack_chunk(2 ** cfg.system.n, len(tau), len(need) ** 2)
 
     def bundles(offsets):
         for lo in range(0, len(offsets), chunk):
@@ -345,7 +325,6 @@ def run_g2_cw(cfg):
 
     offsets, weights = _sd_nodes(cfg)
     avg = _sd_average(cfg, weights, bundles(offsets))
-    tau = np.arange(0.0, tau_max + dt / 2, dt)
     # CW correlograms: sigma_IRF is the correlator's effective response
     # along the delay axis (matches the published antidip heights)
     det_tau = DetectorModel(irf_sigma=cfg.detector.irf_sigma,
@@ -555,9 +534,14 @@ DESCRIPTIONS = {
 
 
 def run_experiment(cfg, threads=1):
-    """The ResultBundle of cfg's experiment.
+    """The ResultBundle of cfg's experiment, with the messages of the
+    warnings raised while computing it under metadata["warnings"].
 
     ``threads`` is ignored, since no experiment uses threads; it is still
     accepted because callers such as ``perfbench/run.py`` pass it.
     """
-    return EXPERIMENTS[cfg.experiment](cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bundle = EXPERIMENTS[cfg.experiment](cfg)
+    bundle.metadata["warnings"] = [str(w.message) for w in caught]
+    return bundle

@@ -22,7 +22,9 @@ from wgqed.analytics import (analytic_g2_zero,
 from wgqed.config import resolve_config
 from wgqed.dynamics import (g2_cw, integrated_pulsed_g2, propagate,
                             pulsed_g2_map, steady_state)
-from wgqed.experiments import run_detuning_sweep, run_g2_cw, run_g2_pulsed
+from wgqed.errors import NumericalError
+from wgqed.experiments import (run_detuning_sweep, run_experiment,
+                               run_g2_cw, run_g2_pulsed, run_lifetime)
 from wgqed.hilbert import basis_ket
 from wgqed.instrument import spectral_diffusion_average
 from wgqed.model import (DriveConfig, EmitterParams, LindbladGenerator,
@@ -463,7 +465,9 @@ def test_g2_cw_node_chunks_match_one_stack(monkeypatch):
         return g2_cw(systems, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "g2_cw", counted)
-    monkeypatch.setattr(dynamics, "NODE_STACK_BYTES", 2 * 2 * 16 * 4 ** 4)
+    # 31 delays and 3 pairs: each node reads 3 × 3 entries per delay
+    member = 16 * (dynamics.STACK_SUPEROPERATORS * 4 ** 4 + 31 * 3 ** 2)
+    monkeypatch.setattr(dynamics, "NODE_STACK_BYTES", 2 * member)
     chunked = run_g2_cw(cfg)
     assert calls == [2, 2, 2, 2, 1]
     assert whole.tables["g2"][0] == chunked.tables["g2"][0]
@@ -512,15 +516,17 @@ def test_detuning_sweep_stack_matches_per_point_average(monkeypatch):
         "grid": {"detuning2_ghz": {"values": deltas}, "t_max_ns": 1.0,
                  "dt_ns": 0.05, "window_ns": 0.5}})
     t = np.arange(0.0, 1.0 + 0.025, 0.05)
-    member = 16 * (dynamics.TRACE_SUPEROPERATORS * 4 ** 4 + len(t) * 4 ** 2)
+    # each member reads the trace and two intensities per time
+    member = 16 * (dynamics.STACK_SUPEROPERATORS * 4 ** 4 + len(t) * 3)
     monkeypatch.setattr(dynamics, "NODE_STACK_BYTES", 3 * member)
     sizes = []
 
-    def counted(init, systems, *args, **kwargs):
+    def counted(systems, drives):
         sizes.append(len(systems))
-        return propagate(init, systems, *args, **kwargs)
+        return stack(systems, drives)
 
-    monkeypatch.setattr(experiments, "propagate", counted)
+    stack = dynamics._stack
+    monkeypatch.setattr(dynamics, "_stack", counted)
     table = _columns(run_detuning_sweep(cfg), "time_resolved")
     assert sizes == [3, 3, 3, 3]
     sigmas = [e.spectral_diffusion_sigma for e in cfg.system.emitters]
@@ -540,3 +546,31 @@ def test_detuning_sweep_stack_matches_per_point_average(monkeypatch):
                                    rtol=0, atol=1e-9)
         np.testing.assert_allclose(table["intensity_right"][rows], right,
                                    rtol=0, atol=1e-9)
+
+
+def test_trace_leak_in_readout_march_raises(monkeypatch):
+    # the time traces read Tr ρ as a readout row: a generator that leaks
+    # trace fails the drift check rather than being read past
+    stack = dynamics._stack
+
+    def leaky(systems, drives):
+        l0, d, timed = stack(systems, drives)
+        return l0 - 0.01 * np.eye(l0.shape[-1]), d, timed
+
+    monkeypatch.setattr(dynamics, "_stack", leaky)
+    cfg = resolve_config({"experiment": "lifetime",
+                          "grid": {"t_max_ns": 1.0, "dt_ns": 0.05}})
+    with pytest.raises(NumericalError, match="trace drift"):
+        run_lifetime(cfg)
+
+
+def test_every_experiment_records_its_warnings():
+    # a detector bin wider than its IRF warns in jitter_convolve
+    cfg = resolve_config({
+        "experiment": "detuning-sweep",
+        "detector": {"irf_sigma_ns": 0.005, "bin_ns": 0.01},
+        "grid": {"detuning2_ghz": {"values": [0.0]}, "t_max_ns": 0.5,
+                 "dt_ns": 0.05, "window_ns": 0.2}})
+    meta = run_experiment(cfg).metadata
+    assert meta["warnings"] and all(
+        "bin width exceeds IRF sigma" in m for m in meta["warnings"])

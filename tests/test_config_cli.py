@@ -273,9 +273,9 @@ class TestDenseSizeGuard:
         cfg.experiment = "g2-cw"
         cfg.drive = model.DriveConfig.off(7)
         cfg.grid = {"tau_max_ns": 6.0, "dt_ns": 0.005, "pairs": ["LL", "RR"]}
-        # 1201 delays: 2401 table rows of 5 columns, and raw, G2 and g2
-        # for one node and two pairs
-        grid = 2401 * config.row_bytes(5) + 3 * 8 * 1201 * 2
+        # 1201 delays: 2401 table rows of 5 columns, and for one node and
+        # two pairs the 2 × 2 complex readout and the G2 and g2 floats
+        grid = 2401 * config.row_bytes(5) + (16 * 2 ** 2 + 2 * 8 * 2) * 1201
         assert dense_bytes(cfg) == 16 * 16 ** 7 * 9 + grid
         assert 16 * 16 ** 7 * 9 > DENSE_BUDGET_BYTES
         small = resolve_config({"experiment": "g2-map",
@@ -284,7 +284,7 @@ class TestDenseSizeGuard:
 
     def test_stacked_noise_nodes_counted_one_chunk(self):
         # 4 emitters with spread, 9 nodes each: 6561 stacked nodes would
-        # hold 2·6561 superoperators of 1 MiB; one chunk stays small
+        # hold 6·6561 superoperators of 1 MiB; one chunk stays small
         emitter = {"gamma_ghz": 0.388, "beta": 0.95,
                    "spectral_diffusion_ghz": 0.3}
         cfg = resolve_config({
@@ -294,13 +294,16 @@ class TestDenseSizeGuard:
             "drive": {"mode": "cw", "rabi_ghz": [0.02, 0.0, 0.0, 0.0]},
             "noise": {"scheme": "gauss_hermite", "nodes": 9}})
         superop = 16 * 16 ** 4
-        assert 2 * 9 ** 4 * superop > DENSE_BUDGET_BYTES
-        chunk = dynamics.node_chunk(16)
+        assert 6 * 9 ** 4 * superop > DENSE_BUDGET_BYTES
+        chunk = dynamics.stack_chunk(16, 1201, 4 ** 2)
         assert 1 < chunk < 9 ** 4
-        # 1201 delays: 2401 table rows of 9 columns, and raw, G2 and g2
-        # for one chunk of nodes and four pairs
-        grid = 2401 * config.row_bytes(9) + 3 * 8 * 1201 * chunk * 4
-        assert dense_bytes(cfg) == superop * (10 + 2 * (chunk - 1)) + grid
+        # 1201 delays: 2401 table rows of 9 columns, and for one chunk of
+        # nodes and four pairs the 4 × 4 complex readouts and the G2 and g2
+        # floats
+        grid = 2401 * config.row_bytes(9) + \
+            (16 * 4 ** 2 + 2 * 8 * 4) * 1201 * chunk
+        assert dense_bytes(cfg) == superop * (
+            10 + dynamics.STACK_SUPEROPERATORS * (chunk - 1)) + grid
         assert dense_bytes(cfg) < DENSE_BUDGET_BYTES
 
     def test_twelve_emitter_transmission_scan_resolves(self):
@@ -335,15 +338,16 @@ class TestDenseSizeGuard:
 
     @pytest.mark.parametrize("experiment, n, noise, members, times", [
         ("phase-sweep", 3, None, 41, 613),
-        ("detuning-sweep", 2, {"scheme": "gauss_hermite", "nodes": 3},
-         31 * 9, 251),
+        ("detuning-sweep", 2, {"scheme": "gauss_hermite", "nodes": 5},
+         31 * 25, 251),
         ("lifetime", 2, {"scheme": "monte_carlo", "samples": 500}, 500,
          2001)])
     def test_stacked_traces_counted_one_chunk(
             self, tmp_path, capsys, monkeypatch, experiment, n, noise,
             members, times):
-        # the θ points, (Δ₂, node) pairs or nodes of one propagate stack,
-        # with one chunk's trajectories and the (rows, columns) of the tables
+        # the θ points, (Δ₂, node) pairs or nodes of one _evolve stack, with
+        # one chunk's readouts (the trace and two intensities per time) and
+        # the (rows, columns) of the tables
         tables = {"phase-sweep": [(41, 6)],
                   "detuning-sweep": [(31 * 251, 6), (31, 3)],
                   "lifetime": [(2001, 5)]}[experiment]
@@ -356,11 +360,11 @@ class TestDenseSizeGuard:
             data["noise"] = noise
         cfg = resolve_config(data)
         driven = sum(w != 0 for w in cfg.drive.rabi_amplitude)
-        chunk = dynamics.trace_chunk(2 ** n, times)
+        chunk = dynamics.stack_chunk(2 ** n, times, 3)
         assert 1 < chunk < members
-        need = 16 * 16 ** n * (1 + driven + 8 + dynamics.TRACE_SUPEROPERATORS
+        need = 16 * 16 ** n * (1 + driven + 8 + dynamics.STACK_SUPEROPERATORS
                                * (chunk - 1)) \
-            + 16 * chunk * times * 4 ** n \
+            + 16 * chunk * times * 3 \
             + sum(rows * config.row_bytes(cols) for rows, cols in tables)
         assert dense_bytes(cfg) == need
 

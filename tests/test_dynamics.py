@@ -257,7 +257,7 @@ class TestStackedPropagation:
 
         stack = dynamics._stack
         monkeypatch.setattr(dynamics, "_stack", counted)
-        member = 16 * (dynamics.TRACE_SUPEROPERATORS * 4 ** 4
+        member = 16 * (dynamics.STACK_SUPEROPERATORS * 4 ** 4
                        + len(t) * 4 ** 2)
         monkeypatch.setattr(dynamics, "NODE_STACK_BYTES", 2 * member)
         chunked = propagate(basis_ket("gg"), systems, drives, t,
@@ -322,6 +322,43 @@ class TestPropagatorColumns:
                 np.testing.assert_allclose(stacked[k, :, :, j],
                                            alone[0, :, :, 0], rtol=0,
                                            atol=1e-9)
+
+    def test_readout_equals_contracted_states(self):
+        # three members whose pulse lies between grid points (RK45 branch)
+        sys, drive, t = self.pulse_between_grid_points()
+        systems = [sys, sys.with_detuning_offsets([0.0, 5.0]),
+                   sys.with_detuning_offsets([-3.0, 0.0])]
+        drives = [drive, DriveConfig((0.4, 1.0), (0.0, 0.0), "pulsed",
+                                     drive.pulse), drive]
+        l0, d, timed = dynamics._stack(systems, drives)
+        rho = np.outer(basis_ket("gg"), basis_ket("gg").conj())
+        y = np.repeat(rho.reshape(1, -1, 1), 3, axis=0)
+        w = np.stack([[dynamics._trace_weight(op) for op in (
+            np.eye(4), *(e.conj().T @ e for e in (
+                field_operator(s, p) for p in "LR")))] for s in systems])
+        read = dynamics._evolve(l0, d, timed, y, 0.0, t, readout=w)
+        states = dynamics._evolve(l0, d, timed, y, 0.0, t)
+        assert read.shape == (3, len(t), 3, 1)
+        np.testing.assert_allclose(
+            read, np.einsum("krj,ktjm->ktrm", w, states), rtol=0, atol=1e-15)
+
+    def test_cw_readout_of_columns_equals_contracted_states(self):
+        # P = 3 seed columns and readout rows per member, as in g2_cw
+        sys = presets.qd_pair()
+        cw = DriveConfig((0.3, 0.0), (0.0, 0.0), "cw")
+        systems = [sys, sys.with_detuning_offsets([0.0, 2.0])]
+        l0, d, timed = dynamics._stack(systems, [cw, cw])
+        assert d is None
+        rng = np.random.default_rng(5)
+        y = rng.normal(size=(2, 16, 3)) + 1j * rng.normal(size=(2, 16, 3))
+        w = rng.normal(size=(2, 3, 16)) + 1j * rng.normal(size=(2, 3, 16))
+        tau = np.arange(0.0, 0.3 + 0.005, 0.01)
+        read = dynamics._evolve(l0, None, None, y, 0.0, tau, readout=w)
+        states = dynamics._evolve(l0, None, None, y, 0.0, tau)
+        assert read.shape == (2, len(tau), 3, 3)
+        for i in range(len(tau)):
+            assert np.array_equal(
+                read[:, i], np.einsum("krj,kjm->krm", w, states[:, i]))
 
     def test_pulsed_map_solves_keep_only_requested_times(self, monkeypatch):
         calls = []
