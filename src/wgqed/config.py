@@ -445,10 +445,10 @@ def dense_bytes(cfg):
     beyond the first (the noise nodes of g2-cw and lifetime, the θ points
     of phase-sweep, the (Δ₂, noise node) pairs of detuning-sweep).  The
     work matrices count the first member's.  Grid arrays are one chunk's
-    readouts (members × nt × r·m complex: P × P pair entries per delay for
-    g2-cw's P pairs, the trace and two intensities per time for the time
-    traces), g2-cw's _G2_ARRAYS τ × node × pair outputs for one chunk, and
-    _MAP_ARRAYS nt × nt floats per port pair for the pulsed maps.
+    readouts (members × nt reals: one per pair for g2-cw, the trace and two
+    intensities for the time traces), g2-cw's _G2_ARRAYS τ × node × pair
+    floats for one chunk, and _MAP_ARRAYS nt × nt floats per port pair for
+    the pulsed maps.
     """
     n = cfg.system.n
     grid = cfg.grid
@@ -471,7 +471,7 @@ def dense_bytes(cfg):
     members = pairs = 0
     if cfg.experiment == "g2-cw":
         pairs = len(set(grid["pairs"]) | {p[::-1] for p in grid["pairs"]})
-        members, width = _noise_node_count(cfg), pairs ** 2
+        members, row = _noise_node_count(cfg), 8 * pairs
         times = _points(grid["tau_max_ns"], grid["dt_ns"])
     elif cfg.experiment in ("lifetime", "phase-sweep", "detuning-sweep"):
         if cfg.experiment == "phase-sweep":
@@ -480,11 +480,11 @@ def dense_bytes(cfg):
             members = _noise_node_count(cfg)
         if cfg.experiment == "detuning-sweep":
             members *= axis_length(grid["detuning2_ghz"])
-        times, width = _trace_count(cfg), 3
+        times, row = _trace_count(cfg), 8 * 3
     if members:
-        chunk = min(members, stack_chunk(2 ** n, times, width))
+        chunk = min(members, stack_chunk(2 ** n, times, row))
         count += STACK_SUPEROPERATORS * (chunk - 1)
-        total += (16 * width + 8 * _G2_ARRAYS * pairs) * chunk * times
+        total += (row + 8 * _G2_ARRAYS * pairs) * chunk * times
     return total + 16 * dim2 ** 2 * count
 
 

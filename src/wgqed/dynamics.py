@@ -6,19 +6,14 @@ propagators of ``pulsed_g2_map``.  It marches a stack of K systems that
 share one pulse timing, such as the grid points and noise nodes of a
 sweep, each with m columns: one state, the seeds of several port pairs,
 or the identity when it builds a propagator.  At each stored time it
-keeps a linear readout of each column, such as Tr ρ and the two port
-intensities, or the column itself.  Between pulses each generator L₀ is
-constant and the stack takes exact steps expm(L₀Δt), one batched
-exponential per step length.  Inside a pulse window (±6σ) one RK45 solve
-integrates the flattened stack under L(t) = L₀ + f(t)·D, where f is the
-envelope all emitters and members share and D = Σ_m w_m D_m each
-member's weighted drive superoperator, at tolerances pooled over the
-stack so that every system meets RTOL = 1e-10 and ATOL = 1e-12 of its
-own; the steps are shared, so results differ from a call of their own
-within the tolerance.  A CW or undriven generator is constant throughout
-and never calls the ODE solver.  Long stacks are marched in chunks of
-``stack_chunk`` members, whose superoperators and readouts fit
-NODE_STACK_BYTES.
+keeps what the caller reads from the columns, such as Tr ρ and the two
+port intensities.  Between pulses the stack takes exact steps
+expm(L₀Δt); inside a pulse window (±6σ) one RK45 solve integrates it
+under L(t) = L₀ + f(t)·D, at tolerances pooled over the stack so that
+every system meets RTOL = 1e-10 and ATOL = 1e-12 of its own.  A CW or
+undriven generator never calls the ODE solver.  Long stacks are marched
+in chunks of ``stack_chunk`` members, whose superoperators and readouts
+fit NODE_STACK_BYTES.
 
 Two-time quantities use the quantum regression theorem: with Λ_τ the same
 propagator that evolves ρ,
@@ -28,8 +23,8 @@ propagator that evolves ρ,
 CW correlations start from the steady state and are τ-stationary.
 ``g2_cw`` takes a stack of systems, such as the spectral-diffusion nodes
 of a noise average: one generator and steady state per node, then one
-``_evolve`` march of the pairs' seeds E_α ρ_ss E_α† as columns, read by
-the pairs' weights E_β†E_β as rows; pair p is the diagonal entry (p, p).
+``_evolve`` march of the pairs' seeds E_α ρ_ss E_α† as columns, where
+each delay reads column p with pair p's weight E_β†E_β alone.
 Pulsed correlations are computed as fully time-resolved maps G(t₁, t₂)
 over one pulse window (same-pulse) and across one repetition period
 (different-pulse), then integrated along the diagonal; one
@@ -107,27 +102,27 @@ def _stack(systems, drives):
     return l0, d, timed
 
 
-def _evolve(l0, d, drive, y, t0, times, readout=None):
-    """Readouts of the columns of each of K stacked systems at each of
-    ``times`` (increasing, all >= t0) from y[k] at t0; returns
-    (K, len(times), r, m).
+def _evolve(l0, d, drive, y, t0, times, read=lambda x: x):
+    """What ``read`` keeps of the columns of each of K stacked systems at
+    each of ``times`` (increasing, all >= t0) from y[k] at t0; returns
+    (K, len(times), ...).
 
     ``y`` is (K, d², m): m columns per system, such as one vec(ρ) (m = 1)
-    or the identity (m = d², which gives the propagator).  ``readout`` W
-    is (K, r, d²): each stored time keeps W[k]·y[k], r rows per column;
-    without it the columns themselves are kept (r = d²).  ``l0`` and
-    ``d`` are (K, d², d²) stacks (``d`` None for constant generators) and
-    ``drive`` gives the pulse windows all members share.  Pulse-free
-    stretches take exact steps expm(L₀Δt), one batched exponential per
-    step length for the whole stack (lengths within 1e-12 relative share
-    it; the last _CACHED_STEPS lengths are kept).  Each pulse window runs
-    one RK45 solve on the flattened state with max_step = σ/5.  Its
-    right-hand side is L₀X + f(t)·(DX) for one column, where forming
-    L₀ + f(t)·D would cost as much as a product, and (L₀ + f(t)·D)X for
-    more, one product instead of two.  Its error norm is pooled over the
-    stack, so RTOL and ATOL are divided by √K: the pooled norm is then the
-    root of the sum of the systems' own squared norms, each an RMS over
-    that system's d²·m entries.
+    or the identity (m = d², which gives the propagator).  ``read`` maps
+    the (K, d², m) columns at a stored time to a (K, ...) array, such as
+    the port intensities of each state; by default the columns are kept.
+    ``l0`` and ``d`` are (K, d², d²) stacks (``d`` None for constant
+    generators) and ``drive`` gives the pulse windows all members share.
+    Pulse-free stretches take exact steps expm(L₀Δt), one batched
+    exponential per step length for the whole stack (lengths within 1e-12
+    relative share it; the last _CACHED_STEPS lengths are kept).  Each
+    pulse window runs one RK45 solve on the flattened state with max_step
+    = σ/5.  Its right-hand side is L₀X + f(t)·(DX) for one column, where
+    forming L₀ + f(t)·D would cost as much as a product, and
+    (L₀ + f(t)·D)X for more, one product instead of two.  Its error norm
+    is pooled over the stack, so RTOL and ATOL are divided by √K: the
+    pooled norm is then the root of the sum of the systems' own squared
+    norms, each an RMS over that system's d²·m entries.
     """
     k, d2, m = y.shape
     if d is None:
@@ -153,12 +148,8 @@ def _evolve(l0, d, drive, y, t0, times, readout=None):
             return (l0 @ x + drive.envelope_at(t) * (d @ x)).reshape(-1)
         return ((l0 + drive.envelope_at(t) * d) @ x).reshape(-1)
 
-    def read(x):    # x is (K, d², m) or (K, d², m, n)
-        return x if readout is None else \
-            np.einsum("krj,kj...->kr...", readout, x)
-
-    rows = d2 if readout is None else readout.shape[1]
-    out = np.empty((k, len(times), rows, m), dtype=complex)
+    first = read(y)
+    out = np.empty((k, len(times)) + first.shape[1:], dtype=first.dtype)
     t, i = t0, 0
     for a, b in windows + [(np.inf, np.inf)]:
         while i < len(times) and times[i] <= a:
@@ -183,48 +174,43 @@ def _evolve(l0, d, drive, y, t0, times, readout=None):
                 f"integrator failed near t = {sol.t[-1] if len(sol.t) else a:.6g} ns: "
                 f"{sol.message}", t=float(sol.t[-1]) if len(sol.t) else a)
         ys = sol.y.reshape(k, d2, m, -1)
-        out[:, i:i + len(inside)] = \
-            read(ys[..., :len(inside)]).transpose(0, 3, 1, 2)
+        for j in range(len(inside)):
+            out[:, i + j] = read(ys[..., j])
         i += len(inside)
         y, t = ys[..., -1], b
     return out
 
 
-def stack_chunk(dim, nt, width):
-    """Members per ``_evolve`` stack for Hilbert dimension ``dim``, ``nt``
-    stored times and ``width`` = r·m readout entries per time.
+def stack_chunk(dim, nt, row_bytes):
+    """Members per ``_evolve`` stack for Hilbert dimension ``dim`` and
+    ``nt`` stored times of ``row_bytes`` readout bytes each.
 
     Each member holds STACK_SUPEROPERATORS dim²×dim² complex matrices (L₀,
     D, the scaled L₀·Δt that expm reads and up to _CACHED_STEPS cached
-    steps) and its readout (nt × width complex); a chunk keeps them within
+    steps) and its readout (nt × row_bytes); a chunk keeps them within
     NODE_STACK_BYTES (but has at least one member).
     """
-    member = 16 * (STACK_SUPEROPERATORS * dim ** 4 + nt * width)
+    member = 16 * STACK_SUPEROPERATORS * dim ** 4 + nt * row_bytes
     return max(1, NODE_STACK_BYTES // member)
 
 
-def _march(rho0, systems, drives, t_grid, readout=None):
-    """Each member's readout (len(t_grid), r) from ρ₀ at t = 0, in order,
-    marched in ``_evolve`` stacks of ``stack_chunk`` members.
-
-    Without ``readout`` a member reads its states (r = d²); else
-    readout[k] holds member k's r rows, row 0 reading Tr ρ.  A trace that
-    drifts from 1 by more than 1e-8 raises.
+def _march(rho0, systems, drives, t_grid, row_bytes, reader, trace):
+    """Each member's readout on t_grid from ρ₀ at t = 0, in order, marched
+    in ``_evolve`` stacks of ``stack_chunk`` members; ``reader(members)``
+    reads a chunk (``row_bytes`` per member and time) and ``trace`` takes
+    Tr ρ from its readouts, which may drift from 1 by at most 1e-8.
     """
-    dim = len(rho0)
-    width = dim ** 2 if readout is None else readout.shape[1]
-    chunk = stack_chunk(dim, len(t_grid), width)
+    chunk = stack_chunk(len(rho0), len(t_grid), row_bytes)
     for lo in range(0, len(systems), chunk):
-        l0, d, timed = _stack(systems[lo:lo + chunk], drives[lo:lo + chunk])
+        members = systems[lo:lo + chunk]
+        l0, d, timed = _stack(members, drives[lo:lo + chunk])
         y = np.repeat(rho0.reshape(1, -1, 1), len(l0), axis=0)
-        w = None if readout is None else readout[lo:lo + chunk]
-        ys = _evolve(l0, d, timed, y, 0.0, t_grid, w)[..., 0]
+        reads = _evolve(l0, d, timed, y, 0.0, t_grid, reader(members))
         del l0, d
-        traces = ys[..., ::dim + 1].sum(axis=-1) if w is None else ys[..., 0]
-        drift = np.max(np.abs(traces.real - 1.0))
+        drift = np.max(np.abs(trace(reads) - 1.0))
         if drift > 1e-8:
             raise NumericalError(f"trace drift {drift:.2e} exceeds 1e-8")
-        yield from ys
+        yield from reads
 
 
 def propagate(initial, system, drive, t_grid, validate=True):
@@ -261,8 +247,12 @@ def propagate(initial, system, drive, t_grid, validate=True):
     rho0 = _as_matrix(initial)
     if any(rho0.shape != (2 ** s.n, 2 ** s.n) for s in systems):
         raise ValueError("initial state dimension mismatch")
+    dim = len(rho0)
     trajectories = []
-    for states, dr in zip(_march(rho0, systems, drives, t_grid), drives):
+    for states, dr in zip(_march(
+            rho0, systems, drives, t_grid, 16 * dim ** 2,
+            lambda members: lambda x: x[..., 0],
+            lambda s: s[..., ::dim + 1].sum(axis=-1).real), drives):
         states = states.reshape((len(t_grid),) + rho0.shape)
         if validate:
             for s in states:
@@ -274,19 +264,23 @@ def propagate(initial, system, drive, t_grid, validate=True):
 
 def intensity_traces(systems, drives, t_grid):
     """I_L(t) and I_R(t) of each (system, drive) pair from |g…g⟩ at t = 0,
-    one dict {"left", "right"} per pair in order, clipped at zero.
-
-    The drives share their pulses.  The march reads three rows per member:
-    Tr ρ (checked for drift), ⟨E_L†E_L⟩ and ⟨E_R†E_R⟩.
+    one dict {"left", "right"} per pair in order, clipped at zero; the
+    march keeps Tr ρ, ⟨E_L†E_L⟩ and ⟨E_R†E_R⟩ per member and time.
     """
+    dim = 2 ** systems[0].n
+
+    def reader(members):
+        ops = np.stack([op for s in members for op in (np.eye(dim), *(
+            e.conj().T @ e for e in (field_operator(s, p) for p in "LR")))])
+        return lambda x: np.real(np.einsum(
+            "kij,kji->k", np.repeat(x.reshape(-1, dim, dim), 3, axis=0),
+            ops)).reshape(-1, 3)
+
     rho0 = _as_matrix(basis_ket("g" * systems[0].n))
-    readout = np.stack([[_trace_weight(np.eye(len(rho0)))] + [
-        _trace_weight(e.conj().T @ e)
-        for e in (field_operator(system, p) for p in "LR")]
-        for system in systems])
-    for read in _march(rho0, systems, drives, t_grid, readout):
-        yield {"left": np.maximum(read[:, 1].real, 0.0),
-               "right": np.maximum(read[:, 2].real, 0.0)}
+    for read in _march(rho0, systems, drives, t_grid, 3 * 8, reader,
+                       lambda reads: reads[..., 0]):
+        yield {"left": np.maximum(read[:, 1], 0.0),
+               "right": np.maximum(read[:, 2], 0.0)}
 
 
 def steady_state(system, drive=None):
@@ -366,10 +360,11 @@ def two_time_correlation(system, drive, a_op, b_op, rho, tau_grid,
         raise ValueError("tau_grid must be nonnegative and increasing")
     rho_m = _as_matrix(rho)
     seed = (a_op @ rho_m @ a_op.conj().T).reshape(1, -1, 1)
-    w = _trace_weight(b_op.conj().T @ b_op).reshape(1, 1, -1)
+    w = _trace_weight(b_op.conj().T @ b_op)
     l0, d, timed = _stack([system], [drive])
-    g = _evolve(l0, d, timed, seed, t_start, t_start + tau_grid, w)
-    return _clip_correlations(tau_grid, np.real(g[0, :, 0, 0]))
+    g = _evolve(l0, d, timed, seed, t_start, t_start + tau_grid,
+                lambda x: x[..., 0] @ w)
+    return _clip_correlations(tau_grid, np.real(g[0]))
 
 
 def g2_cw(systems, drive, pairs=("LL", "RR", "LR", "RL"), tau_max=6.0,
@@ -379,8 +374,9 @@ def g2_cw(systems, drive, pairs=("LL", "RR", "LR", "RL"), tau_max=6.0,
     ``systems`` is one WaveguideSystem or a sequence of them sharing the
     CW drive and dimension, such as the detuning nodes of a noise average.
     Each gets its own generator and steady state; all march as one
-    ``_evolve`` stack, the pairs' seeds its columns and their weights its
-    readout, so pass at most ``stack_chunk(dim, len(tau), P²)`` systems.
+    ``_evolve`` stack with the pairs' seeds as columns, and each delay
+    keeps the P reals Tr[E_β†E_β·X_p] of pair p's column, so pass at most
+    ``stack_chunk(dim, len(tau), 8·P)`` systems.
 
     Returns a dict with 'tau', per-pair normalized 'g2' (τ ≥ 0) and 'G2',
     steady intensities, and per-pair clip counts.  For a sequence every
@@ -390,27 +386,29 @@ def g2_cw(systems, drive, pairs=("LL", "RR", "LR", "RL"), tau_max=6.0,
     single = isinstance(systems, WaveguideSystem)
     stack = [systems] if single else list(systems)
     tau = np.arange(0.0, tau_max + dt / 2, dt)
-    l, seeds, weights = [], [], []
+    l, seeds, weights = None, [], []
     intens = {"L": [], "R": []}
-    for system in stack:
+    for k, system in enumerate(stack):
         gen = LindbladGenerator(system, drive)
         rho_ss = steady_state(gen)
         ops = {p: field_operator(system, p) for p in "LR"}
         for p in "LR":
             intens[p].append(max(np.real(rho_ss.expectation(
                 ops[p].conj().T @ ops[p])), 0.0))
-        l.append(gen.superoperator())
+        if l is None:
+            l = np.empty((len(stack),) + gen.static_superoperator.shape,
+                         dtype=complex)
+        l[k] = gen.superoperator()
         seeds.append(np.stack(
             [(ops[p[0]] @ rho_ss.matrix @ ops[p[0]].conj().T).reshape(-1)
              for p in pairs], axis=1))
         weights.append(
             [_trace_weight(ops[p[1]].conj().T @ ops[p[1]]) for p in pairs])
     intens = {p: np.array(v) for p, v in intens.items()}
-    l = np.stack(l)
-    read = _evolve(l, None, None, np.stack(seeds), 0.0, tau,
-                   readout=np.stack(weights))   # (K, τ, P, P)
+    weights = np.stack(weights)             # (K, P, dim²)
+    raw = _evolve(l, None, None, np.stack(seeds), 0.0, tau, lambda x: np.real(
+        np.einsum("kpj,kjp->kp", weights, x))).transpose(1, 0, 2)
     del l
-    raw = np.real(np.einsum("ktpp->tkp", read))
     out = {"tau": tau, "intensity": intens, "g2": {}, "G2": {}, "clipped": {}}
     for j, pair in enumerate(pairs):
         res = _clip_correlations(tau, raw[:, :, j])

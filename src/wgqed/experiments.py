@@ -310,7 +310,7 @@ def run_g2_cw(cfg):
 
     need = tuple(sorted(set(pairs) | {p[::-1] for p in pairs}))  # τ < 0
     tau = np.arange(0.0, tau_max + dt / 2, dt)
-    chunk = stack_chunk(2 ** cfg.system.n, len(tau), len(need) ** 2)
+    chunk = stack_chunk(2 ** cfg.system.n, len(tau), 8 * len(need))
 
     def bundles(offsets):
         for lo in range(0, len(offsets), chunk):

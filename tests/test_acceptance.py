@@ -465,8 +465,8 @@ def test_g2_cw_node_chunks_match_one_stack(monkeypatch):
         return g2_cw(systems, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "g2_cw", counted)
-    # 31 delays and 3 pairs: each node reads 3 × 3 entries per delay
-    member = 16 * (dynamics.STACK_SUPEROPERATORS * 4 ** 4 + 31 * 3 ** 2)
+    # 31 delays and 3 pairs: each node keeps 3 reals per delay
+    member = 16 * dynamics.STACK_SUPEROPERATORS * 4 ** 4 + 31 * 8 * 3
     monkeypatch.setattr(dynamics, "NODE_STACK_BYTES", 2 * member)
     chunked = run_g2_cw(cfg)
     assert calls == [2, 2, 2, 2, 1]
@@ -516,8 +516,8 @@ def test_detuning_sweep_stack_matches_per_point_average(monkeypatch):
         "grid": {"detuning2_ghz": {"values": deltas}, "t_max_ns": 1.0,
                  "dt_ns": 0.05, "window_ns": 0.5}})
     t = np.arange(0.0, 1.0 + 0.025, 0.05)
-    # each member reads the trace and two intensities per time
-    member = 16 * (dynamics.STACK_SUPEROPERATORS * 4 ** 4 + len(t) * 3)
+    # each member keeps the trace and two intensities per time
+    member = 16 * dynamics.STACK_SUPEROPERATORS * 4 ** 4 + len(t) * 8 * 3
     monkeypatch.setattr(dynamics, "NODE_STACK_BYTES", 3 * member)
     sizes = []
 
@@ -549,8 +549,8 @@ def test_detuning_sweep_stack_matches_per_point_average(monkeypatch):
 
 
 def test_trace_leak_in_readout_march_raises(monkeypatch):
-    # the time traces read Tr ρ as a readout row: a generator that leaks
-    # trace fails the drift check rather than being read past
+    # the time traces keep Tr ρ beside the intensities: a generator that
+    # leaks trace fails the drift check rather than being read past
     stack = dynamics._stack
 
     def leaky(systems, drives):

@@ -273,9 +273,9 @@ class TestDenseSizeGuard:
         cfg.experiment = "g2-cw"
         cfg.drive = model.DriveConfig.off(7)
         cfg.grid = {"tau_max_ns": 6.0, "dt_ns": 0.005, "pairs": ["LL", "RR"]}
-        # 1201 delays: 2401 table rows of 5 columns, and for one node and
-        # two pairs the 2 × 2 complex readout and the G2 and g2 floats
-        grid = 2401 * config.row_bytes(5) + (16 * 2 ** 2 + 2 * 8 * 2) * 1201
+        # 1201 delays: 2401 table rows of 5 columns, and the readout, G2
+        # and g2 for one node and two pairs
+        grid = 2401 * config.row_bytes(5) + 3 * 8 * 1201 * 2
         assert dense_bytes(cfg) == 16 * 16 ** 7 * 9 + grid
         assert 16 * 16 ** 7 * 9 > DENSE_BUDGET_BYTES
         small = resolve_config({"experiment": "g2-map",
@@ -295,13 +295,11 @@ class TestDenseSizeGuard:
             "noise": {"scheme": "gauss_hermite", "nodes": 9}})
         superop = 16 * 16 ** 4
         assert 6 * 9 ** 4 * superop > DENSE_BUDGET_BYTES
-        chunk = dynamics.stack_chunk(16, 1201, 4 ** 2)
+        chunk = dynamics.stack_chunk(16, 1201, 8 * 4)
         assert 1 < chunk < 9 ** 4
-        # 1201 delays: 2401 table rows of 9 columns, and for one chunk of
-        # nodes and four pairs the 4 × 4 complex readouts and the G2 and g2
-        # floats
-        grid = 2401 * config.row_bytes(9) + \
-            (16 * 4 ** 2 + 2 * 8 * 4) * 1201 * chunk
+        # 1201 delays: 2401 table rows of 9 columns, and the readout, G2
+        # and g2 for one chunk of nodes and four pairs
+        grid = 2401 * config.row_bytes(9) + 3 * 8 * 1201 * chunk * 4
         assert dense_bytes(cfg) == superop * (
             10 + dynamics.STACK_SUPEROPERATORS * (chunk - 1)) + grid
         assert dense_bytes(cfg) < DENSE_BUDGET_BYTES
@@ -337,7 +335,7 @@ class TestDenseSizeGuard:
         assert "GiB budget" in report["message"]
 
     @pytest.mark.parametrize("experiment, n, noise, members, times", [
-        ("phase-sweep", 3, None, 41, 613),
+        ("phase-sweep", 3, None, 41, 1225),
         ("detuning-sweep", 2, {"scheme": "gauss_hermite", "nodes": 5},
          31 * 25, 251),
         ("lifetime", 2, {"scheme": "monte_carlo", "samples": 500}, 500,
@@ -347,7 +345,8 @@ class TestDenseSizeGuard:
             members, times):
         # the θ points, (Δ₂, node) pairs or nodes of one _evolve stack, with
         # one chunk's readouts (the trace and two intensities per time) and
-        # the (rows, columns) of the tables
+        # the (rows, columns) of the tables; phase-sweep halves its step so
+        # that its 41 θ points need two chunks
         tables = {"phase-sweep": [(41, 6)],
                   "detuning-sweep": [(31 * 251, 6), (31, 3)],
                   "lifetime": [(2001, 5)]}[experiment]
@@ -358,13 +357,15 @@ class TestDenseSizeGuard:
                            "emitters": [emitter] * n}}
         if noise:
             data["noise"] = noise
+        if experiment == "phase-sweep":
+            data["grid"] = {"dt_ns": 0.0025}
         cfg = resolve_config(data)
         driven = sum(w != 0 for w in cfg.drive.rabi_amplitude)
-        chunk = dynamics.stack_chunk(2 ** n, times, 3)
+        chunk = dynamics.stack_chunk(2 ** n, times, 8 * 3)
         assert 1 < chunk < members
         need = 16 * 16 ** n * (1 + driven + 8 + dynamics.STACK_SUPEROPERATORS
                                * (chunk - 1)) \
-            + 16 * chunk * times * 3 \
+            + 8 * 3 * chunk * times \
             + sum(rows * config.row_bytes(cols) for rows, cols in tables)
         assert dense_bytes(cfg) == need
 

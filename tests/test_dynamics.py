@@ -336,14 +336,16 @@ class TestPropagatorColumns:
         w = np.stack([[dynamics._trace_weight(op) for op in (
             np.eye(4), *(e.conj().T @ e for e in (
                 field_operator(s, p) for p in "LR")))] for s in systems])
-        read = dynamics._evolve(l0, d, timed, y, 0.0, t, readout=w)
+        read = dynamics._evolve(l0, d, timed, y, 0.0, t,
+                                lambda x: np.einsum("krj,kjm->krm", w, x))
         states = dynamics._evolve(l0, d, timed, y, 0.0, t)
         assert read.shape == (3, len(t), 3, 1)
         np.testing.assert_allclose(
             read, np.einsum("krj,ktjm->ktrm", w, states), rtol=0, atol=1e-15)
 
     def test_cw_readout_of_columns_equals_contracted_states(self):
-        # P = 3 seed columns and readout rows per member, as in g2_cw
+        # P = 3 seed columns per member, column p read by weight row p, as
+        # in g2_cw
         sys = presets.qd_pair()
         cw = DriveConfig((0.3, 0.0), (0.0, 0.0), "cw")
         systems = [sys, sys.with_detuning_offsets([0.0, 2.0])]
@@ -353,12 +355,13 @@ class TestPropagatorColumns:
         y = rng.normal(size=(2, 16, 3)) + 1j * rng.normal(size=(2, 16, 3))
         w = rng.normal(size=(2, 3, 16)) + 1j * rng.normal(size=(2, 3, 16))
         tau = np.arange(0.0, 0.3 + 0.005, 0.01)
-        read = dynamics._evolve(l0, None, None, y, 0.0, tau, readout=w)
+        read = dynamics._evolve(l0, None, None, y, 0.0, tau,
+                                lambda x: np.einsum("kpj,kjp->kp", w, x))
         states = dynamics._evolve(l0, None, None, y, 0.0, tau)
-        assert read.shape == (2, len(tau), 3, 3)
+        assert read.shape == (2, len(tau), 3)
         for i in range(len(tau)):
             assert np.array_equal(
-                read[:, i], np.einsum("krj,kjm->krm", w, states[:, i]))
+                read[:, i], np.einsum("kpj,kjp->kp", w, states[:, i]))
 
     def test_pulsed_map_solves_keep_only_requested_times(self, monkeypatch):
         calls = []
