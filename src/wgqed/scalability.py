@@ -38,6 +38,21 @@ the number of spreads ≤ δλ/σ is kept for each config.  Each config's
 P(n_set) = Σ_N P(n_set | N)·P_pois(N) is then summed over its own support
 in increasing N, so the result does not depend on the rest of the group.
 
+At small δλ/σ most samples cannot succeed, and they are dropped before
+the costly steps.  Every feasible set in either mode spans at least n_set
+consecutive sorted emitters, so a sample whose n_set closest emitters
+span more than the group's largest tuning range ``top`` fails for every
+mode and δλ of the group.  ``_draw`` rules most such rows out before the
+normal quantile: its slope is at least √(2π), so a row whose uniforms
+satisfy √(2π)·min_j(u[j+k] − u[j]) > top + 1e-9 (k = n_set − 1) cannot
+fit; the 1e-9 σ margin covers the quantile's rounding.  The window
+kernel then runs only on the rows where some n_set consecutive
+wavelengths fit inside ``top``; the consecutive kernel needs no such
+test, since its result is one of those spreads.  Both tests are exact, so
+every count equals the unfiltered one; the denominators stay ``runs``,
+and the regions of every row are still drawn, so the Philox streams are
+unchanged.
+
 Sampling is deterministic and parallelism-independent: samples are
 partitioned into fixed-size chunks with counter-based Philox streams keyed
 by (seed, n_qd, chunk index), and reductions are integer sums.
@@ -51,6 +66,8 @@ from scipy.special import gammaln, ndtri, xlogy
 
 CHUNK = 1 << 15
 MODES = ("consecutive", "window_distinct")
+SQRT_2PI = np.sqrt(2.0 * np.pi)   # least slope of the normal quantile
+NDTRI_MARGIN = 1e-9               # σ units; ndtri rounds to ~1e-14
 
 
 @dataclass(frozen=True)
@@ -116,6 +133,13 @@ def poisson_weights(mu, mass_target=0.9995):
         size *= 2
 
 
+def _windows(lam, n_set):
+    """Spread of every run of n_set consecutive sorted wavelengths, (m, n −
+    n_set + 1): the sets the consecutive rule may pick, and a lower bound
+    on any feasible set in either mode."""
+    return lam[:, n_set - 1:] - lam[:, :lam.shape[1] - n_set + 1]
+
+
 def _min_spreads(lam, regions, n_set, mode):
     """Minimal feasible spread of each row; inf when no feasible set exists.
 
@@ -123,7 +147,7 @@ def _min_spreads(lam, regions, n_set, mode):
     region labels in [0, 64) in the same order.
     """
     m, n = lam.shape
-    if n < n_set:
+    if n < n_set or m == 0:
         return np.full(m, np.inf)
     if mode == "consecutive":
         bits = np.uint64(1) << regions.astype(np.uint64)
@@ -131,7 +155,7 @@ def _min_spreads(lam, regions, n_set, mode):
         seen = bits[:, :width].copy()
         for k in range(1, n_set):
             seen |= bits[:, k:k + width]
-        spread = lam[:, n_set - 1:] - lam[:, :width]
+        spread = _windows(lam, n_set)
         spread[np.bitwise_count(seen) != n_set] = np.inf
         return spread.min(axis=1)
     rows = np.arange(m)
@@ -184,20 +208,36 @@ def min_feasible_spread(wavelengths, regions, n_set, mode="consecutive"):
                               codes.reshape(1, -1), n_set, mode)[0])
 
 
-def _draw(n_qd, config, chunk_index, m):
+def _draw(n_qd, config, chunk_index, m, top=np.inf):
     """Draw chunk ``chunk_index`` of m waveguides with n_qd emitters each.
 
     Returns the wavelengths in sorted order (σ units, exponential spacings
     mapped through the normal quantile function) and the 0-based regions
     in that order, i.i.d. uniform because ranks are independent of the
     order statistics.  Deterministic for fixed (seed, n_qd, chunk_index).
+
+    Rows whose n_set closest emitters provably span more than ``top`` (σ
+    units) are left out before the quantile function (the uniform-space
+    test of the module docstring, on the unnormalized cumulative
+    spacings), so fewer than m rows may come back.  The test is skipped
+    when it provably keeps every row: the n − 1 gaps hold ⌊(n−1)/k⌋
+    disjoint k-gap blocks inside [0, 1].
     """
     rng = Generator(Philox(SeedSequence(config.seed,
                                         spawn_key=(n_qd, chunk_index))))
     spacings = rng.standard_exponential((m, n_qd + 1))
-    u = np.cumsum(spacings[:, :-1], axis=1) / spacings.sum(
-        axis=1, keepdims=True)
-    return ndtri(u), rng.integers(0, config.n_reg, size=(m, n_qd))
+    cum = np.cumsum(spacings[:, :-1], axis=1)
+    total = spacings.sum(axis=1, keepdims=True)
+    regions = rng.integers(0, config.n_reg, size=(m, n_qd))
+    k = config.n_set - 1
+    reach = top + NDTRI_MARGIN
+    if 0 < k < n_qd and SQRT_2PI > reach * ((n_qd - 1) // k):
+        keep = SQRT_2PI * (cum[:, k:] - cum[:, :-k]).min(axis=1) <= \
+            reach * total[:, 0]
+        if not keep.all():
+            cum, total, regions = cum[keep], total[keep], regions[keep]
+    cum /= total
+    return ndtri(cum, out=cum), regions
 
 
 def _success_counts(n_qd, config, runs, thresholds):
@@ -206,18 +246,32 @@ def _success_counts(n_qd, config, runs, thresholds):
     ``thresholds`` maps each mode to a list of tuning ranges in σ units;
     the result maps it to the number of samples whose minimal feasible
     spread fits inside each of them.  Every chunk is drawn once (seed and
-    n_reg from ``config``) and the kernel runs once per mode on it.
+    n_reg from ``config``) and the kernel runs once per mode on it.  Rows
+    that cannot fit inside the largest tuning range are dropped in
+    ``_draw`` and, before the window kernel, on their wavelengths.
     """
     counts = {mode: np.zeros(len(t), dtype=np.int64)
               for mode, t in thresholds.items()}
     if n_qd < config.n_set:
         return counts
+    top = max(max(t) for t in thresholds.values())
     for chunk_index, done in enumerate(range(0, runs, CHUNK)):
         lam, regions = _draw(n_qd, config, chunk_index,
-                             min(CHUNK, runs - done))
+                             min(CHUNK, runs - done), top)
+        if not len(lam):
+            continue
         for mode, t in thresholds.items():
-            spreads = np.sort(_min_spreads(lam, regions, config.n_set, mode))
-            counts[mode] += np.searchsorted(spreads, t, side="right")
+            if mode == "consecutive":
+                spreads = _min_spreads(lam, regions, config.n_set, mode)
+            else:
+                # a row all of whose windows exceed top cannot count
+                near = _windows(lam, config.n_set).min(axis=1) <= top
+                if near.all():
+                    near = slice(None)
+                spreads = _min_spreads(lam[near], regions[near],
+                                       config.n_set, mode)
+            counts[mode] += np.searchsorted(np.sort(spreads), t,
+                                            side="right")
     return counts
 
 

@@ -1,11 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.random import Generator, Philox, SeedSequence
+from scipy.special import ndtri
 from scipy.stats import chi2, poisson
 
 from wgqed import scalability
-from wgqed.scalability import (CHUNK, ScalabilityConfig, YieldResult, _draw,
-                               _min_spreads, conditional_success_count,
+from wgqed.scalability import (CHUNK, MODES, NDTRI_MARGIN, SQRT_2PI,
+                               ScalabilityConfig, YieldResult, _draw,
+                               _min_spreads, _success_counts,
+                               conditional_success_count,
                                min_feasible_spread, poisson_weights,
                                probabilities_per_waveguide,
                                probability_per_chip,
@@ -179,6 +185,26 @@ class TestSpreadKernel:
         assert got.tolist() == want
 
     @pytest.mark.parametrize("mode", ["consecutive", "window_distinct"])
+    @settings(max_examples=200, deadline=None)
+    @given(batch=spread_batches())
+    def test_finite_spread_at_least_smallest_window(self, mode, batch):
+        # the lemma behind the sample filter: every feasible set spans at
+        # least n_set consecutive sorted emitters
+        lam, regions, n_set = batch
+        got = _min_spreads(lam, regions, n_set, mode)
+        for spread, row in zip(got, lam):
+            if np.isfinite(spread):
+                assert spread >= min(row[j + n_set - 1] - row[j]
+                                     for j in range(len(row) - n_set + 1))
+
+    @pytest.mark.parametrize("mode", ["consecutive", "window_distinct"])
+    @pytest.mark.parametrize("n", [0, 2, 7])
+    def test_zero_rows(self, mode, n):
+        got = _min_spreads(np.empty((0, n)), np.empty((0, n), dtype=np.int64),
+                           2, mode)
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("mode", ["consecutive", "window_distinct"])
     def test_success_count_equals_brute_force_count(self, mode):
         n_qd = 6
         cfg = config(n_reg=3, n_set=3, delta_lambda=0.5 * 15.0, runs=3_000,
@@ -196,6 +222,143 @@ class TestSpreadKernel:
         got = _min_spreads(lam, regions, n_set, "window_distinct")
         assert np.array_equal(got, partition_min_spreads(lam, regions, n_set))
         assert np.isfinite(got).any() and np.isinf(got).any()
+
+
+def unfiltered_success_counts(n_qd, config, runs, thresholds):
+    """``_success_counts`` without the sample filter: every row of every
+    chunk, drawn from the same Philox streams, goes through the kernels."""
+    counts = {mode: np.zeros(len(t), dtype=np.int64)
+              for mode, t in thresholds.items()}
+    for chunk_index, done in enumerate(range(0, runs, scalability.CHUNK)):
+        m = min(scalability.CHUNK, runs - done)
+        rng = Generator(Philox(SeedSequence(config.seed,
+                                            spawn_key=(n_qd, chunk_index))))
+        spacings = rng.standard_exponential((m, n_qd + 1))
+        lam = ndtri(np.cumsum(spacings[:, :-1], axis=1)
+                    / spacings.sum(axis=1, keepdims=True))
+        regions = rng.integers(0, config.n_reg, size=(m, n_qd))
+        for mode, t in thresholds.items():
+            spreads = _min_spreads(lam, regions, config.n_set, mode)
+            counts[mode] += [np.count_nonzero(spreads <= x) for x in t]
+    return counts
+
+
+def as_lists(counts):
+    return {mode: c.tolist() for mode, c in counts.items()}
+
+
+# 1000 is above every spread a sample can have
+TUNING_RANGES = [0.0, 1e-6, 0.01, 1.0, 1e3]
+
+
+@st.composite
+def yield_groups(draw):
+    """A grouped count: n_set of 1, n_reg and between, one or both modes,
+    several chunks of a small CHUNK, the last one partial.  The largest
+    tuning range drops every row, some rows (0.01 and 1) or none."""
+    n_reg = draw(st.sampled_from([1, 2, 3, 4, 12]))
+    between = draw(st.integers(min(2, n_reg), n_reg))
+    n_set = draw(st.sampled_from([1, n_reg, between, between, between]))
+    modes = draw(st.sampled_from([MODES[:1], MODES[1:], MODES]))
+    top = draw(st.sampled_from([0, 1, 2, 2, 2, 3, 3, 3, 4]))
+    thresholds = {mode: draw(st.lists(
+        st.sampled_from(TUNING_RANGES[:top + 1]), min_size=1, max_size=2))
+        for mode in modes}
+    thresholds[modes[0]].append(TUNING_RANGES[top])
+    cfg = config(n_reg=n_reg, n_set=n_set,
+                 seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return (draw(st.sampled_from(range(81))), cfg,
+            draw(st.sampled_from(range(1, 401))), thresholds,
+            draw(st.sampled_from([16, 64, 256])))
+
+
+class TestSampleFilter:
+    """Samples that cannot fit the largest tuning range are dropped before
+    the quantile function and the kernels; the counts stay exact."""
+
+    # per-N counts at the benchmark's published point (μ = 35,
+    # δλ/σ = 0.01, n_reg = n_set = 3, seed 20240101, 20 000 runs) from
+    # the unfiltered sampler
+    PUBLISHED_COUNTS = {
+        "consecutive": [
+            0, 0, 0, 0, 0, 1, 2, 7, 9, 15, 13, 25, 20, 31, 48, 64, 54, 68,
+            101, 112, 145, 131, 181, 189, 249, 264, 305, 327, 380, 421, 431,
+            473, 543, 607, 679, 698, 772, 851, 950, 947, 1044, 1154, 1219,
+            1263, 1467, 1483, 1582, 1633, 1790, 1843, 1954, 2139, 2271,
+            2408, 2543, 2560, 2734],
+        "window_distinct": [
+            0, 0, 0, 0, 0, 1, 2, 7, 9, 15, 13, 25, 20, 31, 48, 64, 54, 68,
+            102, 113, 146, 133, 183, 192, 255, 265, 306, 329, 383, 425, 434,
+            476, 546, 616, 691, 704, 778, 859, 965, 963, 1053, 1173, 1231,
+            1282, 1489, 1500, 1609, 1663, 1816, 1870, 1985, 2177, 2309,
+            2446, 2604, 2604, 2780],
+    }
+
+    def test_normal_quantile_slope_bound(self):
+        # the lemma behind the uniform-space filter, held by scipy's ndtri
+        rng = np.random.default_rng(11)
+        tails = 10.0 ** -rng.uniform(1.0, 12.5, (2, 50_000))
+        near_edge = 10.0 ** -rng.uniform(11.5, 12.5, (2, 50_000))
+        points = [rng.random((2, 100_000)), tails, 1 - tails, near_edge,
+                  1 - near_edge, np.stack([tails[0], 1 - tails[1]])]
+        for lo, hi in map(lambda x: np.sort(x, axis=0), points):
+            for a, b in ((lo, hi), (lo, np.nextafter(lo, 1.0))):
+                apart = b > a       # 1 − x rounds some pairs together
+                a, b = a[apart], b[apart]
+                assert len(a) > len(apart) / 2
+                assert np.all(ndtri(b) - ndtri(a)
+                              >= SQRT_2PI * (b - a) - NDTRI_MARGIN)
+
+    @pytest.mark.parametrize("n_qd,n_reg,n_set,top", [
+        (3, 3, 3, 0.01), (5, 3, 3, 1.0), (12, 4, 3, 0.01), (40, 3, 3, 0.01),
+        (40, 12, 4, 0.1), (7, 2, 2, 1e-3)])
+    def test_dropped_rows_cannot_fit(self, n_qd, n_reg, n_set, top):
+        cfg = config(n_reg=n_reg, n_set=n_set)
+        lam, regions = _draw(n_qd, cfg, 0, 4000)
+        kept, kept_regions = _draw(n_qd, cfg, 0, 4000, top)
+        rows = np.flatnonzero(np.isin(lam[:, 0], kept[:, 0]))
+        assert 0 < len(rows) < len(lam)
+        assert np.array_equal(lam[rows], kept)
+        assert np.array_equal(regions[rows], kept_regions)
+        windows = lam[:, n_set - 1:] - lam[:, :n_qd - n_set + 1]
+        dropped = np.ones(len(lam), dtype=bool)
+        dropped[rows] = False
+        assert np.all(windows[dropped].min(axis=1) > top)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(case=yield_groups())
+    @example(case=(80, config(n_reg=4, n_set=1), 40,
+                   {m: TUNING_RANGES for m in MODES}, 64))
+    @example(case=(6, config(n_reg=12, n_set=4), 150,
+                   {m: [0.01, 1.0] for m in MODES}, 64))
+    def test_counts_equal_unfiltered(self, case):
+        n_qd, cfg, runs, thresholds, chunk = case
+        with mock.patch.object(scalability, "CHUNK", chunk):
+            assert as_lists(_success_counts(n_qd, cfg, runs, thresholds)) \
+                == as_lists(unfiltered_success_counts(n_qd, cfg, runs,
+                                                      thresholds))
+
+    def test_nothing_and_everything_survives(self):
+        # top = 0 drops every row before the kernels; 1000 drops none
+        cfg = config(runs=200)
+        assert len(_draw(10, cfg, 0, cfg.runs, 0.0)[0]) == 0
+        assert len(_draw(10, cfg, 0, cfg.runs, 1e3)[0]) == cfg.runs
+        for top in (0.0, 1e3):
+            thresholds = {m: [top] for m in MODES}
+            assert as_lists(_success_counts(10, cfg, cfg.runs, thresholds)) \
+                == as_lists(unfiltered_success_counts(10, cfg, cfg.runs,
+                                                      thresholds))
+
+    def test_published_point_counts_pinned(self):
+        cfg = config(seed=20_240_101, runs=20_000)
+        thresholds = {m: [cfg.delta_lambda / cfg.sigma_qd] for m in MODES}
+        got = {m: [] for m in MODES}
+        for n_qd in range(57):
+            for mode, count in _success_counts(n_qd, cfg, cfg.runs,
+                                               thresholds).items():
+                got[mode].append(int(count[0]))
+        assert got == self.PUBLISHED_COUNTS
 
 
 class TestConditionalSuccess:
