@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .config import EXPERIMENTS, load_config, resolve_config, validate_config
+from .config import EXPERIMENTS, load_config, resolve_config
 from .errors import ConfigError, NumericalError
 from .experiments import DESCRIPTIONS, run_experiment
 
@@ -58,12 +58,7 @@ def main(argv=None):
 
     if args.command == "validate":
         try:
-            data = load_config(args.config)
-            errors = validate_config(data)
-            if errors:
-                raise ConfigError("config failed schema validation",
-                                  details=errors)
-            resolve_config(data)
+            resolve_config(load_config(args.config))
         except ConfigError as exc:
             return _config_error(exc)
         print("ok")

@@ -290,6 +290,17 @@ _GRID_DEFAULTS = {
         "delta_over_sigma": {"start": 1e-3, "stop": 1.0, "points": 13,
                              "log": True}},
 }
+
+# The scalability section that each yield experiment falls back on, filled
+# in at resolution like the grid defaults.
+_YIELD_POINT = {"mu_qd": 35.0, "sigma_qd_nm": 15.0, "delta_lambda_nm": 0.15,
+                "n_reg": 3, "n_set": 3, "n_wg": 100}
+_SCALABILITY_DEFAULTS = {
+    "scalability": {**_YIELD_POINT, "mode": "both", "runs": 200_000},
+    "scalability-heatmap": {**_YIELD_POINT, "mode": "consecutive",
+                            "runs": 20_000},
+}
+
 # the grid span an experiment steps through in dt_ns
 _SPANS = {"lifetime": "t_max_ns", "detuning-sweep": "t_max_ns",
           "g2-cw": "tau_max_ns", "g2-pulsed": "window_ns",
@@ -309,8 +320,7 @@ def _trace_end(cfg):
     time, so that ⌈end/dt_ns⌉ counts the times without building them."""
     grid = cfg.grid
     if cfg.experiment == "phase-sweep":
-        pulse = cfg.drive.pulse
-        last = pulse.center + 6.0 * pulse.sigma_t + \
+        last = cfg.drive.pulse.support[1] + \
             max(grid["integration_windows_ns"])
     else:
         last = grid["t_max_ns"]
@@ -329,14 +339,13 @@ _DEFAULT_DRIVES = {
 
 
 def scalability_config(cfg, **overrides):
-    """The ScalabilityConfig of a resolved config's scalability section."""
+    """The ScalabilityConfig of a resolved config's scalability section;
+    ``mode`` must be overridden where the section's mode is "both"."""
     s = cfg.scalability
-    base = dict(mu_qd=s.get("mu_qd", 35.0),
-                sigma_qd=s.get("sigma_qd_nm", 15.0),
-                delta_lambda=s.get("delta_lambda_nm", 0.15),
-                n_reg=s.get("n_reg", 3), n_set=s.get("n_set", 3),
-                n_wg=s.get("n_wg", 100), runs=s.get("runs", 200_000),
-                seed=cfg.seed, mode="consecutive")
+    base = dict(mu_qd=s["mu_qd"], sigma_qd=s["sigma_qd_nm"],
+                delta_lambda=s["delta_lambda_nm"], n_reg=s["n_reg"],
+                n_set=s["n_set"], n_wg=s["n_wg"], runs=s["runs"],
+                seed=cfg.seed, mode=s["mode"])
     base.update(overrides)
     return ScalabilityConfig(**base)
 
@@ -345,16 +354,16 @@ def _check_scalability(cfg):
     """Build the yield configs the experiment builds, so that their rules
     fail at resolution.  The heatmap's rules on mu_qd and delta_lambda are
     lower bounds, so its smallest grid values stand for all."""
-    scalability_config(cfg)
+    scalability_config(cfg, mode="consecutive")
     if cfg.experiment != "scalability-heatmap":
         return
-    if cfg.scalability.get("mode", "consecutive") == "both":
+    if cfg.scalability["mode"] == "both":
         raise ConfigError("scalability-heatmap runs one mode at a time")
-    sigma = cfg.scalability.get("sigma_qd_nm", 15.0)
     mu = expand_range(cfg.grid["mu_qd"]).min()
     rel = expand_range(cfg.grid["delta_over_sigma"]).min()
     scalability_config(cfg, mu_qd=float(mu))
-    scalability_config(cfg, delta_lambda=float(rel) * sigma)
+    scalability_config(
+        cfg, delta_lambda=float(rel) * cfg.scalability["sigma_qd_nm"])
 
 
 # An experiment holds dense complex matrices (the Lindblad experiments
@@ -619,7 +628,6 @@ def _resolve(data):
         noise = NoiseAveragingPlan("monte_carlo",
                                    noise_sec.get("samples", 2000), seed=seed)
 
-    scal = dict(data.get("scalability", {}))
     return ResolvedConfig(
         experiment=experiment,
         seed=seed,
@@ -629,6 +637,7 @@ def _resolve(data):
         detector=detector,
         noise=noise,
         grid={**_GRID_DEFAULTS.get(experiment, {}), **data.get("grid", {})},
-        scalability=scal,
+        scalability={**_SCALABILITY_DEFAULTS.get(experiment, {}),
+                     **data.get("scalability", {})},
         raw=data,
     )

@@ -621,12 +621,6 @@ class PulsedCorrelogram:
             raise NumericalError("side peak vanishes; cannot normalize")
         return float(self.center.max() / peak)
 
-    def normalized(self):
-        peak = self.side.max()
-        if peak <= 0:
-            raise NumericalError("side peak vanishes; cannot normalize")
-        return self.center / peak, self.side / peak
-
 
 def _diagonal_integral(values, dt):
     """∫G(t, t+τ)dt for every diagonal offset, trapezoid along the diagonal."""

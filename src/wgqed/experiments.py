@@ -7,17 +7,16 @@ threads: grid points and noise nodes are batched or stacked instead.
 
 import json
 import warnings
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, presets
 from .config import expand_range, scalability_config, trace_times
-from .dynamics import (CorrelationMap, PulsedG2Result, g2_cw,
-                       integrated_pulsed_g2, intensity_traces, pulsed_g2_map,
-                       stack_chunk)
+from .dynamics import (g2_cw, integrated_pulsed_g2, intensity_traces,
+                       pulsed_g2_map, stack_chunk)
 from .instrument import (DetectorModel, NodeAverage, jitter_convolve,
                          noise_nodes, spectral_diffusion_average)
 from .model import DriveConfig
@@ -30,7 +29,9 @@ from .units import angular_to_ghz, ghz_to_angular
 @dataclass
 class ResultBundle:
     experiment: str
-    tables: dict                 # name -> (columns, rows)
+    # name -> (columns, rows); rows stay tuples, since the benchmark's
+    # checks and corruptions (perfbench/) read and edit them row by row
+    tables: dict
     metadata: dict = field(default_factory=dict)
 
     def write(self, out_dir):
@@ -69,6 +70,35 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
+
+
+def _table(names, *columns):
+    """A table ``(names, rows)`` from one column per name; the columns must
+    all have the same length."""
+    if len(names) != len(columns):
+        raise ValueError(f"{len(names)} column names for "
+                         f"{len(columns)} columns")
+    return names, list(zip(*columns, strict=True))
+
+
+def _fields(items, *names):
+    """One column per attribute name, read off each item in order."""
+    return [[getattr(item, name) for item in items] for name in names]
+
+
+def _stack_traces(records):
+    """``(left, right)`` arrays, one row per ``{"left", "right"}`` record."""
+    return (np.array([r["left"] for r in records]),
+            np.array([r["right"] for r in records]))
+
+
+def _fractions(t, left, right, start, stop):
+    """Left and right shares of the emission integrated (trapezoid, along
+    the last axis) over the grid times from ``start`` up to, not
+    including, ``stop``."""
+    k0, k1 = np.searchsorted(t, [start, stop])
+    return directionality(np.trapezoid(left[..., k0:k1], t[k0:k1]),
+                          np.trapezoid(right[..., k0:k1], t[k0:k1]))
 
 
 def _base_metadata(cfg, **extra):
@@ -164,15 +194,14 @@ def run_transmission_scan(cfg):
                                               ).transmission,
             [e.spectral_diffusion_sigma for e in cfg.system.emitters],
             cfg.noise).value
-    rows = list(zip(a, b, ts))
     meta = _base_metadata(cfg, noise=_noise_spec(cfg),
                           regime="linear single-photon transmission",
                           resolved={"detuning1_ghz": list(d1),
                                     "detuning2_ghz": list(d2)})
     return ResultBundle(cfg.experiment,
-                        {"transmission": (
+                        {"transmission": _table(
                             ["detuning1_ghz", "detuning2_ghz",
-                             "transmission"], rows)},
+                             "transmission"], a, b, ts)},
                         meta)
 
 
@@ -180,17 +209,17 @@ def run_transmission_saturation(cfg):
     fracs = expand_range(cfg.grid["rabi_over_gamma"])
     powers = saturation_powers(cfg.system, fracs)
     points = transmission_saturated(cfg.system, powers)
-    rows = [(f, p.power, p.transmission_coherent, p.transmission_flux)
-            for f, p in zip(fracs, points)]
     meta = _base_metadata(
         cfg, power_convention="input photon flux P with Omega_1 = "
         "sqrt(2*gamma_wg_1*P); rabi_over_gamma refers to emitter 1",
         resolved={"rabi_over_gamma": list(fracs)})
     return ResultBundle(cfg.experiment,
-                        {"saturation": (
+                        {"saturation": _table(
                             ["rabi_over_gamma", "power_photons_per_ns",
                              "transmission_coherent", "transmission_flux"],
-                            rows)},
+                            fracs, *_fields(points, "power",
+                                            "transmission_coherent",
+                                            "transmission_flux"))},
                         meta)
 
 
@@ -202,9 +231,6 @@ def run_lifetime(cfg):
     systems = [cfg.system.with_detuning_offsets(o) for o in offsets]
     rec = _sd_average(cfg, weights, intensity_traces(
         systems, [cfg.drive] * len(systems), t))
-    left_irf = jitter_convolve(t, rec["left"], cfg.detector)
-    right_irf = jitter_convolve(t, rec["right"], cfg.detector)
-    rows = list(zip(t, rec["left"], rec["right"], left_irf, right_irf))
     meta = _base_metadata(cfg, noise=_noise_spec(cfg),
                           irf_sigma_ns=cfg.detector.irf_sigma,
                           resolved={"t_max_ns": t_max, "dt_ns": dt,
@@ -212,10 +238,12 @@ def run_lifetime(cfg):
                                     "pulse_area_over_pi":
                                         cfg.drive.pulse.area / np.pi})
     return ResultBundle(cfg.experiment,
-                        {"lifetime": (
+                        {"lifetime": _table(
                             ["t_ns", "intensity_left", "intensity_right",
                              "intensity_left_irf", "intensity_right_irf"],
-                            rows)},
+                            t, rec["left"], rec["right"],
+                            jitter_convolve(t, rec["left"], cfg.detector),
+                            jitter_convolve(t, rec["right"], cfg.detector))},
                         meta)
 
 
@@ -223,7 +251,7 @@ def run_phase_sweep(cfg):
     thetas = expand_range(cfg.grid["theta_over_pi"])
     windows = cfg.grid["integration_windows_ns"]
     pulse = cfg.drive.pulse
-    t_prompt = pulse.center + 6.0 * pulse.sigma_t
+    t_prompt = pulse.support[1]
     dt = cfg.grid["dt_ns"]
     t = trace_times(cfg)
     drives = [DriveConfig(cfg.drive.rabi_amplitude,
@@ -231,28 +259,21 @@ def run_phase_sweep(cfg):
                                 for m in range(cfg.system.n)),
                           "pulsed", pulse)
               for theta_over_pi in thetas]
-    k0 = int(np.searchsorted(t, t_prompt))
-    ks = [int(np.searchsorted(t, t_prompt + w)) for w in windows]
-    rows = []
-    for theta_over_pi, rec in zip(thetas, intensity_traces(
-            [cfg.system] * len(drives), drives, t)):
-        _, fr_prompt = directionality(rec["left"][k0], rec["right"][k0])
-        row = [theta_over_pi, fr_prompt]
-        for k1 in ks:
-            i_l = np.trapezoid(rec["left"][k0:k1], t[k0:k1])
-            i_r = np.trapezoid(rec["right"][k0:k1], t[k0:k1])
-            row.extend(directionality(i_l, i_r))
-        rows.append(tuple(row))
-    cols = ["theta_over_pi", "frac_right_prompt"]
+    left, right = _stack_traces(list(intensity_traces(
+        [cfg.system] * len(drives), drives, t)))
+    k0 = np.searchsorted(t, t_prompt)
+    names = ["theta_over_pi", "frac_right_prompt"]
+    columns = [thetas, directionality(left[:, k0], right[:, k0])[1]]
     for w in windows:
-        cols.extend([f"frac_left_{w}ns", f"frac_right_{w}ns"])
+        names.extend([f"frac_left_{w}ns", f"frac_right_{w}ns"])
+        columns.extend(_fractions(t, left, right, t_prompt, t_prompt + w))
     meta = _base_metadata(
         cfg, pulse={"sigma_ns": pulse.sigma_t,
                     "area_over_pi": pulse.area / np.pi},
         prompt_time_ns=t_prompt, integration_windows_ns=list(windows),
         resolved={"theta_over_pi": list(thetas), "dt_ns": dt})
-    return ResultBundle(cfg.experiment, {"directionality": (cols, rows)},
-                        meta)
+    return ResultBundle(cfg.experiment,
+                        {"directionality": _table(names, *columns)}, meta)
 
 
 def run_detuning_sweep(cfg):
@@ -261,9 +282,7 @@ def run_detuning_sweep(cfg):
     dt = cfg.grid["dt_ns"]
     window = cfg.grid["window_ns"]
     t = trace_times(cfg)
-    pulse = cfg.drive.pulse
-    t0 = pulse.center + 6.0 * pulse.sigma_t
-    k0, k1 = np.searchsorted(t, [t0, t0 + window])
+    t0 = cfg.drive.pulse.support[1]
 
     # every (detuning, noise node) pair in one stack, detuning outermost
     offsets, weights = _sd_nodes(cfg)
@@ -271,29 +290,24 @@ def run_detuning_sweep(cfg):
         o + np.array([0.0, ghz_to_angular(delta)]))
         for delta in deltas for o in offsets]
     traces = intensity_traces(systems, [cfg.drive] * len(systems), t)
-    map_rows = []
-    summary_rows = []
-    for delta in deltas:
-        rec = _sd_average(cfg, weights, traces)
-        il, ir = rec["left"], rec["right"]
-        ili = jitter_convolve(t, il, cfg.detector)
-        iri = jitter_convolve(t, ir, cfg.detector)
-        i_l = np.trapezoid(il[k0:k1], t[k0:k1])
-        i_r = np.trapezoid(ir[k0:k1], t[k0:k1])
-        summary_rows.append((delta, *directionality(i_l, i_r)))
-        for k in range(len(t)):
-            map_rows.append((delta, t[k], il[k], ir[k], ili[k], iri[k]))
+    left, right = _stack_traces([_sd_average(cfg, weights, traces)
+                                 for _ in deltas])
     meta = _base_metadata(cfg, noise=_noise_spec(cfg),
                           integration_window_ns=window,
                           resolved={"detuning2_ghz": list(deltas),
                                     "t_max_ns": t_max, "dt_ns": dt})
     return ResultBundle(
         cfg.experiment,
-        {"time_resolved": (
+        {"time_resolved": _table(
             ["detuning2_ghz", "t_ns", "intensity_left", "intensity_right",
-             "intensity_left_irf", "intensity_right_irf"], map_rows),
-         "directionality": (
-             ["detuning2_ghz", "frac_left", "frac_right"], summary_rows)},
+             "intensity_left_irf", "intensity_right_irf"],
+            np.repeat(deltas, len(t)), np.tile(t, len(deltas)),
+            left.ravel(), right.ravel(),
+            jitter_convolve(t, left, cfg.detector).ravel(),
+            jitter_convolve(t, right, cfg.detector).ravel()),
+         "directionality": _table(
+             ["detuning2_ghz", "frac_left", "frac_right"], deltas,
+             *_fractions(t, left, right, t0, t0 + window))},
         meta)
 
 
@@ -329,65 +343,53 @@ def run_g2_cw(cfg):
     # along the delay axis (matches the published antidip heights)
     det_tau = DetectorModel(irf_sigma=cfg.detector.irf_sigma,
                             bin_width=cfg.detector.bin_width)
-    cols = ["tau_ns"]
-    data = {}
+    names, columns = ["tau_ns"], []
     for p in pairs:
         denom = avg[f"I_{p[0]}"] * avg[f"I_{p[1]}"]
         g_fwd = avg[f"G2_{p}"] / denom
         g_bwd = avg[f"G2_{p[::-1]}"] / denom
         full_tau, g_full = _symmetrize_tau(tau, g_fwd, g_bwd)
-        g_irf = jitter_convolve(full_tau, g_full, det_tau)
-        data[f"g2_{p}"] = g_full
-        data[f"g2_{p}_irf"] = g_irf
-        cols.extend([f"g2_{p}", f"g2_{p}_irf"])
-    rows = list(zip(full_tau, *[data[c] for c in cols[1:]]))
+        names.extend([f"g2_{p}", f"g2_{p}_irf"])
+        columns.extend([g_full, jitter_convolve(full_tau, g_full, det_tau)])
     meta = _base_metadata(
         cfg, noise=_noise_spec(cfg),
         steady_intensities={"L": avg["I_L"], "R": avg["I_R"]},
         drive_rabi_ghz=[angular_to_ghz(x) for x in cfg.drive.rabi_amplitude],
         irf_along_tau_sigma_ns=det_tau.irf_sigma,
         resolved={"tau_max_ns": tau_max, "dt_ns": dt, "pairs": list(pairs)})
-    return ResultBundle(cfg.experiment, {"g2": (cols, rows)}, meta)
+    return ResultBundle(cfg.experiment,
+                        {"g2": _table(names, full_tau, *columns)}, meta)
 
 
 def _pulsed_correlograms(cfg, pairs, window, dt):
-    """Spectral-diffusion-averaged pulsed maps, pair → PulsedG2Result."""
-    map_meta = {}
+    """Spectral-diffusion-averaged pulsed maps, pair → PulsedG2Result.
 
-    def bundle(offsets):
-        sys_off = cfg.system.with_detuning_offsets(offsets)
-        res = pulsed_g2_map(sys_off, cfg.drive, ports=pairs, window=window,
-                            dt=dt)
-        out = {}
-        for pair, r in res.items():
-            map_meta.update(r.different.normalization)
-            out[f"same_{pair}"] = r.same.values
-            out[f"different_{pair}"] = r.different.values
-            out[f"I_{pair[0]}"] = r.intensity_a
-            out[f"I_{pair[1]}"] = r.intensity_b
-        return out
+    The two maps and two intensities of each pair are averaged over the
+    nodes by ``_sd_average``; the results are the first node's, with
+    those four arrays replaced by their averages.
+    """
+    def node(offsets):
+        return pulsed_g2_map(cfg.system.with_detuning_offsets(offsets),
+                             cfg.drive, ports=pairs, window=window, dt=dt)
+
+    def arrays(results):
+        return {(pair, part): value for pair, r in results.items()
+                for part, value in (("same", r.same.values),
+                                    ("different", r.different.values),
+                                    ("intensity_a", r.intensity_a),
+                                    ("intensity_b", r.intensity_b))}
 
     offsets, weights = _sd_nodes(cfg)
-    avg = _sd_average(cfg, weights, map(bundle, offsets))
-    t = np.arange(int(round(window / dt)) + 1) * dt
-    period = cfg.drive.pulse.repetition_period
-    separation = map_meta["separation_periods"]
-    maps = {}
-    for pair in pairs:
-        meta = {"ports": pair, "dt": dt, "window": window, "period": period,
-                "separation_periods": separation,
-                "spectral_diffusion": _noise_spec(cfg)}
-        maps[pair] = PulsedG2Result(
-            ports=pair, t=t,
-            same=CorrelationMap(t, t, np.asarray(avg[f"same_{pair}"]),
-                                "same_pulse", dict(meta)),
-            different=CorrelationMap(t, t + separation * period,
-                                     np.asarray(avg[f"different_{pair}"]),
-                                     "different_pulse", dict(meta)),
-            intensity_a=np.asarray(avg[f"I_{pair[0]}"]),
-            intensity_b=np.asarray(avg[f"I_{pair[1]}"]),
-            period=period)
-    return maps
+    first = node(offsets[0])
+    avg = _sd_average(cfg, weights,
+                      map(arrays, chain([first], map(node, offsets[1:]))))
+    return {pair: replace(
+                r, same=replace(r.same, values=avg[pair, "same"]),
+                different=replace(r.different,
+                                  values=avg[pair, "different"]),
+                intensity_a=avg[pair, "intensity_a"],
+                intensity_b=avg[pair, "intensity_b"])
+            for pair, r in first.items()}
 
 
 def run_g2_pulsed(cfg):
@@ -396,25 +398,18 @@ def run_g2_pulsed(cfg):
     dt = cfg.grid["dt_ns"]
     det_tau = DetectorModel(irf_sigma=np.sqrt(2.0) * cfg.detector.irf_sigma,
                             bin_width=cfg.detector.bin_width)
-    cols = ["tau_ns"]
-    data = {}
-    heights = []
-    tau_axis = None
+    names, columns = ["tau_ns"], []
+    heights, heights_irf = [], []
     maps = _pulsed_correlograms(cfg, ports_list, window, dt)
     for ports in ports_list:
         cg = integrated_pulsed_g2(maps[ports])
-        tau_axis = cg.tau
         center_irf = jitter_convolve(cg.tau, cg.center, det_tau)
         side_irf = jitter_convolve(cg.tau, cg.side, det_tau)
-        data[f"center_{ports}"] = cg.center
-        data[f"side_{ports}"] = cg.side
-        data[f"center_{ports}_irf"] = center_irf
-        data[f"side_{ports}_irf"] = side_irf
-        cols.extend([f"center_{ports}", f"side_{ports}",
-                     f"center_{ports}_irf", f"side_{ports}_irf"])
-        heights.append((ports, cg.center_height(),
-                        float(center_irf.max() / side_irf.max())))
-    rows = list(zip(tau_axis, *[data[c] for c in cols[1:]]))
+        names.extend([f"center_{ports}", f"side_{ports}",
+                      f"center_{ports}_irf", f"side_{ports}_irf"])
+        columns.extend([cg.center, cg.side, center_irf, side_irf])
+        heights.append(cg.center_height())
+        heights_irf.append(float(center_irf.max() / side_irf.max()))
     meta = _base_metadata(
         cfg, noise=_noise_spec(cfg),
         irf_along_tau_sigma_ns=det_tau.irf_sigma,
@@ -426,8 +421,9 @@ def run_g2_pulsed(cfg):
                   "period_ns": cfg.drive.pulse.repetition_period})
     return ResultBundle(
         cfg.experiment,
-        {"correlogram": (cols, rows),
-         "heights": (["ports", "height", "height_irf"], heights)},
+        {"correlogram": _table(names, cg.tau, *columns),
+         "heights": _table(["ports", "height", "height_irf"], ports_list,
+                           heights, heights_irf)},
         meta)
 
 
@@ -437,15 +433,7 @@ def run_g2_map(cfg):
     dt = cfg.grid["dt_ns"]
     maps = _pulsed_correlograms(cfg, [ports], window, dt)[ports]
     t = maps.t
-    same_irf = jitter_convolve(t, maps.same.values, cfg.detector, axes=(0, 1))
-    diff_irf = jitter_convolve(t, maps.different.values, cfg.detector,
-                               axes=(0, 1))
-    rows = []
-    for i in range(len(t)):
-        for j in range(len(t)):
-            rows.append((t[i], t[j], maps.same.values[i, j],
-                         maps.different.values[i, j], same_irf[i, j],
-                         diff_irf[i, j]))
+    same, diff = maps.same.values, maps.different.values
     meta = _base_metadata(
         cfg, noise=_noise_spec(cfg), ports=ports,
         jitter="applied independently along t1 and t2",
@@ -454,53 +442,58 @@ def run_g2_map(cfg):
         resolved={"window_ns": window, "dt_ns": dt})
     return ResultBundle(
         cfg.experiment,
-        {"map": (["t1_ns", "t2_ns", "G2_same", "G2_different",
-                  "G2_same_irf", "G2_different_irf"], rows)},
+        {"map": _table(
+            ["t1_ns", "t2_ns", "G2_same", "G2_different", "G2_same_irf",
+             "G2_different_irf"],
+            np.repeat(t, len(t)), np.tile(t, len(t)), same.ravel(),
+            diff.ravel(),
+            jitter_convolve(t, same, cfg.detector, axes=(0, 1)).ravel(),
+            jitter_convolve(t, diff, cfg.detector, axes=(0, 1)).ravel())},
         meta)
 
 
 def run_scalability(cfg):
-    mode = cfg.scalability.get("mode", "both")
+    mode = cfg.scalability["mode"]
     modes = ["consecutive", "window_distinct"] if mode == "both" else [mode]
     configs = [scalability_config(cfg, mode=m) for m in modes]
-    rows = [(sc.mode, sc.n_set, sc.n_reg, sc.mu_qd, sc.delta_lambda,
-             sc.n_wg, res.p_per_waveguide, res.standard_error,
-             res.p_per_chip, res.truncation_n_max, res.truncated_mass)
-            for sc, res in zip(configs, probabilities_per_waveguide(configs))]
+    results = probabilities_per_waveguide(configs)
     meta = _base_metadata(
-        cfg, runs=scalability_config(cfg).runs,
+        cfg, runs=cfg.scalability["runs"],
         note="consecutive reproduces the published sampling rule; "
              "window_distinct is the exact feasibility criterion and "
              "dominates it")
     return ResultBundle(
         cfg.experiment,
-        {"yield": (["mode", "n_set", "n_reg", "mu_qd", "delta_lambda_nm",
-                    "n_wg", "p_per_waveguide", "standard_error",
-                    "p_per_chip", "truncation_n_max", "truncated_mass"],
-                   rows)},
+        {"yield": _table(
+            ["mode", "n_set", "n_reg", "mu_qd", "delta_lambda_nm", "n_wg",
+             "p_per_waveguide", "standard_error", "p_per_chip",
+             "truncation_n_max", "truncated_mass"],
+            *_fields(configs, "mode", "n_set", "n_reg", "mu_qd",
+                     "delta_lambda", "n_wg"),
+            *_fields(results, "p_per_waveguide", "standard_error",
+                     "p_per_chip", "truncation_n_max", "truncated_mass"))},
         meta)
 
 
 def run_scalability_heatmap(cfg):
     mus = expand_range(cfg.grid["mu_qd"])
     rels = expand_range(cfg.grid["delta_over_sigma"])
-    mode = cfg.scalability.get("mode", "consecutive")
-    runs = cfg.scalability.get("runs", 20_000)
-    sigma = cfg.scalability.get("sigma_qd_nm", 15.0)
-    pts = [(mu, rel) for mu in mus for rel in rels]
+    s = cfg.scalability
+    mu_col, rel_col = np.repeat(mus, len(rels)), np.tile(rels, len(mus))
     results = probabilities_per_waveguide(
-        scalability_config(cfg, mu_qd=float(mu), mode=mode, runs=runs,
-                           delta_lambda=float(rel) * sigma)
-        for mu, rel in pts)
-    rows = [(mu, rel, res.p_per_waveguide, res.standard_error,
-             res.p_per_chip) for (mu, rel), res in zip(pts, results)]
-    meta = _base_metadata(cfg, mode=mode, runs=runs,
+        scalability_config(cfg, mu_qd=float(mu),
+                           delta_lambda=float(rel) * s["sigma_qd_nm"])
+        for mu, rel in zip(mu_col, rel_col))
+    meta = _base_metadata(cfg, mode=s["mode"], runs=s["runs"],
                           resolved={"mu_qd": list(mus),
                                     "delta_over_sigma": list(rels)})
     return ResultBundle(
         cfg.experiment,
-        {"heatmap": (["mu_qd", "delta_over_sigma", "p_per_waveguide",
-                      "standard_error", "p_per_chip"], rows)},
+        {"heatmap": _table(["mu_qd", "delta_over_sigma", "p_per_waveguide",
+                            "standard_error", "p_per_chip"],
+                           mu_col, rel_col,
+                           *_fields(results, "p_per_waveguide",
+                                    "standard_error", "p_per_chip"))},
         meta)
 
 

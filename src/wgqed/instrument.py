@@ -157,10 +157,13 @@ def _gaussian_kernel(sigma, dt):
 def jitter_convolve(times, values, detector, axes=None):
     """Convolve a signal with the Gaussian IRF along time axes.
 
-    ``times`` must be a uniform grid; the signal is zero-padded, so the
-    grid should cover at least ±5σ beyond the signal support.  The total
-    integral is preserved (the discrete kernel is normalized).  For maps,
-    pass ``axes=(0, 1)`` to convolve along both time axes independently.
+    ``times`` must be a uniform grid.  The result is the centred part of
+    the full convolution, one value per grid time: the signal is
+    zero-padded and the mass convolved beyond the grid is dropped, so the
+    grid should cover at least ±5σ beyond the signal support for the
+    total integral to be preserved (the discrete kernel is normalized).
+    For maps, pass ``axes=(0, 1)`` to convolve along both time axes
+    independently.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -173,12 +176,14 @@ def jitter_convolve(times, values, detector, axes=None):
         warnings.warn("bin width exceeds IRF sigma; jitter under-resolved",
                       RuntimeWarning)
     kernel = _gaussian_kernel(detector.irf_sigma, dt)
+    half = len(kernel) // 2
     if axes is None:
         axes = (values.ndim - 1,)
     out = values
     for ax in axes:
+        # mode="same" would return the kernel's length when it is longer
         out = np.apply_along_axis(
-            lambda v: np.convolve(v, kernel, mode="same"), ax, out)
+            lambda v: np.convolve(v, kernel)[half:half + len(v)], ax, out)
     return out
 
 

@@ -4,8 +4,8 @@ import pytest
 from wgqed import presets
 from wgqed.errors import NormalizationError
 from wgqed.instrument import (DetectorModel, NoiseAveragingPlan,
-                              jitter_convolve, side_peak_normalize,
-                              spectral_diffusion_average)
+                              _gaussian_kernel, jitter_convolve,
+                              side_peak_normalize, spectral_diffusion_average)
 from wgqed.model import EmitterParams, WaveguideSystem
 from wgqed.observables import transmission_coherent
 
@@ -118,6 +118,41 @@ class TestJitterConvolve:
                                 DetectorModel(sb))
         once = jitter_convolve(t, v, DetectorModel(np.hypot(sa, sb)))
         np.testing.assert_allclose(twice, once, atol=1e-6 * v.max())
+
+    @pytest.mark.parametrize("sigma", [1e-4, 0.01, 0.1, 1.0, 10.0, 100.0])
+    def test_keeps_the_grid_shape(self, sigma):
+        # the grid spans 0.2 ns in 21 steps of 0.01 ns; from sigma = 0.1
+        # on, the kernel outnumbers the grid
+        t = np.arange(21) * 0.01
+        rng = np.random.default_rng(7)
+        det = DetectorModel(irf_sigma=sigma, bin_width=1e-4)
+        assert jitter_convolve(t, rng.random(21), det).shape == (21,)
+        assert jitter_convolve(t, rng.random((21, 21)), det,
+                               axes=(0, 1)).shape == (21, 21)
+
+    @pytest.mark.parametrize("sigma", [0.005, 0.05, 5.0])
+    def test_centred_impulse_stays_centred(self, sigma):
+        t = np.arange(41) * 0.01
+        v = np.zeros(41)
+        v[20] = 1.0
+        out = jitter_convolve(t, v, DetectorModel(irf_sigma=sigma,
+                                                  bin_width=1e-3))
+        assert np.argmax(out) == 20
+        np.testing.assert_allclose(out, out[::-1], rtol=0, atol=1e-15)
+
+    def test_matches_same_mode_while_the_kernel_fits(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(3, 200))
+            dt = float(rng.uniform(0.001, 0.05))
+            t = np.arange(n) * dt
+            # 2⌈6σ/dt⌉ + 1 ≤ n
+            sigma = float(rng.uniform(0.01, (n - 1) // 2 / 6.0)) * dt
+            v = rng.standard_normal(n)
+            det = DetectorModel(irf_sigma=sigma, bin_width=sigma)
+            np.testing.assert_array_equal(
+                jitter_convolve(t, v, det),
+                np.convolve(v, _gaussian_kernel(sigma, dt), mode="same"))
 
     def test_map_convolved_along_both_axes(self):
         t = np.arange(0, 6, 0.01)
