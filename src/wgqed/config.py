@@ -447,8 +447,9 @@ def dense_bytes(cfg):
     experiment holds its table rows (``row_bytes`` each).
     transmission-scan solves its P grid points as one batch of N×N
     resolvents, 16·N²·P bytes.  The Lindblad experiments hold the static
-    generator, one drive part per driven emitter and work matrices, and
-    beyond those one chunk of their stacks: for the pulsed maps one step
+    generator, one superoperator per driven emitter (a conservative count
+    of the one summed drive part that the build holds) and work matrices,
+    and beyond those one chunk of their stacks: for the pulsed maps one step
     propagator per grid step that overlaps the pulse; for g2-cw and the
     time traces STACK_SUPEROPERATORS per member of an ``_evolve`` stack
     beyond the first (the noise nodes of g2-cw and lifetime, the θ points

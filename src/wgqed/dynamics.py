@@ -13,7 +13,8 @@ under L(t) = L₀ + f(t)·D, at tolerances pooled over the stack so that
 every system meets RTOL = 1e-10 and ATOL = 1e-12 of its own.  A CW or
 undriven generator never calls the ODE solver.  Long stacks are marched
 in chunks of ``stack_chunk`` members, whose superoperators and readouts
-fit NODE_STACK_BYTES.
+fit NODE_STACK_BYTES.  The members differ only in their detunings and
+drives, so one ``model.superoperators`` call builds a chunk's L₀ and D.
 
 Two-time quantities use the quantum regression theorem: with Λ_τ the same
 propagator that evolves ρ,
@@ -22,9 +23,10 @@ propagator that evolves ρ,
 
 CW correlations start from the steady state and are τ-stationary.
 ``g2_cw`` takes a stack of systems, such as the spectral-diffusion nodes
-of a noise average: one generator and steady state per node, then one
-``_evolve`` march of the pairs' seeds E_α ρ_ss E_α† as columns, where
-each delay reads column p with pair p's weight E_β†E_β alone.
+of a noise average: one superoperator build for the stack and one steady
+state per node, then one ``_evolve`` march of the pairs' seeds
+E_α ρ_ss E_α† as columns, where each delay reads column p with pair p's
+weight E_β†E_β alone.
 Pulsed correlations are computed as fully time-resolved maps G(t₁, t₂)
 over one pulse window (same-pulse) and across one repetition period
 (different-pulse), then integrated along the diagonal; one
@@ -46,7 +48,7 @@ from scipy.linalg import expm
 from .errors import DegenerateSteadyStateError, IntegrationError, NumericalError
 from .hilbert import DensityState, basis_ket
 from .model import (DriveConfig, LindbladGenerator, WaveguideSystem,
-                    field_operator)
+                    field_operator, superoperators)
 
 NEGATIVE_G_TOL = 1e-10  # regression numerics may produce tiny negatives
 RTOL = 1e-10    # RK45 tolerances of one system inside a pulse window
@@ -81,24 +83,14 @@ def _stack(systems, drives):
     """L₀ and D of each (system, drive) pair as (K, d², d²) stacks, with
     the drive whose pulses the pairs share.
 
-    A pulse-driven member gives its static L₀ and D = Σ_m w_m D_m; any
-    other member gives its constant generator as L₀ and D = 0.  D and the
-    drive are None when no member is pulse-driven.  Each generator is
-    dropped once its rows are copied, so the stacks are all that is held.
+    ``superoperators`` builds the stacks: a pulse-driven member gives its
+    static L₀ and D = Σ_m w_m D_m, any other member its constant generator
+    as L₀ and D = 0.  D and the drive are None when no member is
+    pulse-driven.
     """
-    l0 = d = timed = None
-    for k, (system, drive) in enumerate(zip(systems, drives)):
-        gen = LindbladGenerator(system, drive)
-        if l0 is None:
-            l0 = np.empty((len(systems),) + gen.static_superoperator.shape,
-                          dtype=complex)
-        if gen.is_time_dependent:
-            if d is None:
-                d = np.zeros_like(l0)
-            l0[k], d[k], timed = (gen.static_superoperator,
-                                  gen.drive_superoperator(), drive)
-        else:
-            l0[k] = gen.superoperator()
+    l0, d = superoperators(systems, drives)
+    timed = None if d is None else \
+        [dr for dr in drives if dr.is_pulse_driven][-1]
     return l0, d, timed
 
 
@@ -221,8 +213,9 @@ def propagate(initial, system, drive, t_grid, validate=True):
     drive gives its Trajectory; otherwise the members march as one stack
     and a list of Trajectories comes back in order.  All drives must
     share their pulses (or all be CW), so that the members share their
-    pulse windows.  Stacks longer than ``stack_chunk`` are marched in
-    chunks of that size.
+    pulse windows, and the systems may differ only in their detunings
+    (``superoperators`` refuses any other stack with ValueError).  Stacks
+    longer than ``stack_chunk`` are marched in chunks of that size.
 
     Every stored state is checked against the DensityState invariants
     unless ``validate=False``; total trace drift beyond 1e-8 raises.
@@ -268,13 +261,14 @@ def intensity_traces(systems, drives, t_grid):
     march keeps Tr ρ, ⟨E_L†E_L⟩ and ⟨E_R†E_R⟩ per member and time.
     """
     dim = 2 ** systems[0].n
+    ops = np.stack([np.eye(dim), *(e.conj().T @ e for e in (
+        field_operator(systems[0], p) for p in "LR"))])
 
     def reader(members):
-        ops = np.stack([op for s in members for op in (np.eye(dim), *(
-            e.conj().T @ e for e in (field_operator(s, p) for p in "LR")))])
+        tiled = np.tile(ops, (len(members), 1, 1))
         return lambda x: np.real(np.einsum(
             "kij,kji->k", np.repeat(x.reshape(-1, dim, dim), 3, axis=0),
-            ops)).reshape(-1, 3)
+            tiled)).reshape(-1, 3)
 
     rho0 = _as_matrix(basis_ket("g" * systems[0].n))
     for read in _march(rho0, systems, drives, t_grid, 3 * 8, reader,
@@ -283,32 +277,32 @@ def intensity_traces(systems, drives, t_grid):
                "right": np.maximum(read[:, 2], 0.0)}
 
 
-def steady_state(system, drive=None):
-    """Unique steady state of the CW-driven generator.
-
-    ``system`` may be a LindbladGenerator already built for a CW drive,
-    which is then used as is (``drive`` is ignored).  Every check is
-    relative to the scale ‖L‖₂ (the largest singular value), so scaling
-    all rates and the drive by λ leaves the decisions unchanged.
-    Uniqueness is certified by the second-smallest singular value s₋₂
-    exceeding 1e-11·‖L‖₂.  The null vector, phase-fixed by its trace, may
-    carry an anti-Hermitian part of at most 1e-12·‖L‖₂/s₋₂ of its norm (the
-    SVD accuracy) before it is symmetrized; the returned state has unit
-    trace and satisfies max|L(ρ_ss)| ≤ 1e-12·‖L‖₂.
-    """
-    gen = system if isinstance(system, LindbladGenerator) else None
-    if not (drive if gen is None else gen.drive).is_cw:
+def steady_state(system, drive):
+    """Unique steady state of ``system`` under the CW ``drive``."""
+    if not drive.is_cw:
         raise ValueError("steady_state requires a CW drive")
-    if gen is None:
-        gen = LindbladGenerator(system, drive)
-    l = gen.superoperator()
+    gen = LindbladGenerator(system, drive)
+    return _null_state(gen.superoperator(), gen.dim)
+
+
+def _null_state(l, dim):
+    """Unique steady state of the constant generator ``l`` on C^dim.
+
+    Every check is relative to the scale ‖L‖₂ (the largest singular
+    value), so scaling all rates and the drive by λ leaves the decisions
+    unchanged.  Uniqueness is certified by the second-smallest singular
+    value s₋₂ exceeding 1e-11·‖L‖₂.  The null vector, phase-fixed by its
+    trace, may carry an anti-Hermitian part of at most 1e-12·‖L‖₂/s₋₂ of
+    its norm (the SVD accuracy) before it is symmetrized; the returned
+    state has unit trace and satisfies max|L(ρ_ss)| ≤ 1e-12·‖L‖₂.
+    """
     _, s, vh = np.linalg.svd(l)
     scale = s[0]
     if s[-2] <= 1e-11 * scale:
         raise DegenerateSteadyStateError(
             f"null space is degenerate (second singular value {s[-2]:.2e}, "
             f"‖L‖ {scale:.2e})")
-    rho = vh[-1].conj().reshape(gen.dim, gen.dim)
+    rho = vh[-1].conj().reshape(dim, dim)
     unit = rho / np.trace(rho)
     anti = np.linalg.norm(unit - unit.conj().T) / (2 * np.linalg.norm(unit))
     if not anti <= 1e-12 * scale / s[-2]:
@@ -372,11 +366,12 @@ def g2_cw(systems, drive, pairs=("LL", "RR", "LR", "RL"), tau_max=6.0,
     """Steady-state g²_αβ(τ) for the requested port pairs.
 
     ``systems`` is one WaveguideSystem or a sequence of them sharing the
-    CW drive and dimension, such as the detuning nodes of a noise average.
-    Each gets its own generator and steady state; all march as one
-    ``_evolve`` stack with the pairs' seeds as columns, and each delay
-    keeps the P reals Tr[E_β†E_β·X_p] of pair p's column, so pass at most
-    ``stack_chunk(dim, len(tau), 8·P)`` systems.
+    CW drive, such as the detuning nodes of a noise average; they may
+    differ only in their detunings (else ValueError), so one ``_stack``
+    build and one E_L, E_R serve all.  Each gets its own steady state; all
+    march as one ``_evolve`` stack with the pairs' seeds as columns, and
+    each delay keeps the P reals Tr[E_β†E_β·X_p] of pair p's column, so
+    pass at most ``stack_chunk(dim, len(tau), 8·P)`` systems.
 
     Returns a dict with 'tau', per-pair normalized 'g2' (τ ≥ 0) and 'G2',
     steady intensities, and per-pair clip counts.  For a sequence every
@@ -385,28 +380,25 @@ def g2_cw(systems, drive, pairs=("LL", "RR", "LR", "RL"), tau_max=6.0,
     """
     single = isinstance(systems, WaveguideSystem)
     stack = [systems] if single else list(systems)
+    if not drive.is_cw:
+        raise ValueError("g2_cw requires a CW drive")
     tau = np.arange(0.0, tau_max + dt / 2, dt)
-    l, seeds, weights = None, [], []
-    intens = {"L": [], "R": []}
-    for k, system in enumerate(stack):
-        gen = LindbladGenerator(system, drive)
-        rho_ss = steady_state(gen)
-        ops = {p: field_operator(system, p) for p in "LR"}
+    l, _, _ = _stack(stack, [drive] * len(stack))
+    dim = 2 ** stack[0].n
+    ops = {p: field_operator(stack[0], p) for p in "LR"}
+    flux = {p: ops[p].conj().T @ ops[p] for p in "LR"}
+    seeds = np.empty((len(stack), dim ** 2, len(pairs)), dtype=complex)
+    intens = {"L": np.empty(len(stack)), "R": np.empty(len(stack))}
+    for k in range(len(stack)):
+        rho_ss = _null_state(l[k], dim)
         for p in "LR":
-            intens[p].append(max(np.real(rho_ss.expectation(
-                ops[p].conj().T @ ops[p])), 0.0))
-        if l is None:
-            l = np.empty((len(stack),) + gen.static_superoperator.shape,
-                         dtype=complex)
-        l[k] = gen.superoperator()
-        seeds.append(np.stack(
+            intens[p][k] = max(np.real(rho_ss.expectation(flux[p])), 0.0)
+        seeds[k] = np.stack(
             [(ops[p[0]] @ rho_ss.matrix @ ops[p[0]].conj().T).reshape(-1)
-             for p in pairs], axis=1))
-        weights.append(
-            [_trace_weight(ops[p[1]].conj().T @ ops[p[1]]) for p in pairs])
-    intens = {p: np.array(v) for p, v in intens.items()}
-    weights = np.stack(weights)             # (K, P, dim²)
-    raw = _evolve(l, None, None, np.stack(seeds), 0.0, tau, lambda x: np.real(
+             for p in pairs], axis=1)
+    weights = np.broadcast_to([_trace_weight(flux[p[1]]) for p in pairs],
+                              (len(stack), len(pairs), dim ** 2))
+    raw = _evolve(l, None, None, seeds, 0.0, tau, lambda x: np.real(
         np.einsum("kpj,kjp->kp", weights, x))).transpose(1, 0, 2)
     del l
     out = {"tau": tau, "intensity": intens, "g2": {}, "G2": {}, "clipped": {}}
@@ -454,15 +446,14 @@ def _step_matrices(gen, t):
     marches the identity through ``_evolve`` as one system of d² columns.
     """
     l0 = gen.static_superoperator
-    d = gen.drive_superoperator()[None]
     eye = np.eye(len(l0), dtype=complex)[None]
     drive = gen.drive
     p_static = None
     mats = []
     for a, b in zip(t[:-1], t[1:]):
         if drive.pulse_windows(a, b):
-            mats.append(_evolve(l0[None], d, drive, eye, a,
-                                np.array([b]))[0, 0])
+            mats.append(_evolve(l0[None], gen.drive_part[None], drive, eye,
+                                a, np.array([b]))[0, 0])
         else:
             if p_static is None:
                 p_static = expm(l0 * (t[1] - t[0]))

@@ -252,6 +252,11 @@ class DriveConfig:
     def is_cw(self):
         return self.mode == "cw"
 
+    @property
+    def is_pulse_driven(self):
+        """Pulsed with a nonzero weight: the generator varies in time."""
+        return not self.is_cw and any(r != 0 for r in self.rabi_amplitude)
+
     def validate_against(self, system):
         if self.n != system.n:
             raise ValueError(
@@ -275,16 +280,10 @@ class DriveConfig:
             return 0.0
         return pulse.peak * np.exp(-0.5 * x * x)
 
-    def rabi_at(self, t):
-        """Per-emitter Rabi rates Ω_m(t) in rad/ns (nearest pulse only)."""
-        if self.is_cw:
-            return np.array(self.rabi_amplitude)
-        return np.array(self.rabi_amplitude) * self.envelope_at(t)
-
     def pulse_windows(self, t0, t1):
         """Supports (lo, hi) of the pulses with lo <= t1 and hi > t0, i.e.
         every pulse that acts in [t0, t1]; none without a driven pulse."""
-        if self.is_cw or all(r == 0 for r in self.rabi_amplitude):
+        if not self.is_pulse_driven:
             return []
         period = self.pulse.repetition_period
         lo, hi = self.pulse.support
@@ -302,89 +301,96 @@ def _spre_spost(a, b):
     return np.kron(a, b.T)
 
 
+def superoperators(systems, drives):
+    """L₀ and D of each (system, drive) member as (K, d², d²) stacks that
+    act on C-order flattened density matrices.
+
+    A pulse-driven member has L(t) = L₀ + f(t)·D with its static L₀ and
+    D = Σ_m w_m D_m; any other member gives its constant generator as L₀
+    and D = 0.  D is None when no member is pulse-driven.  The members may
+    differ only in their detunings and drives (weights and phases), else
+    ValueError: the couplings and jump terms are built once and added to
+    the whole stack in place, and each member writes only its own terms,
+    in the order of operations of a stack of one.
+    """
+    system = systems[0]
+    n, dim = system.n, 2 ** system.n
+    rates = [(e.gamma_total, e.beta, e.dephasing) for e in system.emitters]
+    for s, drive in zip(systems, drives, strict=True):
+        if [(e.gamma_total, e.beta, e.dephasing) for e in s.emitters] \
+                != rates or not np.array_equal(s._phase_matrix,
+                                               system._phase_matrix):
+            raise ValueError("the systems of a stack may differ only in "
+                             "their detunings")
+        drive.validate_against(s)
+    eye = np.eye(dim)
+
+    def coherent(h):
+        return -1j * (_spre_spost(h, eye) - _spre_spost(eye, h))
+
+    lower = [hilbert.lowering_operator(n, m) for m in range(1, n + 1)]
+    number = [hilbert.number_operator(n, m) for m in range(1, n + 1)]
+    couplings = []
+    for m in range(n):
+        for k in range(m + 1, n):
+            _, j_mk = coupling_rates(system.emitters[m].gamma_wg,
+                                     system.emitters[k].gamma_wg,
+                                     system._phase_matrix[m, k])
+            couplings.append(j_mk * (lower[m].conj().T @ lower[k]
+                                     + lower[k].conj().T @ lower[m]))
+
+    l0 = np.empty((len(systems), dim ** 2, dim ** 2), dtype=complex)
+    for k, s in enumerate(systems):
+        h0 = np.zeros((dim, dim), dtype=complex)
+        for e, num in zip(s.emitters, number):
+            h0 += e.detuning * num
+        for c in couplings:
+            h0 += c
+        l0[k] = coherent(h0)
+
+    jumps = [field_operator(system, "L"), field_operator(system, "R")]
+    for m, (em, sm) in enumerate(zip(system.emitters, lower), start=1):
+        resid = (1.0 - em.beta) * em.gamma_total
+        if resid > 0:
+            jumps.append(np.sqrt(resid) * sm)
+        if em.dephasing > 0:
+            jumps.append(np.sqrt(em.dephasing / 2.0) * hilbert.pauli_z(n, m))
+    for jop in jumps:
+        jdj = jop.conj().T @ jop
+        l0 += _spre_spost(jop, jop.conj().T)
+        l0 -= 0.5 * (_spre_spost(jdj, eye) + _spre_spost(eye, jdj))
+
+    # unit-Rabi drive terms D_m, weighted into D or a constant generator
+    d = np.zeros_like(l0) if any(dr.is_pulse_driven for dr in drives) \
+        else None
+    for k, drive in enumerate(drives):
+        part = d if drive.is_pulse_driven else l0
+        for w, th, sm in zip(drive.rabi_amplitude, drive.drive_phase, lower):
+            if w != 0:
+                hd = 0.5 * (np.exp(1j * th) * sm.conj().T
+                            + np.exp(-1j * th) * sm)
+                part[k] += w * coherent(hd)
+    return l0, d
+
+
 class LindbladGenerator:
     """dρ/dt = L(t)[ρ] for a WaveguideSystem under a DriveConfig.
 
-    The superoperator acts on C-order flattened density matrices.  The
-    drive enters linearly, so L(t) = L₀ + Σ_m Ω_m(t) D_m with static D_m.
+    The one-member view of ``superoperators``: ``static_superoperator`` is
+    L₀ and ``drive_part`` is D (None unless pulse-driven), so that
+    L(t) = L₀ + f(t)·D.
     """
 
     def __init__(self, system, drive=None):
         if drive is None:
             drive = DriveConfig.off(system.n)
-        drive.validate_against(system)
-        self.system = system
-        self.drive = drive
-        n = system.n
-        self.dim = 2 ** n
-
-        h0 = np.zeros((self.dim, self.dim), dtype=complex)
-        for m in range(1, n + 1):
-            h0 += system.emitters[m - 1].detuning * hilbert.number_operator(n, m)
-        for m in range(1, n + 1):
-            for k in range(m + 1, n + 1):
-                _, j_mk = coupling_rates(
-                    system.emitters[m - 1].gamma_wg,
-                    system.emitters[k - 1].gamma_wg,
-                    system._phase_matrix[m - 1, k - 1])
-                sm = hilbert.lowering_operator(n, m)
-                sk = hilbert.lowering_operator(n, k)
-                h0 += j_mk * (sm.conj().T @ sk + sk.conj().T @ sm)
-
-        jumps = [field_operator(system, "L"), field_operator(system, "R")]
-        for m in range(1, n + 1):
-            em = system.emitters[m - 1]
-            resid = (1.0 - em.beta) * em.gamma_total
-            if resid > 0:
-                jumps.append(np.sqrt(resid) * hilbert.lowering_operator(n, m))
-            if em.dephasing > 0:
-                jumps.append(np.sqrt(em.dephasing / 2.0) * hilbert.pauli_z(n, m))
-
-        eye = np.eye(self.dim)
-        l0 = -1j * (_spre_spost(h0, eye) - _spre_spost(eye, h0))
-        for jop in jumps:
-            jdj = jop.conj().T @ jop
-            l0 += _spre_spost(jop, jop.conj().T)
-            l0 -= 0.5 * (_spre_spost(jdj, eye) + _spre_spost(eye, jdj))
-        self.static_superoperator = l0
-
-        # unit-Rabi drive superoperators, one per driven emitter
-        self._drive_ops = []
-        for m in range(1, n + 1):
-            w = drive.rabi_amplitude[m - 1]
-            if w == 0:
-                self._drive_ops.append(None)
-                continue
-            th = drive.drive_phase[m - 1]
-            sm = hilbert.lowering_operator(n, m)
-            hd = 0.5 * (np.exp(1j * th) * sm.conj().T + np.exp(-1j * th) * sm)
-            self._drive_ops.append(
-                -1j * (_spre_spost(hd, eye) - _spre_spost(eye, hd)))
-
-    @property
-    def is_time_dependent(self):
-        return (not self.drive.is_cw) and any(
-            d is not None for d in self._drive_ops)
+        self.system, self.drive, self.dim = system, drive, 2 ** system.n
+        l0, d = superoperators([system], [drive])
+        self.static_superoperator = l0[0]
+        self.drive_part = None if d is None else d[0]
 
     def superoperator(self, t=0.0):
-        l = self.static_superoperator
-        if self.drive.is_cw:
-            rabi = self.drive.rabi_amplitude
-            for w, d in zip(rabi, self._drive_ops):
-                if d is not None:
-                    l = l + w * d
-            return l
-        env = self.drive.rabi_at(t)
-        out = l.copy()
-        for w, d in zip(env, self._drive_ops):
-            if d is not None and w != 0.0:
-                out += w * d
-        return out
-
-    def drive_superoperator(self):
-        """D = Σ_m w_m D_m, so that a pulse gives L(t) = L₀ + f(t)·D."""
-        d = np.zeros_like(self.static_superoperator)
-        for w, op in zip(self.drive.rabi_amplitude, self._drive_ops):
-            if op is not None:
-                d += w * op
-        return d
+        if self.drive_part is None:
+            return self.static_superoperator
+        return self.static_superoperator \
+            + self.drive.envelope_at(t) * self.drive_part

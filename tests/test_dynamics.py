@@ -1,15 +1,20 @@
+import dataclasses
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from wgqed import dynamics, presets
+from wgqed import dynamics, hilbert, model, presets
 from wgqed.dynamics import (g2_cw, integrated_pulsed_g2, propagate,
                             pulsed_g2_map, steady_state, two_time_correlation)
 from wgqed.errors import DegenerateSteadyStateError, NumericalError
 from wgqed.hilbert import DensityState, basis_ket, collective_state
 from wgqed.instrument import NoiseAveragingPlan, noise_nodes
 from wgqed.model import (DriveConfig, EmitterParams, LindbladGenerator,
-                         PulseSpec, WaveguideSystem, field_operator)
+                         PulseSpec, WaveguideSystem, field_operator,
+                         superoperators)
 from wgqed.observables import intensity_record, population_projection
 from wgqed.analytics import perturbative_steady_state
 
@@ -760,3 +765,122 @@ class TestPulsedMaps:
         assert prod.max() > 0.0
         np.testing.assert_allclose(res.different.values, prod, rtol=1e-12,
                                    atol=1e-12 * prod.max())
+
+
+def collinear_system(positions, gamma=2.0, beta=0.9, dephasing=0.1):
+    """Emitters at propagation phases π·positions along the guide."""
+    ref = np.pi * np.asarray(positions, float)
+    emitters = tuple(EmitterParams(gamma + 0.1 * m, beta, dephasing=dephasing)
+                     for m in range(len(ref)))
+    return WaveguideSystem(emitters, np.abs(ref[:, None] - ref[None, :]))
+
+
+class TestSuperoperatorStack:
+    """One build for a stack whose members differ only in their detunings
+    and drives."""
+
+    PULSE = PulseSpec(sigma_t=0.03, area=np.pi)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_bits_equal_members_alone(self, n):
+        rng = np.random.default_rng(n)
+        base = collinear_system([0.0, 0.7, 1.9][:n])
+        w = [rng.uniform(0.2, 1.0, n) for _ in range(3)]
+        th = [rng.uniform(0.0, 2 * np.pi, n) for _ in range(4)]
+        w[2][0] = 0.0
+        drives = [DriveConfig(w[0], th[0], "cw"), DriveConfig.off(n),
+                  DriveConfig(w[1], th[1], "pulsed", self.PULSE),
+                  DriveConfig((0.0,) * n, th[2], "pulsed", self.PULSE),
+                  DriveConfig(w[2], th[3], "pulsed", self.PULSE),
+                  DriveConfig(w[2], th[3], "cw")]
+        systems = [base.with_detunings(rng.normal(0.0, 2.0, n))
+                   for _ in drives]
+        l0, d = superoperators(systems, drives)
+        assert l0.shape == d.shape == (len(drives), 4 ** n, 4 ** n)
+        for k, (system, drive) in enumerate(zip(systems, drives)):
+            alone, d_alone = superoperators([system], [drive])
+            assert np.array_equal(l0[k], alone[0])
+            if drive.is_pulse_driven:
+                assert np.array_equal(d[k], d_alone[0])
+            else:
+                assert d_alone is None and not d[k].any()
+            gen = LindbladGenerator(system, drive)
+            assert np.array_equal(gen.static_superoperator, alone[0])
+            assert (gen.drive_part is None) == (d_alone is None)
+
+    @pytest.mark.parametrize("change", ["gamma", "beta", "dephasing",
+                                        "phase"])
+    def test_other_systems_refused(self, change):
+        base = collinear_system([0.0, 0.7])
+        e0, e1 = base.emitters
+        if change == "phase":
+            other = WaveguideSystem(base.emitters, base.phase_matrix * 1.1)
+        else:
+            value = {"gamma": 2.5, "beta": 0.8, "dephasing": 0.3}[change]
+            field = {"gamma": "gamma_total"}.get(change, change)
+            other = WaveguideSystem(
+                (e0, dataclasses.replace(e1, **{field: value})),
+                base.phase_matrix)
+        cw = DriveConfig((0.3, 0.0), (0.0, 0.0), "cw")
+        match = "differ only in their detunings"
+        with pytest.raises(ValueError, match=match):
+            superoperators([base, other], [cw, cw])
+        with pytest.raises(ValueError, match=match):
+            propagate(basis_ket("gg"), [base, other], cw,
+                      np.linspace(0.0, 0.1, 3))
+        with pytest.raises(ValueError, match=match):
+            g2_cw([base, other], cw, tau_max=0.05, dt=0.01)
+
+    @pytest.mark.parametrize("build", ["stack", "g2_cw", "traces"])
+    def test_one_build_per_stack(self, monkeypatch, build):
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(hilbert, "lowering_operator",
+                            counting("lower", hilbert.lowering_operator))
+        field = counting("field", model.field_operator)
+        monkeypatch.setattr(model, "field_operator", field)
+        monkeypatch.setattr(dynamics, "field_operator", field)
+        base = presets.qd_pair()
+        cw = DriveConfig((0.3, 0.0), (0.0, 0.0), "cw")
+
+        def run(k):
+            systems = [base.with_detuning_offsets([0.0, 0.1 * j])
+                       for j in range(k)]
+            calls.clear()
+            if build == "stack":
+                dynamics._stack(systems, [cw] * k)
+            elif build == "g2_cw":
+                g2_cw(systems, cw, tau_max=0.05, dt=0.01)
+            else:
+                list(dynamics.intensity_traces(systems, [cw] * k,
+                                               np.linspace(0.0, 0.5, 6)))
+            return dict(calls)
+
+        one = run(1)
+        assert one["lower"] > 0 and one["field"] > 0
+        assert run(40) == one
+
+    def test_stack_build_peak_within_size_guard(self):
+        # the stacks L₀ and D and the build's work arrays stay within the
+        # STACK_SUPEROPERATORS per member that stack_chunk and
+        # config.dense_bytes budget
+        k = 16
+        base = collinear_system([0.0, 0.3, 0.8, 1.5])
+        systems = [base.with_detuning_offsets([0.1 * j, 0.0, -0.1 * j, 0.0])
+                   for j in range(k)]
+        drives = [DriveConfig((1.0, 0.5, 0.3, 0.8), (0.0, 0.2 * j, 0.4, 0.0),
+                              "pulsed", self.PULSE) for j in range(k)]
+        tracemalloc.start()
+        try:
+            _, d, timed = dynamics._stack(systems, drives)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d is not None and timed is drives[-1]
+        assert peak < k * dynamics.STACK_SUPEROPERATORS * 16 * 4 ** 8

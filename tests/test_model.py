@@ -202,8 +202,8 @@ class TestDriveConfig:
                             PulseSpec(sigma_t=0.03, area=np.pi,
                                       repetition_period=13.6))
         t0 = drive.pulse.center
-        np.testing.assert_allclose(drive.rabi_at(t0),
-                                   drive.rabi_at(t0 + 13.6), rtol=1e-12)
+        np.testing.assert_allclose(drive.envelope_at(t0),
+                                   drive.envelope_at(t0 + 13.6), rtol=1e-12)
 
 
     @pytest.mark.parametrize("sigma,period", [(0.25, 16.0), (0.03, 13.6)])

@@ -5,8 +5,10 @@
 Runs each config (default: every configs/*.yaml) in-process with the
 package of the checkout this script sits in, as `wgqed run` would, writes
 its outputs into a temporary directory and prints one JSON object mapping
-"experiment/file" to the sha256 of that file.  Two checkouts produce the
-same tables exactly when their outputs diff clean:
+"experiment/file" to the sha256 of that file, and "OPENBLAS_NUM_THREADS"
+to the value it ran under ("unset" when unset): the pulsed maps' last
+digits depend on the BLAS thread count.  Two checkouts run under the same
+setting produce the same tables exactly when their outputs diff clean:
 
     python3 tools/output_hashes.py > after.json
     python3 ../parent/tools/output_hashes.py > before.json
@@ -16,6 +18,7 @@ same tables exactly when their outputs diff clean:
 import argparse
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -48,7 +51,10 @@ def main(argv=None):
                         help="experiment configs (default: configs/*.yaml)")
     args = parser.parse_args(argv)
     paths = args.configs or sorted((ROOT / "configs").glob("*.yaml"))
-    print(json.dumps(output_hashes(paths), indent=1, sort_keys=True))
+    hashes = output_hashes(paths)
+    hashes["OPENBLAS_NUM_THREADS"] = os.environ.get("OPENBLAS_NUM_THREADS",
+                                                    "unset")
+    print(json.dumps(hashes, indent=1, sort_keys=True))
 
 
 if __name__ == "__main__":
