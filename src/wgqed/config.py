@@ -378,6 +378,9 @@ _G2_ARRAYS = 2      # g2-cw's τ × node × pair floats: G2 and g2
 _MAP_ARRAYS = 8     # pulsed nt × nt floats per pair: the raw maps of the
                     # pair and its reverse, the far map, clipped results,
                     # the node average and the jittered maps
+# ResultBundle.write formats a table this many rows at a time, so that the
+# text it holds stays small next to the columns themselves
+WRITE_BLOCK_ROWS = 1024
 
 
 def axis_length(spec):
@@ -385,12 +388,18 @@ def axis_length(spec):
     return len(spec["values"]) if "values" in spec else spec["points"]
 
 
-def row_bytes(columns):
-    """Bytes of one table row of ``columns`` numbers, a tuple of np.float64
-    scalars in a list.  This bounds every example config's tables, which
-    tracemalloc measured at 52–243 bytes per row for 3–6 columns and 593
-    for 17."""
-    return 24 + 40 * columns
+def table_bytes(rows, columns):
+    """Bytes of a table of ``rows`` rows and ``columns`` columns while it
+    is written.
+
+    A table keeps its columns (``experiments.Rows``): an array column
+    takes 8 bytes a value and a list column (``experiments._fields``) at
+    most 41, a list slot with its over-allocation and a boxed np.float64,
+    so 41 bounds both.  The writer holds the text of one block of
+    WRITE_BLOCK_ROWS rows besides, which tracemalloc measured at 128–139
+    bytes a value for 1–30 columns of 24-character floats.
+    """
+    return (41 * rows + 140 * min(rows, WRITE_BLOCK_ROWS)) * columns
 
 
 def _points(span, dt):
@@ -444,7 +453,7 @@ def dense_bytes(cfg):
     that cfg's experiment holds at once.
 
     Every axis length is read from its spec, so nothing is built.  Each
-    experiment holds its table rows (``row_bytes`` each).
+    experiment holds its tables (``table_bytes``).
     transmission-scan solves its P grid points as one batch of N×N
     resolvents, 16·N²·P bytes.  The Lindblad experiments hold the static
     generator, one superoperator per driven emitter (a conservative count
@@ -462,7 +471,7 @@ def dense_bytes(cfg):
     """
     n = cfg.system.n
     grid = cfg.grid
-    total = sum(rows * row_bytes(columns) for rows, columns in _tables(cfg))
+    total = sum(table_bytes(rows, columns) for rows, columns in _tables(cfg))
     if cfg.experiment == "transmission-scan":
         return total + 16 * n * n * _scan_points(cfg)
     if cfg.experiment not in _DENSE_EXPERIMENTS:

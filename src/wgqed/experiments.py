@@ -6,7 +6,9 @@ threads: grid points and noise nodes are batched or stacked instead.
 """
 
 import json
+import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 from pathlib import Path
@@ -14,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, presets
-from .config import expand_range, scalability_config, trace_times
+from .config import (WRITE_BLOCK_ROWS, expand_range, scalability_config,
+                     trace_times)
 from .dynamics import (g2_cw, integrated_pulsed_g2, intensity_traces,
                        pulsed_g2_map, stack_chunk)
 from .instrument import (DetectorModel, NodeAverage, jitter_convolve,
@@ -26,11 +29,48 @@ from .scalability import probabilities_per_waveguide
 from .units import angular_to_ghz, ghz_to_angular
 
 
+# Below this many values a block's float64 column is formatted value by
+# value: sorting out its distinct values costs more than it saves.
+_DEDUPE_MIN = 64
+
+
+class Rows(Sequence):
+    """The rows of a table that keeps its columns.
+
+    A read-only sequence of row tuples over ``columns`` (arrays or lists
+    of one length): ``len``, iteration, ``rows[i]`` and ``==`` with a
+    list of row tuples behave as that list would, while each value stays
+    in its column.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        self.columns = tuple(columns)
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        return tuple(c[i] for c in self.columns)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and \
+            all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class ResultBundle:
     experiment: str
-    # name -> (columns, rows); rows stay tuples, since the benchmark's
-    # checks and corruptions (perfbench/) read and edit them row by row
+    # name -> (column names, rows); rows is a Rows over the table's
+    # columns, or any list of row tuples (perfbench/ puts one in place of
+    # a table it corrupts)
     tables: dict
     metadata: dict = field(default_factory=dict)
 
@@ -38,16 +78,15 @@ class ResultBundle:
         out = Path(out_dir) / self.experiment
         out.mkdir(parents=True, exist_ok=True)
         paths = []
-        for name, (columns, rows) in self.tables.items():
+        for name, (names, rows) in self.tables.items():
             path = out / f"{name}.csv"
             with open(path, "w") as fh:
                 fh.write(f"# wgqed {__version__}\n")
                 fh.write(f"# experiment: {self.experiment}\n")
                 fh.write(f"# seed: {self.metadata.get('seed', 0)}\n")
                 fh.write("# metadata: metadata.json\n")
-                fh.write(",".join(columns) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(",".join(names) + "\n")
+                _write_rows(fh, rows)
             paths.append(path)
         meta_path = out / "metadata.json"
         with open(meta_path, "w") as fh:
@@ -56,6 +95,40 @@ class ResultBundle:
             fh.write("\n")
         paths.append(meta_path)
         return paths
+
+
+def _write_rows(fh, rows):
+    """Write each row as one CSV line, with the text ``_fmt`` gives each
+    value, formatting a block of rows one column at a time."""
+    columns = rows.columns if isinstance(rows, Rows) else list(zip(*rows))
+    for lo in range(0, len(rows), WRITE_BLOCK_ROWS):
+        fh.write(_lines([c[lo:lo + WRITE_BLOCK_ROWS] for c in columns]))
+        fh.write("\n")
+
+
+def _lines(block):
+    """The CSV lines, without the last newline, of a block of columns;
+    the text of its values is freed on return."""
+    return "\n".join(map(",".join, zip(*map(_column_text, block))))
+
+
+def _column_text(values):
+    """``_fmt`` of each value of one column block.
+
+    A float array is formatted through Python floats, which ``float``
+    converts exactly.  A long float64 block in which at most half the
+    values are distinct formats each distinct bit pattern once, so ±0.0
+    and every NaN keep their own text.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"
+            and values.itemsize <= 8):
+        return list(map(_fmt, values))
+    if values.dtype == np.float64 and len(values) >= _DEDUPE_MIN:
+        bits, index = np.unique(values.view(np.int64), return_inverse=True)
+        if 2 * len(bits) <= len(values):
+            text = list(map(float.__repr__, bits.view(np.float64).tolist()))
+            return list(map(text.__getitem__, index.tolist()))
+    return list(map(float.__repr__, values.tolist()))
 
 
 def _fmt(v):
@@ -73,12 +146,16 @@ def _json_default(obj):
 
 
 def _table(names, *columns):
-    """A table ``(names, rows)`` from one column per name; the columns must
-    all have the same length."""
+    """A table ``(names, Rows(columns))`` from one column per name; the
+    columns must all have the same length."""
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} column names for "
                          f"{len(columns)} columns")
-    return names, list(zip(*columns, strict=True))
+    lengths = sorted({len(c) for c in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"columns of lengths {lengths} do not zip into "
+                         "rows")
+    return names, Rows(columns)
 
 
 def _fields(items, *names):

@@ -23,6 +23,15 @@ def write_yaml(tmp_path, data, name="cfg.yaml"):
     return p
 
 
+def refuse_builds(monkeypatch, refuse):
+    """Make every Lindblad generator or superoperator stack build call
+    ``refuse``: the one-member view and the stack build, under each name
+    by which the package calls it."""
+    monkeypatch.setattr(model.LindbladGenerator, "__init__", refuse)
+    monkeypatch.setattr(model, "superoperators", refuse)
+    monkeypatch.setattr(dynamics, "superoperators", refuse)
+
+
 # grids whose time axis, delays, maps or table rows alone would not fit
 LONG_GRIDS = [
     {"experiment": "lifetime", "grid": {"t_max_ns": 1.0e9, "dt_ns": 0.004}},
@@ -210,7 +219,7 @@ class TestCLI:
         def refuse(*args, **kwargs):
             raise AssertionError("generator, axis or experiment built")
 
-        monkeypatch.setattr(model.LindbladGenerator, "__init__", refuse)
+        refuse_builds(monkeypatch, refuse)
         monkeypatch.setattr(cli, "run_experiment", refuse)
         if data in LONG_GRIDS:
             monkeypatch.setattr(config, "expand_range", refuse)
@@ -256,7 +265,7 @@ class TestDenseSizeGuard:
         def refuse(*args, **kwargs):
             raise AssertionError("dense generator built")
 
-        monkeypatch.setattr(model.LindbladGenerator, "__init__", refuse)
+        refuse_builds(monkeypatch, refuse)
         p = write_yaml(tmp_path, {"experiment": experiment,
                                   "system": collinear(7)})
         for argv in (["validate", str(p)],
@@ -273,9 +282,9 @@ class TestDenseSizeGuard:
         cfg.experiment = "g2-cw"
         cfg.drive = model.DriveConfig.off(7)
         cfg.grid = {"tau_max_ns": 6.0, "dt_ns": 0.005, "pairs": ["LL", "RR"]}
-        # 1201 delays: 2401 table rows of 5 columns, and the readout, G2
-        # and g2 for one node and two pairs
-        grid = 2401 * config.row_bytes(5) + 3 * 8 * 1201 * 2
+        # 1201 delays: a table of 2401 rows and 5 columns, and the readout,
+        # G2 and g2 for one node and two pairs
+        grid = config.table_bytes(2401, 5) + 3 * 8 * 1201 * 2
         assert dense_bytes(cfg) == 16 * 16 ** 7 * 9 + grid
         assert 16 * 16 ** 7 * 9 > DENSE_BUDGET_BYTES
         small = resolve_config({"experiment": "g2-map",
@@ -297,25 +306,26 @@ class TestDenseSizeGuard:
         assert 6 * 9 ** 4 * superop > DENSE_BUDGET_BYTES
         chunk = dynamics.stack_chunk(16, 1201, 8 * 4)
         assert 1 < chunk < 9 ** 4
-        # 1201 delays: 2401 table rows of 9 columns, and the readout, G2
-        # and g2 for one chunk of nodes and four pairs
-        grid = 2401 * config.row_bytes(9) + 3 * 8 * 1201 * chunk * 4
+        # 1201 delays: a table of 2401 rows and 9 columns, and the readout,
+        # G2 and g2 for one chunk of nodes and four pairs
+        grid = config.table_bytes(2401, 9) + 3 * 8 * 1201 * chunk * 4
         assert dense_bytes(cfg) == superop * (
             10 + dynamics.STACK_SUPEROPERATORS * (chunk - 1)) + grid
         assert dense_bytes(cfg) < DENSE_BUDGET_BYTES
 
     def test_twelve_emitter_transmission_scan_resolves(self):
         # the batched resolvent: one 12×12 complex matrix per grid point,
-        # and one table row of 3 columns
+        # and a table of 3 columns with one row per grid point
         cfg = resolve_config({"experiment": "transmission-scan",
                               "system": collinear(12)})
-        assert dense_bytes(cfg) == (16 * 12 ** 2 + config.row_bytes(3)) \
-            * 41 * 41
+        assert dense_bytes(cfg) == 16 * 12 ** 2 * 41 * 41 \
+            + config.table_bytes(41 * 41, 3)
         assert dense_bytes(cfg) < DENSE_BUDGET_BYTES
 
     def test_transmission_scan_resolvent_over_budget_exit_2(
             self, tmp_path, capsys):
-        # (16·12² + 144)·P bytes: P = 877 241 is the first above 2 GiB
+        # 16·12²·P bytes of resolvents and a table of P rows and 3 columns:
+        # P = 884 654 is the first above 2 GiB
         def scan(points):
             return {"experiment": "transmission-scan",
                     "system": collinear(12),
@@ -323,11 +333,13 @@ class TestDenseSizeGuard:
                                                "points": points},
                              "detuning2_ghz": {"values": [0.0]}}}
 
-        per_point = 16 * 144 + config.row_bytes(3)
-        assert per_point * 877240 <= DENSE_BUDGET_BYTES < per_point * 877241
-        assert main(["validate", str(write_yaml(tmp_path, scan(877240)))]) \
+        def need(points):
+            return 16 * 144 * points + config.table_bytes(points, 3)
+
+        assert need(884653) <= DENSE_BUDGET_BYTES < need(884654)
+        assert main(["validate", str(write_yaml(tmp_path, scan(884653)))]) \
             == 0
-        p = write_yaml(tmp_path, scan(877241))
+        p = write_yaml(tmp_path, scan(884654))
         assert main(["validate", str(p)]) == 2
         capsys.readouterr()
         assert main(["run", str(p), "--out", str(tmp_path / "x")]) == 2
@@ -366,13 +378,13 @@ class TestDenseSizeGuard:
         need = 16 * 16 ** n * (1 + driven + 8 + dynamics.STACK_SUPEROPERATORS
                                * (chunk - 1)) \
             + 8 * 3 * chunk * times \
-            + sum(rows * config.row_bytes(cols) for rows, cols in tables)
+            + sum(config.table_bytes(rows, cols) for rows, cols in tables)
         assert dense_bytes(cfg) == need
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense generator built")
 
-        monkeypatch.setattr(model.LindbladGenerator, "__init__", refuse)
+        refuse_builds(monkeypatch, refuse)
         p = write_yaml(tmp_path, data)
         monkeypatch.setattr(config, "DENSE_BUDGET_BYTES", need)
         assert main(["validate", str(p)]) == 0

@@ -1,12 +1,19 @@
 """Tables built from engine arrays: one strict column zip, rows in the
-order the benchmark's corruptions assume (perfbench/selftest.py)."""
+order the benchmark's corruptions assume (perfbench/selftest.py), and a
+column-block writer whose text equals a row-by-row ``_fmt`` loop's."""
+
+import gc
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from wgqed.config import resolve_config, scalability_config, trace_times
+from wgqed.config import (WRITE_BLOCK_ROWS, resolve_config,
+                          scalability_config, table_bytes, trace_times)
 from wgqed.dynamics import intensity_traces, pulsed_g2_map
-from wgqed.experiments import (_table, run_detuning_sweep, run_g2_map,
+from wgqed.experiments import (ResultBundle, Rows, _DEDUPE_MIN, _fields,
+                               _fmt, _table, run_detuning_sweep, run_g2_map,
                                run_lifetime)
 from wgqed.instrument import jitter_convolve
 from wgqed.units import ghz_to_angular
@@ -28,6 +35,117 @@ class TestTable:
     def test_refuses_a_name_count_off_the_columns(self):
         with pytest.raises(ValueError, match="3 column names"):
             _table(["a", "b", "c"], [1.0], [2.0])
+
+
+class TestRows:
+    def rows(self):
+        return _table(["t", "port", "n"], np.array([0.5, -0.0, 2.0]),
+                      ["LL", "RR", "LR"], np.arange(3))[1]
+
+    def test_length_iteration_and_indexing(self):
+        rows = self.rows()
+        assert isinstance(rows, Rows)
+        assert len(rows) == 3
+        assert list(rows) == [(0.5, "LL", 0), (-0.0, "RR", 1), (2.0, "LR", 2)]
+        assert rows[0] == (0.5, "LL", 0)
+        assert rows[-1] == rows[2] == (2.0, "LR", 2)
+        with pytest.raises(IndexError):
+            rows[3]
+        with pytest.raises(TypeError):
+            rows[0:2]
+
+    def test_row_edit_as_the_benchmark_corrupts(self):
+        # perfbench/selftest.edit rebuilds each row tuple around one value
+        rows = self.rows()
+        edited = [r[:1] + (v,) + r[2:] for r, v in zip(rows, "xyz")]
+        assert edited == [(0.5, "x", 0), (-0.0, "y", 1), (2.0, "z", 2)]
+
+    def test_array_and_equality(self):
+        rows = self.rows()
+        listed = [tuple(r) for r in rows]
+        assert np.array_equal(np.array(rows), np.array(listed))
+        assert rows == listed and listed == rows
+        assert rows != listed[:2]
+        assert rows != listed[:2] + [(2.0, "LR", 3)]
+        assert np.array_equal(np.array(_table(["a", "b"], np.arange(4.0),
+                                              np.ones(4))[1]),
+                              np.column_stack([np.arange(4.0), np.ones(4)]))
+
+
+def _rows_text(rows):
+    """The reference writer: one ``_fmt`` call per value, row by row."""
+    return "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+
+
+def _body(path):
+    """The CSV rows of a written table, below its four comment lines and
+    its header."""
+    return "".join(path.read_text().splitlines(keepends=True)[5:])
+
+
+SPECIAL = [0.0, -0.0, float("nan"), -float("nan"), float("inf"),
+           -float("inf"), 5e-324, 1e16, 1e-05, 0.1, -2.2250738585072014e-308]
+
+
+def _columns(n):
+    """Every kind of column a table holds, n values each: repeated
+    floats with both zeros, distinct floats, a strided float view,
+    float32, int64 and bool arrays, strings, and a list of mixed
+    scalars."""
+    rng = np.random.default_rng(n)
+    specials = np.resize(np.array(SPECIAL), n)
+    return [specials, rng.standard_normal(n) * 1e-3,
+            rng.random(2 * n)[::2], rng.random(n).astype(np.float32),
+            np.arange(n, dtype=np.int64) - 7, np.arange(n) % 3 == 0,
+            [f"p{k % 4}" for k in range(n)],
+            [[np.float32(0.1), 1e-05, np.int64(-3), True, "LR", -0.0,
+              np.float64(5e-324)][k % 7] for k in range(n)]]
+
+
+@pytest.mark.parametrize("n", [
+    1, _DEDUPE_MIN - 1, _DEDUPE_MIN, WRITE_BLOCK_ROWS,
+    2 * WRITE_BLOCK_ROWS + _DEDUPE_MIN - 1, 2 * WRITE_BLOCK_ROWS + 5])
+def test_writer_text_equals_the_row_writer(tmp_path, n):
+    columns = _columns(n)
+    names = [f"c{k}" for k in range(len(columns))]
+    table = _table(names, *columns)
+    listed = [tuple(r) for r in table[1]]
+    bundle = ResultBundle("tables", {"columns": table,
+                                     "listed": (names, listed),
+                                     "empty": _table(names, *[[]] * 8)})
+    bundle.write(tmp_path)
+    expected = _rows_text(listed)
+    assert _body(tmp_path / "tables" / "columns.csv") == expected
+    assert _body(tmp_path / "tables" / "listed.csv") == expected
+    assert _body(tmp_path / "tables" / "empty.csv") == ""
+    assert expected.count("\n") == n
+
+
+@pytest.mark.parametrize("n", [5, 700, 3 * WRITE_BLOCK_ROWS])
+def test_table_bytes_bounds_a_table_and_its_write(tmp_path, n):
+    # every value's text is 24 characters long, the longest a float has;
+    # two array columns and two list columns of boxed floats
+    rng = np.random.default_rng(n)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        items = [SimpleNamespace(a=np.float64(-(1 + x) * 1e-300),
+                                 b=np.float64(-(1 + x) * 1e-301))
+                 for x in rng.random(n)]
+        table = _table(["a", "b", "c", "d"], -(1 + rng.random(n)) * 1e-300,
+                       -(1 + rng.random(n)) * 1e-300,
+                       *_fields(items, "a", "b"))
+        del items
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        ResultBundle("tables", {"t": table}).write(tmp_path)
+        writing = tracemalloc.get_traced_memory()[1] - base - held
+    finally:
+        tracemalloc.stop()
+    # beside the estimate: the header, the open file and metadata.json
+    assert held + writing <= table_bytes(n, 4) + 64 * 1024
 
 
 def test_g2_map_rows_run_t1_outer_t2_inner():
