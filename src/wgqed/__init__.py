@@ -7,6 +7,26 @@ drive oracles, and a Monte Carlo device-yield estimator, behind a
 config-driven CLI (``wgqed run|validate|list-experiments``).
 """
 
+import os
+
+import numpy  # noqa: F401
+
+# numpy and scipy each bundle an OpenBLAS with its own worker threads, and
+# on the small dense products here the two pools fight over the cores.
+# numpy's library, loaded above, keeps the user's thread count or its own
+# default; only its count sets the last digits of the pulsed maps.  Unless
+# the user set a thread variable, scipy's library (expm) loads with one
+# thread.  It reads the variable once, when it loads, so this changes
+# nothing when scipy.linalg was imported before wgqed.
+if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS",
+                                     "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "OPENBLAS_DEFAULT_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import scipy.linalg  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .hilbert import (CollectiveStateSpec, DensityState, basis_ket,
                       collective_state, lowering_operator, raising_operator)
 from .model import (DriveConfig, EmitterParams, LindbladGenerator, PulseSpec,

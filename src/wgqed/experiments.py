@@ -101,34 +101,47 @@ def _write_rows(fh, rows):
     """Write each row as one CSV line, with the text ``_fmt`` gives each
     value, formatting a block of rows one column at a time."""
     columns = rows.columns if isinstance(rows, Rows) else list(zip(*rows))
+    # per column: may its next block repeat?  A block that came out more
+    # than half distinct says its later blocks will not.
+    dedupe = [True] * len(columns)
     for lo in range(0, len(rows), WRITE_BLOCK_ROWS):
-        fh.write(_lines([c[lo:lo + WRITE_BLOCK_ROWS] for c in columns]))
+        fh.write(_lines([c[lo:lo + WRITE_BLOCK_ROWS] for c in columns],
+                        dedupe))
         fh.write("\n")
 
 
-def _lines(block):
-    """The CSV lines, without the last newline, of a block of columns;
-    the text of its values is freed on return."""
-    return "\n".join(map(",".join, zip(*map(_column_text, block))))
+def _lines(block, dedupe):
+    """The CSV lines, without the last newline, of a block of columns,
+    updating each column's ``dedupe`` flag; the text of its values is
+    freed on return."""
+    text = []
+    for i, values in enumerate(block):
+        column, dedupe[i] = _column_text(values, dedupe[i])
+        text.append(column)
+    return "\n".join(map(",".join, zip(*text)))
 
 
-def _column_text(values):
-    """``_fmt`` of each value of one column block.
+def _column_text(values, dedupe):
+    """``_fmt`` of each value of one column block, and whether the
+    column's next block is worth deduplicating.
 
     A float array is formatted through Python floats, which ``float``
-    converts exactly.  A long float64 block in which at most half the
-    values are distinct formats each distinct bit pattern once, so ±0.0
-    and every NaN keep their own text.
+    converts exactly.  With ``dedupe``, a long float64 block in which at
+    most half the values are distinct formats each distinct bit pattern
+    once, so ±0.0 and every NaN keep their own text; a block with more
+    distinct values clears the flag.
     """
     if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"
             and values.itemsize <= 8):
-        return list(map(_fmt, values))
-    if values.dtype == np.float64 and len(values) >= _DEDUPE_MIN:
+        return list(map(_fmt, values)), dedupe
+    if dedupe and values.dtype == np.float64 and len(values) >= _DEDUPE_MIN:
         bits, index = np.unique(values.view(np.int64), return_inverse=True)
-        if 2 * len(bits) <= len(values):
+        if 2 * len(bits) > len(values):
+            dedupe = False
+        else:
             text = list(map(float.__repr__, bits.view(np.float64).tolist()))
-            return list(map(text.__getitem__, index.tolist()))
-    return list(map(float.__repr__, values.tolist()))
+            return list(map(text.__getitem__, index.tolist())), dedupe
+    return list(map(float.__repr__, values.tolist())), dedupe
 
 
 def _fmt(v):

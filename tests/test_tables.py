@@ -121,6 +121,30 @@ def test_writer_text_equals_the_row_writer(tmp_path, n):
     assert expected.count("\n") == n
 
 
+def test_distinct_block_stops_a_columns_sorts(tmp_path, monkeypatch):
+    # a column whose blocks are all distinct, one whose blocks repeat
+    # (with ±0.0 and NaNs), and one that is distinct in its first block
+    # and repeats ±0.0 and NaNs after it
+    n = 3 * WRITE_BLOCK_ROWS + _DEDUPE_MIN
+    rng = np.random.default_rng(n)
+    specials = np.resize(np.array(SPECIAL), n)
+    columns = [rng.standard_normal(n), specials,
+               np.concatenate([rng.random(WRITE_BLOCK_ROWS),
+                               specials[WRITE_BLOCK_ROWS:]])]
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique",
+                        lambda a, **kw: sorts.append(len(a)) or
+                        unique(a, **kw))
+    ResultBundle("tables", {"t": _table(["a", "b", "c"], *columns)}).write(
+        tmp_path)
+    assert _body(tmp_path / "tables" / "t.csv") == \
+        _rows_text(zip(*(c.tolist() for c in columns)))
+    # the distinct columns sort their first block only; the repeating one
+    # sorts each of its four blocks
+    assert sorted(sorts) == [_DEDUPE_MIN] + [WRITE_BLOCK_ROWS] * 5
+
+
 @pytest.mark.parametrize("n", [5, 700, 3 * WRITE_BLOCK_ROWS])
 def test_table_bytes_bounds_a_table_and_its_write(tmp_path, n):
     # every value's text is 24 characters long, the longest a float has;

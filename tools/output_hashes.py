@@ -6,9 +6,13 @@ Runs each config (default: every configs/*.yaml) in-process with the
 package of the checkout this script sits in, as `wgqed run` would, writes
 its outputs into a temporary directory and prints one JSON object mapping
 "experiment/file" to the sha256 of that file, and "OPENBLAS_NUM_THREADS"
-to the value it ran under ("unset" when unset): the pulsed maps' last
-digits depend on the BLAS thread count.  Two checkouts run under the same
-setting produce the same tables exactly when their outputs diff clean:
+to the value it ran under ("unset" when unset).  numpy's OpenBLAS thread
+count alone decides the last digits of g2-map/map.csv and
+g2-pulsed/correlogram.csv.  Unless a thread variable is set, importing
+wgqed loads scipy's OpenBLAS with one thread; that takes effect only when
+wgqed is imported before scipy, as here, and leaves the tables as they
+are.  Two checkouts run under the same setting produce the same tables
+exactly when their outputs diff clean:
 
     python3 tools/output_hashes.py > after.json
     python3 ../parent/tools/output_hashes.py > before.json
