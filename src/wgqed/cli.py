@@ -31,8 +31,9 @@ def _build_parser():
     p_run.add_argument("--out", default=None,
                        help="override the output directory")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; no experiment "
-                            "uses threads (grid points are stacked)")
+                       help="accepted for compatibility and ignored; the "
+                            "yield Monte Carlo uses one thread per CPU of "
+                            "the process's affinity mask")
 
     p_val = sub.add_parser("validate", help="validate a config file")
     p_val.add_argument("config")

@@ -17,7 +17,8 @@ from .errors import ConfigError
 from .instrument import DetectorModel, NoiseAveragingPlan
 from .model import DriveConfig, EmitterParams, PulseSpec, WaveguideSystem
 from .observables import saturation_powers
-from .scalability import ScalabilityConfig
+from .scalability import (BUDGET_BYTES, ScalabilityConfig, chunk_bytes,
+                          poisson_weights)
 from .units import ghz_to_angular
 
 EXPERIMENTS = (
@@ -370,7 +371,7 @@ def _check_scalability(cfg):
 # 4ᴺ×4ᴺ superoperators, transmission-scan one N×N resolvent per grid
 # point), arrays that grow with its grid, and its table rows.  A config
 # whose estimate exceeds this budget is refused before anything is built.
-DENSE_BUDGET_BYTES = 2 * 1024 ** 3
+DENSE_BUDGET_BYTES = BUDGET_BYTES
 _DENSE_WORK = 8     # build temporaries, L(t), D, SVD factors, expm Padé terms
 _DENSE_EXPERIMENTS = ("transmission-saturation", "lifetime", "phase-sweep",
                       "detuning-sweep", "g2-cw", "g2-pulsed", "g2-map")
@@ -448,6 +449,24 @@ def _tables(cfg):
     return [(2, 11)]    # scalability: one row per mode
 
 
+def _axis_max(spec):
+    """Largest point of a grid axis, read from its spec without building
+    it: linspace and geomspace end exactly at start and stop."""
+    if "values" in spec:
+        return max(spec["values"])
+    return spec["start"] if spec["points"] == 1 else \
+        max(spec["start"], spec["stop"])
+
+
+def _yield_chunk_bytes(cfg):
+    """Bytes of one yield chunk at the largest N of the Poisson support of
+    the experiment's largest mu_qd (``scalability.chunk_bytes``)."""
+    mu = cfg.scalability["mu_qd"] if cfg.experiment == "scalability" \
+        else _axis_max(cfg.grid["mu_qd"])
+    n_max = poisson_weights(float(mu))[-1][0]
+    return chunk_bytes(n_max, cfg.scalability["runs"])
+
+
 def dense_bytes(cfg):
     """Estimated bytes of the dense matrices, grid arrays and table rows
     that cfg's experiment holds at once.
@@ -467,11 +486,16 @@ def dense_bytes(cfg):
     readouts (members × nt reals: one per pair for g2-cw, the trace and two
     intensities for the time traces), g2-cw's _G2_ARRAYS τ × node × pair
     floats for one chunk, and _MAP_ARRAYS nt × nt floats per port pair for
-    the pulsed maps.
+    the pulsed maps.  The yield experiments hold one chunk of Monte Carlo
+    samples at the largest N (``_yield_chunk_bytes``) per worker thread,
+    and run no more threads than fit in the budget together, so one chunk
+    is counted.
     """
     n = cfg.system.n
     grid = cfg.grid
     total = sum(table_bytes(rows, columns) for rows, columns in _tables(cfg))
+    if cfg.experiment.startswith("scalability"):
+        return total + _yield_chunk_bytes(cfg)
     if cfg.experiment == "transmission-scan":
         return total + 16 * n * n * _scan_points(cfg)
     if cfg.experiment not in _DENSE_EXPERIMENTS:
@@ -543,11 +567,14 @@ def _check_experiment(cfg):
                           "least grid.dt_ns")
     need = dense_bytes(cfg)
     if need > DENSE_BUDGET_BYTES:
+        held = "a chunk of Monte Carlo samples and table rows" \
+            if cfg.experiment.startswith("scalability") else \
+            f"dense matrices, grid arrays and table rows for " \
+            f"{cfg.system.n} emitters"
         raise ConfigError(
-            f"{cfg.experiment} with {cfg.system.n} emitters needs about "
-            f"{need / 1024 ** 3:.1f} GiB of dense matrices, grid arrays and "
-            f"table rows, above the {DENSE_BUDGET_BYTES / 1024 ** 3:.0f} "
-            "GiB budget")
+            f"{cfg.experiment} needs about {need / 1024 ** 3:.1f} GiB of "
+            f"{held}, above the {DENSE_BUDGET_BYTES / 1024 ** 3:.0f} GiB "
+            "budget")
     if cfg.experiment == "transmission-saturation":
         fracs = expand_range(cfg.grid["rabi_over_gamma"])
         if not np.all(fracs > 0):

@@ -1,8 +1,10 @@
 """Named experiments: map configurations to module pipelines and tables.
 
 Every experiment returns a ResultBundle whose CSV tables and JSON metadata
-are byte-identical for identical (config, seed).  No experiment uses
-threads: grid points and noise nodes are batched or stacked instead.
+are byte-identical for identical (config, seed).  The optics experiments
+batch or stack their grid points and noise nodes in one thread; the yield
+Monte Carlo runs on a thread pool whose width does not change its tables
+(``scalability.probabilities_per_waveguide``).
 """
 
 import json
@@ -620,8 +622,10 @@ def run_experiment(cfg, threads=1):
     """The ResultBundle of cfg's experiment, with the messages of the
     warnings raised while computing it under metadata["warnings"].
 
-    ``threads`` is ignored, since no experiment uses threads; it is still
-    accepted because callers such as ``perfbench/run.py`` pass it.
+    ``threads`` is ignored; it is still accepted because callers such as
+    ``perfbench/run.py`` pass it.  The yield experiments run one thread
+    per CPU of the process's affinity mask, and their tables do not
+    depend on that number.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

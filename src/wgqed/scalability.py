@@ -53,11 +53,19 @@ every count equals the unfiltered one; the denominators stay ``runs``,
 and the regions of every row are still drawn, so the Philox streams are
 unchanged.
 
-Sampling is deterministic and parallelism-independent: samples are
-partitioned into fixed-size chunks with counter-based Philox streams keyed
-by (seed, n_qd, chunk index), and reductions are integer sums.
+Sampling is deterministic and independent of the thread count: samples
+are partitioned into fixed-size chunks with counter-based Philox streams
+keyed by (seed, n_qd, chunk index), and reductions are integer sums.
+``probabilities_per_waveguide`` runs the N on a pool of threads, one per
+CPU in the process's affinity mask (so ``taskset`` limits it), largest N
+first.  A chunk holds a spacing buffer and int32 regions and steps
+through them in row blocks of BLOCK_ROWS rows, so the chunks in flight
+hold about 12 bytes per sample value together with a few row blocks each
+(``chunk_bytes``).
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +73,11 @@ from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import gammaln, ndtri, xlogy
 
 CHUNK = 1 << 15
+BLOCK_ROWS = 1 << 11    # rows per block of _draw's filter and the kernels
+BLOCK_TEMPS = 4         # float64 row-block temporaries alive at once
+# Bytes that a run may hold (config.DENSE_BUDGET_BYTES): the pool draws no
+# more chunks at once than fit in it together
+BUDGET_BYTES = 2 * 1024 ** 3
 MODES = ("consecutive", "window_distinct")
 SQRT_2PI = np.sqrt(2.0 * np.pi)   # least slope of the normal quantile
 NDTRI_MARGIN = 1e-9               # σ units; ndtri rounds to ~1e-14
@@ -129,7 +142,8 @@ def poisson_weights(mu, mass_target=0.9995):
             return list(zip(range(covered[0] + 1),
                             w[:covered[0] + 1].tolist()))
         if size >= 100_000:
-            raise RuntimeError("Poisson truncation did not converge")
+            raise ValueError(f"mu={mu} too large: the Poisson truncation "
+                             "needs N >= 100000")
         size *= 2
 
 
@@ -150,7 +164,8 @@ def _min_spreads(lam, regions, n_set, mode):
     if n < n_set or m == 0:
         return np.full(m, np.inf)
     if mode == "consecutive":
-        bits = np.uint64(1) << regions.astype(np.uint64)
+        bits = np.left_shift(np.uint64(1), regions, dtype=np.uint64,
+                             casting="unsafe")
         width = n - n_set + 1
         seen = bits[:, :width].copy()
         for k in range(1, n_set):
@@ -208,13 +223,20 @@ def min_feasible_spread(wavelengths, regions, n_set, mode="consecutive"):
                               codes.reshape(1, -1), n_set, mode)[0])
 
 
+def _blocks(m):
+    """Row slices of BLOCK_ROWS rows covering m rows."""
+    return (slice(i, min(i + BLOCK_ROWS, m))
+            for i in range(0, m, BLOCK_ROWS))
+
+
 def _draw(n_qd, config, chunk_index, m, top=np.inf):
     """Draw chunk ``chunk_index`` of m waveguides with n_qd emitters each.
 
     Returns the wavelengths in sorted order (σ units, exponential spacings
-    mapped through the normal quantile function) and the 0-based regions
-    in that order, i.i.d. uniform because ranks are independent of the
-    order statistics.  Deterministic for fixed (seed, n_qd, chunk_index).
+    mapped through the normal quantile function) and the 0-based int32
+    regions in that order, i.i.d. uniform because ranks are independent of
+    the order statistics.  Deterministic for fixed (seed, n_qd,
+    chunk_index).
 
     Rows whose n_set closest emitters provably span more than ``top`` (σ
     units) are left out before the quantile function (the uniform-space
@@ -222,22 +244,41 @@ def _draw(n_qd, config, chunk_index, m, top=np.inf):
     spacings), so fewer than m rows may come back.  The test is skipped
     when it provably keeps every row: the n − 1 gaps hold ⌊(n−1)/k⌋
     disjoint k-gap blocks inside [0, 1].
+
+    The chunk holds one spacing buffer and one region buffer: the
+    cumulative sums overwrite the spacings, the test runs in row blocks,
+    the kept rows move to the front of both buffers block by block, and
+    the wavelengths come back as a view of the spacing buffer.  The
+    regions are drawn after the spacings, as before, but as int32, which
+    numpy draws with the same values and the same generator state as its
+    default int64 (``tests/test_scalability.py`` pins this).
     """
     rng = Generator(Philox(SeedSequence(config.seed,
                                         spawn_key=(n_qd, chunk_index))))
     spacings = rng.standard_exponential((m, n_qd + 1))
-    cum = np.cumsum(spacings[:, :-1], axis=1)
-    total = spacings.sum(axis=1, keepdims=True)
-    regions = rng.integers(0, config.n_reg, size=(m, n_qd))
+    total = spacings.sum(axis=1)
+    cum = np.cumsum(spacings[:, :-1], axis=1, out=spacings[:, :-1])
     k = config.n_set - 1
     reach = top + NDTRI_MARGIN
+    kept = None
     if 0 < k < n_qd and SQRT_2PI > reach * ((n_qd - 1) // k):
-        keep = SQRT_2PI * (cum[:, k:] - cum[:, :-k]).min(axis=1) <= \
-            reach * total[:, 0]
+        keep = np.empty(m, dtype=bool)
+        for rows in _blocks(m):
+            block = cum[rows]
+            keep[rows] = SQRT_2PI * (block[:, k:] - block[:, :-k]).min(
+                axis=1) <= reach * total[rows]
         if not keep.all():
-            cum, total, regions = cum[keep], total[keep], regions[keep]
-    cum /= total
-    return ndtri(cum, out=cum), regions
+            kept = np.flatnonzero(keep)
+    regions = rng.integers(0, config.n_reg, size=(m, n_qd), dtype=np.int32)
+    if kept is not None:
+        # a kept row only moves up, past rows already moved or dropped
+        for rows in _blocks(len(kept)):
+            cum[rows] = cum[kept[rows]]
+            regions[rows] = regions[kept[rows]]
+        m, total = len(kept), total[kept]
+    cum = cum[:m]
+    cum /= total[:, None]
+    return ndtri(cum, out=cum), regions[:m]
 
 
 def _success_counts(n_qd, config, runs, thresholds):
@@ -246,9 +287,10 @@ def _success_counts(n_qd, config, runs, thresholds):
     ``thresholds`` maps each mode to a list of tuning ranges in σ units;
     the result maps it to the number of samples whose minimal feasible
     spread fits inside each of them.  Every chunk is drawn once (seed and
-    n_reg from ``config``) and the kernel runs once per mode on it.  Rows
-    that cannot fit inside the largest tuning range are dropped in
-    ``_draw`` and, before the window kernel, on their wavelengths.
+    n_reg from ``config``) and the kernel runs once per mode on each of
+    its row blocks.  Rows that cannot fit inside the largest tuning range
+    are dropped in ``_draw`` and, before the window kernel, on their
+    wavelengths.
     """
     counts = {mode: np.zeros(len(t), dtype=np.int64)
               for mode, t in thresholds.items()}
@@ -258,20 +300,16 @@ def _success_counts(n_qd, config, runs, thresholds):
     for chunk_index, done in enumerate(range(0, runs, CHUNK)):
         lam, regions = _draw(n_qd, config, chunk_index,
                              min(CHUNK, runs - done), top)
-        if not len(lam):
-            continue
-        for mode, t in thresholds.items():
-            if mode == "consecutive":
-                spreads = _min_spreads(lam, regions, config.n_set, mode)
-            else:
-                # a row all of whose windows exceed top cannot count
-                near = _windows(lam, config.n_set).min(axis=1) <= top
-                if near.all():
-                    near = slice(None)
-                spreads = _min_spreads(lam[near], regions[near],
-                                       config.n_set, mode)
-            counts[mode] += np.searchsorted(np.sort(spreads), t,
-                                            side="right")
+        for rows in _blocks(len(lam)):
+            for mode, t in thresholds.items():
+                lam_b, regions_b = lam[rows], regions[rows]
+                if mode == "window_distinct":
+                    # a row all of whose windows exceed top cannot count
+                    near = _windows(lam_b, config.n_set).min(axis=1) <= top
+                    lam_b, regions_b = lam_b[near], regions_b[near]
+                spreads = _min_spreads(lam_b, regions_b, config.n_set, mode)
+                counts[mode] += np.searchsorted(np.sort(spreads), t,
+                                                side="right")
     return counts
 
 
@@ -284,6 +322,55 @@ def conditional_success_count(n_qd, config, runs=None):
                                {config.mode: [dl]})[config.mode][0])
 
 
+def chunk_bytes(n_qd, runs):
+    """Bytes that ``_success_counts`` holds at once for one chunk of
+    ``runs`` waveguides with n_qd emitters.
+
+    A row holds its spacing buffer (8·(n_qd + 1) bytes), its int32
+    regions (4·n_qd), its sum, filter flag and kept index (17); each of
+    BLOCK_TEMPS float64 temporaries spans one row block.  Both kernels
+    and the filter step through the chunk one row block at a time.
+    """
+    rows = min(CHUNK, runs)
+    return rows * (12 * n_qd + 25) + \
+        BLOCK_TEMPS * 8 * min(rows, BLOCK_ROWS) * (n_qd + 1)
+
+
+def _width():
+    """Worker threads of the yield pool: the CPUs that this process may
+    run on (so ``taskset`` limits them)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # macOS and Windows have no affinity mask
+        return os.cpu_count() or 1
+
+
+def _counts_per_n(config, thresholds, n_max):
+    """``_success_counts`` for N = 0 … n_max, in N order.
+
+    The N run on a pool of ``_width()`` threads, largest N first; numpy's
+    fills, sums, sorts and scipy's ``ndtri`` release the GIL.  The pool
+    runs no more chunks at once than fit in BUDGET_BYTES at n_max
+    (``chunk_bytes``), but at least one.  Each count is an integer sum
+    over its own Philox streams, so the counts do not depend on the
+    width.  The first exception raised in a worker cancels the N not yet
+    started and reaches the caller once the running ones are done.
+    """
+    width = min(_width(),
+                max(1, BUDGET_BYTES // chunk_bytes(n_max, config.runs)))
+    with ThreadPoolExecutor(width) as pool:
+        futures = [pool.submit(_success_counts, n_qd, config, config.runs,
+                               thresholds)
+                   for n_qd in range(n_max, -1, -1)]
+        try:
+            for future in as_completed(futures):
+                future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return [future.result() for future in reversed(futures)]
+
+
 def probabilities_per_waveguide(configs):
     """``probability_per_waveguide`` of every config of a group, from one
     draw per (N, chunk).
@@ -293,6 +380,8 @@ def probabilities_per_waveguide(configs):
     of the config evaluated alone.
     """
     configs = list(configs)
+    if not configs:
+        return []
     for c in configs[1:]:
         differ = [f for f in ("seed", "sigma_qd", "n_reg", "n_set", "runs")
                   if getattr(c, f) != getattr(configs[0], f)]
@@ -305,9 +394,8 @@ def probabilities_per_waveguide(configs):
         slots.append(len(t))
         t.append(c.delta_lambda / c.sigma_qd)
     weights = [poisson_weights(c.mu_qd) for c in configs]
-    n_max = max((ws[-1][0] for ws in weights), default=-1)
-    counts = [_success_counts(n_qd, configs[0], configs[0].runs, thresholds)
-              for n_qd in range(n_max + 1)]
+    n_max = max(ws[-1][0] for ws in weights)
+    counts = _counts_per_n(configs[0], thresholds, n_max)
     results = []
     for c, ws, slot in zip(configs, weights, slots):
         # Σ_N P(n_set | N)·P_pois(N) over the config's own support

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from wgqed import cli, config, dynamics, model
+from wgqed import cli, config, dynamics, model, scalability
 from wgqed.cli import main
 from wgqed.config import (DENSE_BUDGET_BYTES, dense_bytes, expand_range,
                           load_config, resolve_config, validate_config)
@@ -395,3 +396,80 @@ class TestDenseSizeGuard:
             assert main(argv) == 2
             assert "GiB budget" in json.loads(
                 capsys.readouterr().err)["message"]
+
+
+class TestYieldSizeGuard:
+    """The yield experiments count one chunk of Monte Carlo samples at the
+    largest N of the largest mu_qd's Poisson support; the thread pool runs
+    no more chunks at once than fit the budget together."""
+
+    @pytest.mark.parametrize("name", ["scalability", "scalability-heatmap"])
+    def test_examples_count_one_chunk(self, name):
+        cfg = resolve_config(load_config(CONFIG_DIR / f"{name}.yaml"))
+        mu = max(expand_range(cfg.grid["mu_qd"])) \
+            if name == "scalability-heatmap" else cfg.scalability["mu_qd"]
+        n_max = scalability.poisson_weights(float(mu))[-1][0]
+        tables = sum(config.table_bytes(rows, cols)
+                     for rows, cols in config._tables(cfg))
+        assert dense_bytes(cfg) == tables + scalability.chunk_bytes(
+            n_max, cfg.scalability["runs"])
+
+    @pytest.mark.parametrize("data", [
+        {"experiment": "scalability", "scalability": {"mu_qd": 5000}},
+        {"experiment": "scalability-heatmap",
+         "scalability": {"runs": 200_000},
+         "grid": {"mu_qd": {"values": [5.0, 5000.0]}}},
+        {"experiment": "scalability-heatmap",
+         "scalability": {"runs": 200_000},
+         "grid": {"mu_qd": {"start": 5.0, "stop": 5000.0, "points": 2,
+                            "log": True}}},
+        # Poisson support beyond N = 100 000
+        {"experiment": "scalability",
+         "scalability": {"mu_qd": 1.0e6, "runs": 1}}])
+    def test_large_mu_exit_2_before_drawing(self, tmp_path, capsys,
+                                            monkeypatch, data):
+        def refuse(*args, **kwargs):
+            raise AssertionError("samples drawn")
+
+        monkeypatch.setattr(scalability, "_draw", refuse)
+        p = write_yaml(tmp_path, data)
+        for argv in (["validate", str(p)],
+                     ["run", str(p), "--out", str(tmp_path / "x")]):
+            assert main(argv) == 2
+            report = json.loads(capsys.readouterr().err)
+            assert report["error"] == "config"
+            assert "GiB budget" in report["message"] or \
+                "too large" in report["message"]
+
+    def test_verdict_follows_one_chunk_not_the_cpu_count(
+            self, tmp_path, monkeypatch):
+        # N_max = 5234 at mu 5000: one chunk of 20 000 rows fits, two
+        # would not, whatever the width of the pool
+        data = {"experiment": "scalability",
+                "scalability": {"mu_qd": 5000, "runs": 20_000}}
+        one = scalability.chunk_bytes(5234, 20_000)
+        assert one < DENSE_BUDGET_BYTES < 2 * one
+        p = write_yaml(tmp_path, data)
+        for width in (1, 2, 64):
+            monkeypatch.setattr(scalability, "_width", lambda: width)
+            assert main(["validate", str(p)]) == 0
+
+    def test_pool_runs_one_chunk_when_two_do_not_fit(self, monkeypatch):
+        threads = set()
+        counts = scalability._success_counts
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return counts(*args)
+
+        monkeypatch.setattr(scalability, "_width", lambda: 3)
+        monkeypatch.setattr(scalability, "_success_counts", recorded)
+        cfg = scalability.ScalabilityConfig(
+            mu_qd=20.0, sigma_qd=15.0, delta_lambda=0.15, n_reg=3,
+            n_set=3, runs=400)
+        n_max = scalability.poisson_weights(cfg.mu_qd)[-1][0]
+        one = scalability.chunk_bytes(n_max, cfg.runs)
+        monkeypatch.setattr(scalability, "BUDGET_BYTES", 2 * one - 1)
+        capped = scalability.probabilities_per_waveguide([cfg])
+        assert len(threads) == 1
+        assert capped == [scalability.probability_per_waveguide(cfg)]

@@ -1,3 +1,6 @@
+import threading
+import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,9 +11,10 @@ from scipy.special import ndtri
 from scipy.stats import chi2, poisson
 
 from wgqed import scalability
-from wgqed.scalability import (CHUNK, MODES, NDTRI_MARGIN, SQRT_2PI,
-                               ScalabilityConfig, YieldResult, _draw,
-                               _min_spreads, _success_counts,
+from wgqed.scalability import (BLOCK_ROWS, BLOCK_TEMPS, CHUNK, MODES,
+                               NDTRI_MARGIN, SQRT_2PI, ScalabilityConfig,
+                               YieldResult, _draw, _min_spreads,
+                               _success_counts, chunk_bytes,
                                conditional_success_count,
                                min_feasible_spread, poisson_weights,
                                probabilities_per_waveguide,
@@ -68,6 +72,25 @@ class TestSampleWaveguide:
     def test_single_region(self):
         _, regions = _draw(15, config(n_reg=1, n_set=1), 0, 5)
         assert np.all(regions == 0)
+
+    @pytest.mark.parametrize("n_reg", [1, 2, 3, 12, 64])
+    def test_int32_regions_equal_default_draw(self, n_reg):
+        # _draw asks for int32 regions; numpy must give the values of its
+        # default int64 draw and leave the generator where that leaves it
+        def generator():
+            rng = Generator(Philox(SeedSequence(5, spawn_key=(40, 2))))
+            rng.standard_exponential((300, 41))
+            return rng
+
+        wide, narrow = generator(), generator()
+        default = wide.integers(0, n_reg, size=(300, 40))
+        small = narrow.integers(0, n_reg, size=(300, 40), dtype=np.int32)
+        assert default.dtype == np.int64 and small.dtype == np.int32
+        assert np.array_equal(default, small)
+        assert np.array_equal(wide.standard_exponential(64),
+                              narrow.standard_exponential(64))
+        assert np.array_equal(wide.integers(0, n_reg, size=65),
+                              narrow.integers(0, n_reg, size=65))
 
     def test_region_counts_uniform_chi2(self):
         n_samples, n_qd = 10_000, 10
@@ -243,8 +266,18 @@ def unfiltered_success_counts(n_qd, config, runs, thresholds):
     return counts
 
 
+def unfiltered_count(n_qd, cfg):
+    return int(unfiltered_success_counts(
+        n_qd, cfg, cfg.runs,
+        {cfg.mode: [cfg.delta_lambda / cfg.sigma_qd]})[cfg.mode][0])
+
+
 def as_lists(counts):
     return {mode: c.tolist() for mode, c in counts.items()}
+
+
+def as_lists_per_n(counts):
+    return [as_lists(c) for c in counts]
 
 
 # 1000 is above every spread a sample can have
@@ -361,6 +394,30 @@ class TestSampleFilter:
         assert got == self.PUBLISHED_COUNTS
 
 
+class TestChunkMemory:
+    """One chunk holds its spacing buffer, its int32 regions and a fixed
+    number of row-block temporaries; the pool multiplies this by its
+    width, and the size guard counts it (``chunk_bytes``)."""
+
+    @pytest.mark.parametrize("top", [0.01, 1.0])
+    @pytest.mark.parametrize("modes", [MODES[:1], MODES[1:], MODES])
+    def test_traced_peak_within_buffers_and_blocks(self, modes, top):
+        n_qd, rows = 54, 20_000
+        cfg = config(runs=rows)
+        buffers = 8 * rows * (n_qd + 1) + 4 * rows * n_qd
+        blocks = BLOCK_TEMPS * 8 * BLOCK_ROWS * (n_qd + 1)
+        tracemalloc.start()
+        try:
+            counts = _success_counts(n_qd, cfg, rows,
+                                     {m: [top] for m in modes})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(0 < c[0] for c in counts.values())
+        assert buffers < peak <= buffers + blocks
+        assert peak <= chunk_bytes(n_qd, rows)
+
+
 class TestConditionalSuccess:
     @pytest.mark.parametrize("mode", ["consecutive", "window_distinct"])
     @pytest.mark.parametrize("n_qd,n_reg,n_set,dl", [
@@ -447,13 +504,13 @@ class TestProbabilityPerWaveguide:
             1 - (1 - res.p_per_waveguide) ** 250, rel=1e-12)
 
 
-def reference_yield(cfg):
-    """Σ_N w·P(n_set | N) by one conditional_success_count call per N."""
+def reference_yield(cfg, count=conditional_success_count):
+    """Σ_N w·P(n_set | N) by one ``count(n_qd, cfg)`` call per N."""
     weights = poisson_weights(cfg.mu_qd)
     p_total = 0.0
     var_total = 0.0
     for n_qd, w in weights:
-        p = conditional_success_count(n_qd, cfg) / cfg.runs
+        p = count(n_qd, cfg) / cfg.runs
         p_total += w * p
         var_total += w * w * p * (1.0 - p) / cfg.runs
     return YieldResult(
@@ -528,3 +585,49 @@ class TestConfigValidation:
     def test_nan_rejected(self, field):
         with pytest.raises(ValueError):
             config(**{field: float("nan")})
+
+
+class TestThreadPool:
+    """The N of a group run on a pool of ``_width()`` threads; neither the
+    counts nor the results depend on its width."""
+
+    GROUP = [config(mu_qd=mu, sigma_qd=1.5, delta_lambda=dl, n_reg=4,
+                    n_set=3, runs=300, mode=mode)
+             for mode in MODES for mu in (3.0, 8.0) for dl in (0.05, 0.9)]
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_width_does_not_change_counts_or_results(self, monkeypatch,
+                                                     width):
+        # several chunks of 64 rows, the last one partial
+        monkeypatch.setattr(scalability, "CHUNK", 64)
+        monkeypatch.setattr(scalability, "_width", lambda: width)
+        cfg = self.GROUP[0]
+        thresholds = {m: [0.01, 0.6] for m in MODES}
+        n_max = poisson_weights(8.0)[-1][0]
+        assert as_lists_per_n(scalability._counts_per_n(
+            cfg, thresholds, n_max)) == as_lists_per_n(
+            [unfiltered_success_counts(n_qd, cfg, cfg.runs, thresholds)
+             for n_qd in range(n_max + 1)])
+        assert probabilities_per_waveguide(self.GROUP) == \
+            [reference_yield(c, unfiltered_count) for c in self.GROUP]
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_worker_exception_reaches_caller(self, monkeypatch, width):
+        counts, started = scalability._success_counts, []
+        n_max = poisson_weights(8.0)[-1][0]
+
+        def failing(n_qd, *args):
+            started.append(n_qd)
+            if n_qd == n_max - 1:
+                raise ArithmeticError("N failed")
+            time.sleep(0.05)
+            return counts(n_qd, *args)
+
+        monkeypatch.setattr(scalability, "_width", lambda: width)
+        monkeypatch.setattr(scalability, "_success_counts", failing)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="N failed"):
+            probabilities_per_waveguide(self.GROUP)
+        assert threading.active_count() == before
+        # the N not yet started when it failed are cancelled
+        assert len(started) <= 2 * width + 2 < n_max
