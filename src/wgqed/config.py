@@ -14,7 +14,7 @@ from jsonschema import Draft202012Validator
 from . import presets
 from .dynamics import STACK_SUPEROPERATORS, stack_chunk
 from .errors import ConfigError
-from .instrument import DetectorModel, NoiseAveragingPlan
+from .instrument import DetectorModel, NoiseAveragingPlan, node_count
 from .model import DriveConfig, EmitterParams, PulseSpec, WaveguideSystem
 from .observables import saturation_powers
 from .scalability import (BUDGET_BYTES, ScalabilityConfig, chunk_bytes,
@@ -408,6 +408,13 @@ def _points(span, dt):
     return int(round(span / dt)) + 1
 
 
+def _delay_count(grid):
+    """Length of g2-cw's delay grid ``np.arange(0, tau_max + dt/2, dt)``,
+    without building it."""
+    return int(np.ceil((grid["tau_max_ns"] + grid["dt_ns"] / 2)
+                       / grid["dt_ns"]))
+
+
 def _trace_count(cfg):
     """Length of ``trace_times(cfg)``, without building it."""
     return int(np.ceil(_trace_end(cfg) / cfg.grid["dt_ns"]))
@@ -436,7 +443,7 @@ def _tables(cfg):
         deltas = axis_length(grid["detuning2_ghz"])
         return [(deltas * _trace_count(cfg), 6), (deltas, 3)]
     if experiment == "g2-cw":
-        return [(2 * _points(grid["tau_max_ns"], grid["dt_ns"]) - 1,
+        return [(2 * _delay_count(grid) - 1,
                  1 + 2 * len(grid["pairs"]))]
     if experiment == "g2-pulsed":
         return [(2 * _points(grid["window_ns"], grid["dt_ns"]) - 1,
@@ -512,15 +519,17 @@ def dense_bytes(cfg):
         pairs = 1 if cfg.experiment == "g2-map" else len(grid["pairs"])
         total += 8 * _MAP_ARRAYS * pairs * nt ** 2
     members = pairs = 0
+    nodes = node_count([e.spectral_diffusion_sigma
+                        for e in cfg.system.emitters], cfg.noise)
     if cfg.experiment == "g2-cw":
         pairs = len(set(grid["pairs"]) | {p[::-1] for p in grid["pairs"]})
-        members, row = _noise_node_count(cfg), 8 * pairs
-        times = _points(grid["tau_max_ns"], grid["dt_ns"])
+        members, row = nodes, 8 * pairs
+        times = _delay_count(grid)
     elif cfg.experiment in ("lifetime", "phase-sweep", "detuning-sweep"):
         if cfg.experiment == "phase-sweep":
             members = axis_length(grid["theta_over_pi"])
         else:
-            members = _noise_node_count(cfg)
+            members = nodes
         if cfg.experiment == "detuning-sweep":
             members *= axis_length(grid["detuning2_ghz"])
         times, row = _trace_count(cfg), 8 * 3
@@ -529,16 +538,6 @@ def dense_bytes(cfg):
         count += STACK_SUPEROPERATORS * (chunk - 1)
         total += (row + 8 * _G2_ARRAYS * pairs) * chunk * times
     return total + 16 * dim2 ** 2 * count
-
-
-def _noise_node_count(cfg):
-    """Nodes of cfg's spectral-diffusion average (1 without one)."""
-    active = sum(e.spectral_diffusion_sigma > 0 for e in cfg.system.emitters)
-    if cfg.noise is None or active == 0:
-        return 1
-    if cfg.noise.scheme == "gauss_hermite":
-        return cfg.noise.samples_or_nodes ** active
-    return cfg.noise.samples_or_nodes
 
 
 def _check_experiment(cfg):

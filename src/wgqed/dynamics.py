@@ -467,8 +467,10 @@ def pulsed_g2_map(system, drive, ports="LL", window=4.0, dt=0.01,
 
     ``ports`` is one port pair such as "LR", which returns its
     PulsedG2Result, or a sequence of pairs, which returns a dict pair →
-    PulsedG2Result.  All pairs share one set of step propagators, one
-    march per seed port and one far-window march per first port.
+    PulsedG2Result.  All pairs share one set of step propagators and one
+    march through the window, which steps ρ(t) and, per seed port α, a
+    bank of the seeds E_α ρ(t_j) E_α† entered so far, reading G(t_j, t_k)
+    for every t_j ≤ t_k; one far-window march per first port follows.
 
     Each result holds same-pulse and different-pulse maps on the full
     (t₁, t₂) square; for t₂ < t₁ the same-pulse map holds G_βα(t₂, t₁).
@@ -509,34 +511,25 @@ def pulsed_g2_map(system, drive, ports="LL", window=4.0, dt=0.01,
                      else initial)
     rho_t = np.empty((nt, dim, dim), dtype=complex)
     rho_t[0] = rho
-    for k in range(nt - 1):
-        rho_t[k + 1] = (mats[k] @ rho_t[k].reshape(-1)).reshape(dim, dim)
+    # "αβ" -> map over t1 <= t2
+    g_upper = {key: np.zeros((nt, nt)) for pair in pairs
+               for key in (pair, pair[::-1])}
+    # column j of port α's bank: E_α ρ(t_j) E_α† carried on to t_k
+    live = {p: np.zeros((dim2, nt), dtype=complex)
+            for p in sorted({q for pair in pairs for q in pair})}
+    for k in range(nt):
+        for p, bank in live.items():
+            bank[:, k] = (ops[p] @ rho_t[k] @ ops[p].conj().T).reshape(-1)
+        for (alpha, beta_), g in g_upper.items():
+            g[:k + 1, k] = np.real(w_tr[beta_] @ live[alpha][:, :k + 1])
+        if k < nt - 1:
+            rho_t[k + 1] = (mats[k] @ rho_t[k].reshape(-1)).reshape(dim, dim)
+            for bank in live.values():
+                bank[:, :k + 1] = mats[k] @ bank[:, :k + 1]
 
     intensity = {p: np.maximum(
         np.real(np.einsum("tij,ji->t", rho_t, ops[p].conj().T @ ops[p])), 0.0)
         for p in "LR"}
-
-    def seeds_for(port):
-        e = ops[port]
-        return np.stack([(e @ r @ e.conj().T).reshape(-1) for r in rho_t],
-                        axis=1)  # (dim2, nt)
-
-    banks = {p: seeds_for(p) for p in sorted({q for pair in pairs
-                                               for q in pair})}
-    # "αβ" -> map over t1 <= t2
-    g_upper = {key: np.zeros((nt, nt)) for pair in pairs
-               for key in (pair, pair[::-1])}
-
-    # march all seed banks forward through the window
-    live = {p: np.zeros((dim2, nt), dtype=complex) for p in banks}
-    for k in range(nt):
-        for p in banks:
-            live[p][:, k] = banks[p][:, k]
-        for (alpha, beta_), g in g_upper.items():
-            g[:k + 1, k] = np.real(w_tr[beta_] @ live[alpha][:, :k + 1])
-        if k < nt - 1:
-            for p in banks:
-                live[p][:, :k + 1] = mats[k] @ live[p][:, :k + 1]
 
     if initial is None:
         # relax across `separation_periods` repetitions, then march through

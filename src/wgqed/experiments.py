@@ -12,7 +12,7 @@ import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .config import (WRITE_BLOCK_ROWS, expand_range, scalability_config,
                      trace_times)
 from .dynamics import (g2_cw, integrated_pulsed_g2, intensity_traces,
                        pulsed_g2_map, stack_chunk)
-from .instrument import (DetectorModel, NodeAverage, jitter_convolve,
+from .instrument import (DetectorModel, jitter_convolve, node_average,
                          noise_nodes, spectral_diffusion_average)
 from .model import DriveConfig
 from .observables import (directionality, saturation_powers,
@@ -232,37 +232,9 @@ def _noise_spec(cfg):
             "seed": cfg.noise.seed}
 
 
-def _sd_nodes(cfg):
-    """Offsets ``(K, N)`` and weights of cfg's spectral-diffusion average
-    (``noise_nodes``); one zero-offset node and weights None without one."""
-    sigmas = [e.spectral_diffusion_sigma for e in cfg.system.emitters]
-    if cfg.noise is None or all(s == 0 for s in sigmas):
-        return np.zeros((1, len(sigmas))), None
-    return noise_nodes(sigmas, cfg.noise)
-
-
-def _sd_average(cfg, weights, nodes):
-    """Average dict-of-arrays node results over spectral-diffusion offsets.
-
-    ``nodes`` yields one dict per node of ``_sd_nodes(cfg)``, in order,
-    and ``weights`` are that call's weights.  Each key is reduced on its
-    own with the arithmetic of ``spectral_diffusion_average``; scalar
-    values become floats.  Without a noise average (weights None) the one
-    node's dict is returned as is.
-    """
-    if weights is None:
-        return next(iter(nodes))
-    sums = None
-    for node in islice(nodes, len(weights)):
-        if sums is None:
-            sums = {key: NodeAverage(weights, cfg.noise) for key in node}
-        for key, value in node.items():
-            sums[key].add(value)
-    out = {}
-    for key, avg in sums.items():
-        value = avg.result().value
-        out[key] = float(value) if value.ndim == 0 else value
-    return out
+def _sigmas(cfg):
+    """Spectral-diffusion sigma of each emitter."""
+    return [e.spectral_diffusion_sigma for e in cfg.system.emitters]
 
 
 # --------------------------------------------------------------------------
@@ -278,14 +250,10 @@ def run_transmission_scan(cfg):
     b = np.tile(d2, len(d1))
     dets = np.column_stack([ghz_to_angular(a)] +
                            [ghz_to_angular(b)] * (cfg.system.n - 1))
-    if cfg.noise is None:
-        ts = transmission_coherent(cfg.system, dets).transmission
-    else:
-        ts = spectral_diffusion_average(
-            lambda off: transmission_coherent(cfg.system, dets + off
-                                              ).transmission,
-            [e.spectral_diffusion_sigma for e in cfg.system.emitters],
-            cfg.noise).value
+    ts = spectral_diffusion_average(
+        lambda off: transmission_coherent(cfg.system, dets + off
+                                          ).transmission,
+        _sigmas(cfg), cfg.noise).value
     meta = _base_metadata(cfg, noise=_noise_spec(cfg),
                           regime="linear single-photon transmission",
                           resolved={"detuning1_ghz": list(d1),
@@ -319,10 +287,10 @@ def run_lifetime(cfg):
     t_max = cfg.grid["t_max_ns"]
     dt = cfg.grid["dt_ns"]
     t = trace_times(cfg)
-    offsets, weights = _sd_nodes(cfg)
+    offsets, weights = noise_nodes(_sigmas(cfg), cfg.noise)
     systems = [cfg.system.with_detuning_offsets(o) for o in offsets]
-    rec = _sd_average(cfg, weights, intensity_traces(
-        systems, [cfg.drive] * len(systems), t))
+    rec = node_average(intensity_traces(
+        systems, [cfg.drive] * len(systems), t), weights, cfg.noise).value
     meta = _base_metadata(cfg, noise=_noise_spec(cfg),
                           irf_sigma_ns=cfg.detector.irf_sigma,
                           resolved={"t_max_ns": t_max, "dt_ns": dt,
@@ -377,12 +345,13 @@ def run_detuning_sweep(cfg):
     t0 = cfg.drive.pulse.support[1]
 
     # every (detuning, noise node) pair in one stack, detuning outermost
-    offsets, weights = _sd_nodes(cfg)
+    offsets, weights = noise_nodes(_sigmas(cfg), cfg.noise)
     systems = [cfg.system.with_detuning_offsets(
         o + np.array([0.0, ghz_to_angular(delta)]))
         for delta in deltas for o in offsets]
     traces = intensity_traces(systems, [cfg.drive] * len(systems), t)
-    left, right = _stack_traces([_sd_average(cfg, weights, traces)
+    left, right = _stack_traces([node_average(traces, weights,
+                                              cfg.noise).value
                                  for _ in deltas])
     meta = _base_metadata(cfg, noise=_noise_spec(cfg),
                           integration_window_ns=window,
@@ -429,8 +398,8 @@ def run_g2_cw(cfg):
                 out["I_R"] = res["intensity"]["R"][k]
                 yield out
 
-    offsets, weights = _sd_nodes(cfg)
-    avg = _sd_average(cfg, weights, bundles(offsets))
+    offsets, weights = noise_nodes(_sigmas(cfg), cfg.noise)
+    avg = node_average(bundles(offsets), weights, cfg.noise).value
     # CW correlograms: sigma_IRF is the correlator's effective response
     # along the delay axis (matches the published antidip heights)
     det_tau = DetectorModel(irf_sigma=cfg.detector.irf_sigma,
@@ -457,7 +426,7 @@ def _pulsed_correlograms(cfg, pairs, window, dt):
     """Spectral-diffusion-averaged pulsed maps, pair → PulsedG2Result.
 
     The two maps and two intensities of each pair are averaged over the
-    nodes by ``_sd_average``; the results are the first node's, with
+    nodes by ``node_average``; the results are the first node's, with
     those four arrays replaced by their averages.
     """
     def node(offsets):
@@ -471,10 +440,10 @@ def _pulsed_correlograms(cfg, pairs, window, dt):
                                     ("intensity_a", r.intensity_a),
                                     ("intensity_b", r.intensity_b))}
 
-    offsets, weights = _sd_nodes(cfg)
+    offsets, weights = noise_nodes(_sigmas(cfg), cfg.noise)
     first = node(offsets[0])
-    avg = _sd_average(cfg, weights,
-                      map(arrays, chain([first], map(node, offsets[1:]))))
+    avg = node_average(map(arrays, chain([first], map(node, offsets[1:]))),
+                       weights, cfg.noise).value
     return {pair: replace(
                 r, same=replace(r.same, values=avg[pair, "same"]),
                 different=replace(r.different,

@@ -55,6 +55,17 @@ class AveragedResult:
     plan: NoiseAveragingPlan = None
 
 
+def node_count(sigmas, plan):
+    """Number of realizations that ``noise_nodes(sigmas, plan)`` returns,
+    without building them."""
+    active = int(np.count_nonzero(np.asarray(sigmas, dtype=float) > 0))
+    if plan is None or active == 0:
+        return 1
+    if plan.scheme == "gauss_hermite":
+        return plan.samples_or_nodes ** active
+    return plan.samples_or_nodes
+
+
 def noise_nodes(sigmas, plan):
     """Detuning offsets ``(K, N)`` and weights ``(K,)`` of the realizations
     that ``plan`` averages over, in evaluation order.
@@ -63,15 +74,16 @@ def noise_nodes(sigmas, plan):
     (last emitter fastest), each weight the product of the 1-D weights.
     Monte Carlo: realization i draws from its own counter-based stream
     (Philox, spawn key i), so results do not depend on evaluation order;
-    each weight is 1/K.  Emitters with zero sigma receive zero offset, and
-    with none at all there is one node at zero offset with weight 1.
+    each weight is 1/K.  Emitters with zero sigma receive zero offset.
+    With no plan or no nonzero sigma nothing is averaged: one node at
+    zero offset, and weights None.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     if np.any(sigmas < 0):
         raise ValueError("sigmas must be >= 0")
     active = np.nonzero(sigmas > 0)[0]
-    if len(active) == 0:
-        return np.zeros((1, len(sigmas))), np.ones(1)
+    if plan is None or len(active) == 0:
+        return np.zeros((1, len(sigmas))), None
     if plan.scheme == "gauss_hermite":
         x, w = hermegauss(plan.samples_or_nodes)
         w = w / np.sqrt(2.0 * np.pi)
@@ -92,59 +104,63 @@ def noise_nodes(sigmas, plan):
     return offsets, np.full(n, 1.0 / n)
 
 
-class NodeAverage:
-    """Fixed-order reduction of per-node values added in node order.
+def node_average(values, weights, plan):
+    """Average of per-node values taken from ``values`` in node order.
 
-    Gauss-Hermite sums w_k·v_k.  Monte Carlo takes the sample mean
-    Σv_k / K and its standard error, so its weights are implied.
+    ``weights`` are those of ``noise_nodes``, and exactly that many values
+    are taken, so several averages can share one iterator.  A value is an
+    array (or scalar) or a dict of them, reduced key by key; 0-d results
+    become floats.  Gauss-Hermite sums w_k·v_k.  Monte Carlo takes the
+    sample mean Σv_k / K and its standard error.  With weights None the
+    one value is returned as is.
     """
-
-    def __init__(self, weights, plan):
-        self.weights = weights
-        self.plan = plan
-        self.count = 0
-        self.total = None
-        self.squares = None
-
-    def add(self, value):
-        val = np.asarray(value, dtype=float)
-        if self.plan.scheme == "gauss_hermite":
-            term = val * self.weights[self.count]
-            self.total = term if self.total is None else self.total + term
-        elif self.total is None:
-            self.total, self.squares = val.copy(), val ** 2
+    values = iter(values)
+    if weights is None:
+        return AveragedResult(next(values), None, plan)
+    count, total, squares = 0, None, None
+    for w, value in zip(weights, values):
+        keyed = isinstance(value, dict)
+        node = {key: np.asarray(v, dtype=float) for key, v in
+                (value.items() if keyed else [(None, value)])}
+        if plan.scheme == "gauss_hermite":
+            node = {key: v * w for key, v in node.items()}
         else:
-            self.total = self.total + val
-            self.squares = self.squares + val ** 2
-        self.count += 1
+            square = {key: v ** 2 for key, v in node.items()}
+            squares = square if squares is None else \
+                {key: squares[key] + v for key, v in square.items()}
+        total = node if total is None else \
+            {key: total[key] + v for key, v in node.items()}
+        count += 1
+    if count != len(weights):
+        raise ValueError(f"{count} of {len(weights)} nodes were given")
+    if plan.scheme == "gauss_hermite":
+        mean, error = total, None
+    else:
+        mean = {key: v / count for key, v in total.items()}
+        error = {key: np.sqrt(np.maximum(squares[key] / count - v ** 2, 0.0)
+                              / count) for key, v in mean.items()}
 
-    def result(self):
-        if self.count != len(self.weights):
-            raise ValueError(
-                f"{self.count} of {len(self.weights)} nodes were added")
-        if self.plan.scheme == "gauss_hermite":
-            return AveragedResult(self.total, None, self.plan)
-        n = self.count
-        mean = self.total / n
-        var = np.maximum(self.squares / n - mean ** 2, 0.0)
-        return AveragedResult(mean, np.sqrt(var / n), self.plan)
+    def unpack(result):
+        if result is None:
+            return None
+        result = {key: float(v) if np.ndim(v) == 0 else v
+                  for key, v in result.items()}
+        return result if keyed else result[None]
+
+    return AveragedResult(unpack(mean), unpack(error), plan)
 
 
 def spectral_diffusion_average(simulation, sigmas, plan):
     """Average ``simulation(offsets)`` over Gaussian detuning offsets.
 
     ``simulation`` must be deterministic given the per-emitter offset
-    vector and may return a scalar or any ndarray; shapes must agree
-    across calls.  The nodes are those of ``noise_nodes``; with no
-    nonzero sigma the single zero-offset value is returned as is.
+    vector and may return a scalar, any ndarray or a dict of them; shapes
+    must agree across calls.  The nodes are those of ``noise_nodes``, in
+    order, reduced by ``node_average``; with no plan or no nonzero sigma
+    the single zero-offset value is returned as is.
     """
     offsets, weights = noise_nodes(sigmas, plan)
-    if not np.any(np.asarray(sigmas) > 0):
-        return AveragedResult(simulation(offsets[0]), None, plan)
-    avg = NodeAverage(weights, plan)
-    for off in offsets:
-        avg.add(simulation(off))
-    return avg.result()
+    return node_average(map(simulation, offsets), weights, plan)
 
 
 def _gaussian_kernel(sigma, dt):

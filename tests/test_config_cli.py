@@ -14,6 +14,7 @@ from wgqed.cli import main
 from wgqed.config import (DENSE_BUDGET_BYTES, dense_bytes, expand_range,
                           load_config, resolve_config, validate_config)
 from wgqed.errors import ConfigError
+from wgqed.experiments import run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -396,6 +397,44 @@ class TestDenseSizeGuard:
             assert main(argv) == 2
             assert "GiB budget" in json.loads(
                 capsys.readouterr().err)["message"]
+
+
+# small grids of every experiment, and g2-cw delay spans that are not a
+# whole number of steps (the τ grid runs through tau_max + dt/2)
+SMALL_GRIDS = [
+    {"experiment": "g2-cw", "grid": {"tau_max_ns": 0.13, "dt_ns": 0.02}},
+    {"experiment": "g2-cw", "grid": {"tau_max_ns": 0.03, "dt_ns": 0.02}},
+    {"experiment": "g2-cw", "grid": {"tau_max_ns": 0.1, "dt_ns": 0.02,
+                                     "pairs": ["LR"]}},
+    {"experiment": "transmission-scan",
+     "grid": {"detuning1_ghz": {"start": -1.0, "stop": 1.0, "points": 3},
+              "detuning2_ghz": {"values": [0.0, 0.5]}}},
+    {"experiment": "transmission-saturation",
+     "grid": {"rabi_over_gamma": {"values": [0.1, 1.0]}}},
+    {"experiment": "lifetime", "grid": {"t_max_ns": 0.5, "dt_ns": 0.03}},
+    {"experiment": "phase-sweep",
+     "grid": {"theta_over_pi": {"values": [0.0, 1.0]}, "dt_ns": 0.05,
+              "integration_windows_ns": [0.1]}},
+    {"experiment": "detuning-sweep",
+     "grid": {"detuning2_ghz": {"values": [0.0, 1.0]}, "t_max_ns": 0.5,
+              "dt_ns": 0.05, "window_ns": 0.2}},
+    {"experiment": "g2-pulsed", "grid": {"window_ns": 0.3, "dt_ns": 0.03,
+                                         "pairs": ["LL", "LR"]}},
+    {"experiment": "g2-map", "grid": {"window_ns": 0.13, "dt_ns": 0.02}},
+    {"experiment": "scalability", "scalability": {"runs": 50}},
+    {"experiment": "scalability-heatmap", "scalability": {"runs": 50},
+     "grid": {"mu_qd": {"values": [5.0]},
+              "delta_over_sigma": {"values": [0.01, 0.1]}}},
+]
+
+
+@pytest.mark.parametrize("data", SMALL_GRIDS, ids=lambda d: d["experiment"])
+def test_guard_counts_the_tables_an_experiment_builds(data):
+    # dense_bytes counts each table from its (rows, columns) in _tables
+    cfg = resolve_config(data)
+    built = [(len(rows), len(names))
+             for names, rows in run_experiment(cfg).tables.values()]
+    assert config._tables(cfg) == built
 
 
 class TestYieldSizeGuard:

@@ -4,8 +4,9 @@ import pytest
 from wgqed import presets
 from wgqed.errors import NormalizationError
 from wgqed.instrument import (DetectorModel, NoiseAveragingPlan,
-                              _gaussian_kernel, jitter_convolve,
-                              side_peak_normalize, spectral_diffusion_average)
+                              _gaussian_kernel, jitter_convolve, node_average,
+                              node_count, noise_nodes, side_peak_normalize,
+                              spectral_diffusion_average)
 from wgqed.model import EmitterParams, WaveguideSystem
 from wgqed.observables import transmission_coherent
 
@@ -69,6 +70,58 @@ class TestSpectralDiffusionAverage:
 
         # swapping the emitters' detunings mirrors the map exactly
         assert t_at(0.7, -0.2) == pytest.approx(t_at(-0.2, 0.7), abs=1e-12)
+
+
+GH5 = NoiseAveragingPlan("gauss_hermite", 5)
+MC7 = NoiseAveragingPlan("monte_carlo", 7, seed=3)
+
+
+class TestNodeAxis:
+    @pytest.mark.parametrize("sigmas, plan", [
+        ([0.4, 0.0, 0.0], GH5), ([0.4, 0.3, 0.0], GH5),
+        ([0.4, 0.3, 0.2], GH5), ([0.0, 0.3], MC7), ([0.0, 0.0], GH5),
+        ([0.0, 0.0], MC7), ([0.4, 0.3], None)])
+    def test_count_is_the_nodes_built(self, sigmas, plan):
+        offsets, weights = noise_nodes(sigmas, plan)
+        assert node_count(sigmas, plan) == len(offsets)
+        if weights is None:
+            assert len(offsets) == 1 and not offsets.any()
+        else:
+            assert len(weights) == len(offsets)
+
+    @pytest.mark.parametrize("plan", [GH5, MC7, None])
+    def test_takes_exactly_k_values_from_a_shared_iterator(self, plan):
+        _, weights = noise_nodes([0.4, 0.3], plan)
+        k = 1 if weights is None else len(weights)
+        values = iter(range(3 * k + 1))
+        first = node_average(values, weights, plan).value
+        second = node_average(values, weights, plan).value
+        assert next(values) == 2 * k
+        assert second - first == pytest.approx(k)
+
+    def test_too_few_values_refused(self):
+        _, weights = noise_nodes([0.4], GH5)
+        with pytest.raises(ValueError, match="4 of 5 nodes"):
+            node_average(range(4), weights, GH5)
+
+    def test_dict_values_reduce_as_each_key_alone(self):
+        sigmas = [0.5, 0.2]
+
+        def parts(off):
+            return {"a": np.sin(off + np.arange(3)[:, None]).sum(axis=1),
+                    "b": float(np.cos(off).prod())}
+
+        for plan in (GH5, MC7):
+            offsets, weights = noise_nodes(sigmas, plan)
+            keyed = node_average(map(parts, offsets), weights, plan)
+            for key in ("a", "b"):
+                alone = spectral_diffusion_average(
+                    lambda off: parts(off)[key], sigmas, plan)
+                np.testing.assert_array_equal(keyed.value[key], alone.value)
+                if plan is MC7:
+                    np.testing.assert_array_equal(keyed.standard_error[key],
+                                                  alone.standard_error)
+            assert isinstance(keyed.value["b"], float)
 
 
 class TestJitterConvolve:
