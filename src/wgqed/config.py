@@ -12,7 +12,7 @@ import yaml
 from jsonschema import Draft202012Validator
 
 from . import presets
-from .dynamics import STACK_SUPEROPERATORS, stack_chunk
+from .dynamics import STACK_SUPEROPERATORS, grid_points, stack_chunk
 from .errors import ConfigError
 from .instrument import DetectorModel, NoiseAveragingPlan, node_count
 from .model import DriveConfig, EmitterParams, PulseSpec, WaveguideSystem
@@ -403,18 +403,6 @@ def table_bytes(rows, columns):
     return (41 * rows + 140 * min(rows, WRITE_BLOCK_ROWS)) * columns
 
 
-def _points(span, dt):
-    """Points of a uniform grid from 0 through span in steps of dt."""
-    return int(round(span / dt)) + 1
-
-
-def _delay_count(grid):
-    """Length of g2-cw's delay grid ``np.arange(0, tau_max + dt/2, dt)``,
-    without building it."""
-    return int(np.ceil((grid["tau_max_ns"] + grid["dt_ns"] / 2)
-                       / grid["dt_ns"]))
-
-
 def _trace_count(cfg):
     """Length of ``trace_times(cfg)``, without building it."""
     return int(np.ceil(_trace_end(cfg) / cfg.grid["dt_ns"]))
@@ -443,13 +431,13 @@ def _tables(cfg):
         deltas = axis_length(grid["detuning2_ghz"])
         return [(deltas * _trace_count(cfg), 6), (deltas, 3)]
     if experiment == "g2-cw":
-        return [(2 * _delay_count(grid) - 1,
+        return [(2 * grid_points(grid["tau_max_ns"], grid["dt_ns"]) - 1,
                  1 + 2 * len(grid["pairs"]))]
     if experiment == "g2-pulsed":
-        return [(2 * _points(grid["window_ns"], grid["dt_ns"]) - 1,
+        return [(2 * grid_points(grid["window_ns"], grid["dt_ns"]) - 1,
                  1 + 4 * len(grid["pairs"])), (len(grid["pairs"]), 3)]
     if experiment == "g2-map":
-        return [(_points(grid["window_ns"], grid["dt_ns"]) ** 2, 6)]
+        return [(grid_points(grid["window_ns"], grid["dt_ns"]) ** 2, 6)]
     if experiment == "scalability-heatmap":
         return [(axis_length(grid["mu_qd"])
                  * axis_length(grid["delta_over_sigma"]), 5)]
@@ -513,7 +501,7 @@ def dense_bytes(cfg):
     count = 1 + driven + _DENSE_WORK
     if cfg.experiment in ("g2-pulsed", "g2-map") and not cfg.drive.is_cw:
         dt = grid["dt_ns"]
-        nt = _points(grid["window_ns"], dt)
+        nt = grid_points(grid["window_ns"], dt)
         count += min(int(np.ceil(12.0 * cfg.drive.pulse.sigma_t / dt)) + 2,
                      nt - 1)
         pairs = 1 if cfg.experiment == "g2-map" else len(grid["pairs"])
@@ -524,7 +512,7 @@ def dense_bytes(cfg):
     if cfg.experiment == "g2-cw":
         pairs = len(set(grid["pairs"]) | {p[::-1] for p in grid["pairs"]})
         members, row = nodes, 8 * pairs
-        times = _delay_count(grid)
+        times = grid_points(grid["tau_max_ns"], grid["dt_ns"])
     elif cfg.experiment in ("lifetime", "phase-sweep", "detuning-sweep"):
         if cfg.experiment == "phase-sweep":
             members = axis_length(grid["theta_over_pi"])

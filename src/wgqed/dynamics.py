@@ -173,6 +173,12 @@ def _evolve(l0, d, drive, y, t0, times, read=lambda x: x):
     return out
 
 
+def grid_points(span, dt):
+    """Points of the grid 0, dt, 2·dt, … that ends at or before ``span``
+    (1e-9 steps of slack for spans that are whole steps up to rounding)."""
+    return int(np.floor(span / dt + 1e-9)) + 1
+
+
 def stack_chunk(dim, nt, row_bytes):
     """Members per ``_evolve`` stack for Hilbert dimension ``dim`` and
     ``nt`` stored times of ``row_bytes`` readout bytes each.
@@ -382,7 +388,7 @@ def g2_cw(systems, drive, pairs=("LL", "RR", "LR", "RL"), tau_max=6.0,
     stack = [systems] if single else list(systems)
     if not drive.is_cw:
         raise ValueError("g2_cw requires a CW drive")
-    tau = np.arange(0.0, tau_max + dt / 2, dt)
+    tau = np.arange(grid_points(tau_max, dt)) * dt
     l, _, _ = _stack(stack, [drive] * len(stack))
     dim = 2 ** stack[0].n
     ops = {p: field_operator(stack[0], p) for p in "LR"}
@@ -500,7 +506,7 @@ def pulsed_g2_map(system, drive, ports="LL", window=4.0, dt=0.01,
         raise ValueError("separation_periods must be >= 1")
     gen = LindbladGenerator(system, drive)
     dim, dim2 = gen.dim, gen.dim ** 2
-    nt = int(round(window / dt)) + 1
+    nt = grid_points(window, dt)
     t = np.arange(nt) * dt
     mats = _step_matrices(gen, t)
 

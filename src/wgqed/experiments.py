@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__, presets
 from .config import (WRITE_BLOCK_ROWS, expand_range, scalability_config,
                      trace_times)
-from .dynamics import (g2_cw, integrated_pulsed_g2, intensity_traces,
-                       pulsed_g2_map, stack_chunk)
+from .dynamics import (g2_cw, grid_points, integrated_pulsed_g2,
+                       intensity_traces, pulsed_g2_map, stack_chunk)
 from .instrument import (DetectorModel, jitter_convolve, node_average,
                          noise_nodes, spectral_diffusion_average)
 from .model import DriveConfig
@@ -384,7 +384,7 @@ def run_g2_cw(cfg):
     dt = cfg.grid["dt_ns"]
 
     need = tuple(sorted(set(pairs) | {p[::-1] for p in pairs}))  # τ < 0
-    tau = np.arange(0.0, tau_max + dt / 2, dt)
+    tau = np.arange(grid_points(tau_max, dt)) * dt
     chunk = stack_chunk(2 ** cfg.system.n, len(tau), 8 * len(need))
 
     def bundles(offsets):

@@ -38,29 +38,35 @@ the number of spreads ≤ δλ/σ is kept for each config.  Each config's
 P(n_set) = Σ_N P(n_set | N)·P_pois(N) is then summed over its own support
 in increasing N, so the result does not depend on the rest of the group.
 
-At small δλ/σ most samples cannot succeed, and they are dropped before
-the costly steps.  Every feasible set in either mode spans at least n_set
-consecutive sorted emitters, so a sample whose n_set closest emitters
-span more than the group's largest tuning range ``top`` fails for every
-mode and δλ of the group.  ``_draw`` rules most such rows out before the
-normal quantile: its slope is at least √(2π), so a row whose uniforms
-satisfy √(2π)·min_j(u[j+k] − u[j]) > top + 1e-9 (k = n_set − 1) cannot
-fit; the 1e-9 σ margin covers the quantile's rounding.  The window
-kernel then runs only on the rows where some n_set consecutive
-wavelengths fit inside ``top``; the consecutive kernel needs no such
-test, since its result is one of those spreads.  Both tests are exact, so
-every count equals the unfiltered one; the denominators stay ``runs``,
-and the regions of every row are still drawn, so the Philox streams are
-unchanged.
+At small δλ/σ most samples cannot succeed, and the work follows the
+few windows that can.  Every feasible set in either mode spans at least
+n_set consecutive sorted emitters, and each of its n_set-emitter
+sub-windows spans no more than it does; so only windows of n_set
+consecutive emitters that fit inside the group's largest tuning range
+``top`` matter.  ``_draw`` marks those *close* windows before the normal
+quantile: its slope is at least √(2π), so a window whose uniforms
+satisfy √(2π)·(u[j+k] − u[j]) > top + 1e-9 (k = n_set − 1) cannot fit;
+the 1e-9 σ margin covers the quantile's rounding.  Where close windows
+are few (below DENSE_SHARE of a chunk's windows), ``ndtri`` runs only
+at their ends: the consecutive spread and the region popcount are
+computed per close window, a feasible window of either mode within
+``top`` lies inside one run of consecutive close windows, and each
+row's minimum is taken over its close windows (``_close_minima``).
+Elsewhere the kernels run on the rows that have a close window.  A row
+without one fails for every mode and δλ of the group.  Both branches
+are exact, so every count equals the unfiltered one; the denominators
+stay ``runs``, and the regions of every row are still drawn, so the
+Philox streams are unchanged.
 
 Sampling is deterministic and independent of the thread count: samples
 are partitioned into fixed-size chunks with counter-based Philox streams
 keyed by (seed, n_qd, chunk index), and reductions are integer sums.
 ``probabilities_per_waveguide`` runs the N on a pool of threads, one per
 CPU in the process's affinity mask (so ``taskset`` limits it), largest N
-first.  A chunk holds a spacing buffer and int32 regions and steps
-through them in row blocks of BLOCK_ROWS rows, so the chunks in flight
-hold about 12 bytes per sample value together with a few row blocks each
+first.  A chunk holds a spacing buffer, int32 regions and a close-window
+mask and steps through them in row blocks of BLOCK_ROWS rows (or, for
+the close windows, in pieces of as many bytes), so the chunks in flight
+hold about 13 bytes per sample value together with a few row blocks each
 (``chunk_bytes``).
 """
 
@@ -73,8 +79,19 @@ from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import gammaln, ndtri, xlogy
 
 CHUNK = 1 << 15
-BLOCK_ROWS = 1 << 11    # rows per block of _draw's filter and the kernels
+BLOCK_ROWS = 1 << 11    # rows per block of _draw's mask and the kernels
 BLOCK_TEMPS = 4         # float64 row-block temporaries alive at once
+# A chunk runs the row-block kernels once DENSE_SHARE of its windows are
+# close, and ``_close_minima`` below that.  Chosen on a one-thread sweep of
+# N = 0–56 at 20 000 runs, both modes, n_reg = n_set = 3, top 0.003–0.2σ
+# (2-vCPU Xeon): counting every chunk from its close windows took 1.5–2.4×
+# as long as the kernels at 0.08σ, a switch at 0.4 lost at 0.05–0.08σ, and
+# one at 0.1 lost at 0.03σ and matched 0.25 elsewhere.
+DENSE_SHARE = 0.25
+# ``_close_minima`` is given WINDOW_BYTES + 16·n_reg bytes per close window
+# (traced: 86–145 in all for n_reg ≤ 12 with a quarter of the windows
+# close), so that its row pieces stay within the block temporaries
+WINDOW_BYTES = 128
 # Bytes that a run may hold (config.DENSE_BUDGET_BYTES): the pool draws no
 # more chunks at once than fit in it together
 BUDGET_BYTES = 2 * 1024 ** 3
@@ -147,13 +164,6 @@ def poisson_weights(mu, mass_target=0.9995):
         size *= 2
 
 
-def _windows(lam, n_set):
-    """Spread of every run of n_set consecutive sorted wavelengths, (m, n −
-    n_set + 1): the sets the consecutive rule may pick, and a lower bound
-    on any feasible set in either mode."""
-    return lam[:, n_set - 1:] - lam[:, :lam.shape[1] - n_set + 1]
-
-
 def _min_spreads(lam, regions, n_set, mode):
     """Minimal feasible spread of each row; inf when no feasible set exists.
 
@@ -170,7 +180,7 @@ def _min_spreads(lam, regions, n_set, mode):
         seen = bits[:, :width].copy()
         for k in range(1, n_set):
             seen |= bits[:, k:k + width]
-        spread = _windows(lam, n_set)
+        spread = lam[:, n_set - 1:] - lam[:, :width]
         spread[np.bitwise_count(seen) != n_set] = np.inf
         return spread.min(axis=1)
     rows = np.arange(m)
@@ -229,29 +239,49 @@ def _blocks(m):
             for i in range(0, m, BLOCK_ROWS))
 
 
-def _draw(n_qd, config, chunk_index, m, top=np.inf):
+def _block_bytes(n_qd, m):
+    """Bytes of the BLOCK_TEMPS float64 row-block temporaries of a chunk
+    of m rows; the sparse branch keeps within them too."""
+    return BLOCK_TEMPS * 8 * min(m, BLOCK_ROWS) * (n_qd + 1)
+
+
+def _pieces(close, n_close, limit):
+    """Row slices of ``close`` covering its rows, each holding at most
+    ``limit`` of its n_close close windows, or one row where that row
+    alone holds more."""
+    m = len(close)
+    if n_close <= limit:
+        return [slice(0, m)]
+    ends = np.cumsum(np.count_nonzero(close, axis=1))
+    pieces, start, held = [], 0, 0
+    while start < m:
+        stop = max(int(np.searchsorted(ends, held + limit, side="right")),
+                   start + 1)
+        pieces.append(slice(start, stop))
+        start, held = stop, int(ends[stop - 1])
+    return pieces
+
+
+def _draw(n_qd, config, chunk_index, m, top):
     """Draw chunk ``chunk_index`` of m waveguides with n_qd emitters each.
 
-    Returns the wavelengths in sorted order (σ units, exponential spacings
-    mapped through the normal quantile function) and the 0-based int32
-    regions in that order, i.i.d. uniform because ranks are independent of
-    the order statistics.  Deterministic for fixed (seed, n_qd,
-    chunk_index).
+    Returns ``(spacings, total, close, regions)``.  The first n_qd columns
+    of the (m, n_qd + 1) ``spacings`` buffer hold the cumulative
+    exponential spacings: sorted wavelengths are ``ndtri(spacings[:, j] /
+    total)`` in σ units, computed only where they are needed.  ``regions``
+    (m, n_qd) are the 0-based int32 regions in sorted order, i.i.d.
+    uniform because ranks are independent of the order statistics.
+    Deterministic for fixed (seed, n_qd, chunk_index).
 
-    Rows whose n_set closest emitters provably span more than ``top`` (σ
-    units) are left out before the quantile function (the uniform-space
-    test of the module docstring, on the unnormalized cumulative
-    spacings), so fewer than m rows may come back.  The test is skipped
-    when it provably keeps every row: the n − 1 gaps hold ⌊(n−1)/k⌋
-    disjoint k-gap blocks inside [0, 1].
+    ``close`` (m, n_qd + 1) marks window j (emitters j … j + n_set − 1)
+    when the uniform-space bound of the module docstring lets its spread
+    fit inside ``top`` (σ units); its last n_set columns stay False.  It
+    is None when the bound provably marks a window in every row: the
+    n − 1 gaps hold ⌊(n−1)/k⌋ disjoint k-gap blocks inside [0, 1].
 
-    The chunk holds one spacing buffer and one region buffer: the
-    cumulative sums overwrite the spacings, the test runs in row blocks,
-    the kept rows move to the front of both buffers block by block, and
-    the wavelengths come back as a view of the spacing buffer.  The
-    regions are drawn after the spacings, as before, but as int32, which
-    numpy draws with the same values and the same generator state as its
-    default int64 (``tests/test_scalability.py`` pins this).
+    The regions are drawn after the spacings, as int32, which numpy draws
+    with the same values and the same generator state as its default
+    int64 (``tests/test_scalability.py`` pins this).
     """
     rng = Generator(Philox(SeedSequence(config.seed,
                                         spawn_key=(n_qd, chunk_index))))
@@ -260,25 +290,70 @@ def _draw(n_qd, config, chunk_index, m, top=np.inf):
     cum = np.cumsum(spacings[:, :-1], axis=1, out=spacings[:, :-1])
     k = config.n_set - 1
     reach = top + NDTRI_MARGIN
-    kept = None
+    close = None
     if 0 < k < n_qd and SQRT_2PI > reach * ((n_qd - 1) // k):
-        keep = np.empty(m, dtype=bool)
+        close = np.zeros((m, n_qd + 1), dtype=bool)
+        bound = reach * total
         for rows in _blocks(m):
-            block = cum[rows]
-            keep[rows] = SQRT_2PI * (block[:, k:] - block[:, :-k]).min(
-                axis=1) <= reach * total[rows]
-        if not keep.all():
-            kept = np.flatnonzero(keep)
+            gaps = cum[rows, k:] - cum[rows, :-k]
+            gaps *= SQRT_2PI
+            np.less_equal(gaps, bound[rows, None],
+                          out=close[rows, :n_qd - k])
     regions = rng.integers(0, config.n_reg, size=(m, n_qd), dtype=np.int32)
-    if kept is not None:
-        # a kept row only moves up, past rows already moved or dropped
-        for rows in _blocks(len(kept)):
-            cum[rows] = cum[kept[rows]]
-            regions[rows] = regions[kept[rows]]
-        m, total = len(kept), total[kept]
-    cum = cum[:m]
-    cum /= total[:, None]
-    return ndtri(cum, out=cum), regions[:m]
+    return spacings, total, close, regions
+
+
+def _close_minima(spacings, total, close, regions, n_set, modes):
+    """Minimal feasible spread per mode of every row with a close window,
+    computed on the close windows alone.
+
+    ``ndtri`` runs only at the ends of the close windows.  A window's
+    spread is that of ``consecutive``, inf unless its regions are
+    distinct.  A feasible set of either mode within ``top`` has every
+    n_set-emitter sub-window close, so for ``window_distinct`` it lies
+    inside one run of consecutive close windows: a run of one window
+    keeps that window's spread, longer runs go through ``_min_spreads``,
+    grouped by run length.  A row's minimum may exceed the true one only
+    where both exceed ``top``.
+    """
+    n = regions.shape[1]
+    k = n_set - 1
+    values, labels = spacings.ravel(), regions.ravel()
+    flat = np.flatnonzero(close)          # window starts in the buffer
+    row = flat // (n + 1)
+    scale = total[row]
+    lo = values[flat] / scale
+    spread = values[flat + k] / scale
+    ndtri(spread, out=spread)
+    spread -= ndtri(lo, out=lo)
+    start = flat - row                    # the same starts in ``regions``
+    seen = np.left_shift(np.uint64(1), labels[start], dtype=np.uint64,
+                         casting="unsafe")
+    for j in range(1, n_set):
+        seen |= np.left_shift(np.uint64(1), labels[start + j],
+                              dtype=np.uint64, casting="unsafe")
+    spread[np.bitwise_count(seen) != n_set] = np.inf
+    minima = {}
+    if "consecutive" in modes:
+        minima["consecutive"] = np.minimum.reduceat(
+            spread, np.flatnonzero(np.diff(row, prepend=-1)))
+    if "window_distinct" in modes:
+        run = np.flatnonzero(np.diff(flat, prepend=-2) != 1)
+        length = np.diff(run, append=len(flat))
+        best = spread[run]
+        for size in np.unique(length[length > 1]).tolist():
+            which = np.flatnonzero(length == size)
+            first = flat[run[which]]
+            own = row[run[which]]
+            at = first[:, None] + np.arange(size + k)
+            lam = values[at]
+            lam /= total[own, None]
+            best[which] = _min_spreads(ndtri(lam, out=lam),
+                                       labels[at - own[:, None]], n_set,
+                                       "window_distinct")
+        minima["window_distinct"] = np.minimum.reduceat(
+            best, np.flatnonzero(np.diff(row[run], prepend=-1)))
+    return minima
 
 
 def _success_counts(n_qd, config, runs, thresholds):
@@ -287,27 +362,47 @@ def _success_counts(n_qd, config, runs, thresholds):
     ``thresholds`` maps each mode to a list of tuning ranges in σ units;
     the result maps it to the number of samples whose minimal feasible
     spread fits inside each of them.  Every chunk is drawn once (seed and
-    n_reg from ``config``) and the kernel runs once per mode on each of
-    its row blocks.  Rows that cannot fit inside the largest tuning range
-    are dropped in ``_draw`` and, before the window kernel, on their
-    wavelengths.
+    n_reg from ``config``).  A chunk with few close windows (below
+    DENSE_SHARE of its windows) is counted from them alone
+    (``_close_minima``); otherwise the kernels run once per mode on each
+    row block of the rows that have a close window.
     """
     counts = {mode: np.zeros(len(t), dtype=np.int64)
               for mode, t in thresholds.items()}
     if n_qd < config.n_set:
         return counts
     top = max(max(t) for t in thresholds.values())
+    windows = n_qd - config.n_set + 1
     for chunk_index, done in enumerate(range(0, runs, CHUNK)):
-        lam, regions = _draw(n_qd, config, chunk_index,
-                             min(CHUNK, runs - done), top)
-        for rows in _blocks(len(lam)):
+        m = min(CHUNK, runs - done)
+        spacings, total, close, regions = _draw(n_qd, config, chunk_index,
+                                                m, top)
+        kept = None
+        if close is not None:
+            n_close = np.count_nonzero(close)
+            if n_close < DENSE_SHARE * m * windows:
+                limit = _block_bytes(n_qd, m) // (WINDOW_BYTES
+                                                  + 16 * config.n_reg)
+                for rows in _pieces(close, n_close, limit):
+                    minima = _close_minima(spacings[rows], total[rows],
+                                           close[rows], regions[rows],
+                                           config.n_set, thresholds)
+                    for mode, t in thresholds.items():
+                        counts[mode] += np.searchsorted(
+                            np.sort(minima[mode]), t, side="right")
+                continue
+            kept = np.flatnonzero(close.any(axis=1))
+            del close
+        cum = spacings[:, :-1]
+        for rows in _blocks(m if kept is None else len(kept)):
+            if kept is not None:
+                rows = kept[rows]
+            lam = cum[rows]
+            lam /= total[rows, None]
+            lam = ndtri(lam, out=lam)
+            regions_b = regions[rows]
             for mode, t in thresholds.items():
-                lam_b, regions_b = lam[rows], regions[rows]
-                if mode == "window_distinct":
-                    # a row all of whose windows exceed top cannot count
-                    near = _windows(lam_b, config.n_set).min(axis=1) <= top
-                    lam_b, regions_b = lam_b[near], regions_b[near]
-                spreads = _min_spreads(lam_b, regions_b, config.n_set, mode)
+                spreads = _min_spreads(lam, regions_b, config.n_set, mode)
                 counts[mode] += np.searchsorted(np.sort(spreads), t,
                                                 side="right")
     return counts
@@ -327,13 +422,15 @@ def chunk_bytes(n_qd, runs):
     ``runs`` waveguides with n_qd emitters.
 
     A row holds its spacing buffer (8·(n_qd + 1) bytes), its int32
-    regions (4·n_qd), its sum, filter flag and kept index (17); each of
-    BLOCK_TEMPS float64 temporaries spans one row block.  Both kernels
-    and the filter step through the chunk one row block at a time.
+    regions (4·n_qd), its close-window mask (n_qd + 1), its sum (8) and
+    16 bytes of either branch: the sparse branch's close windows per row
+    and their running sum, or the dense branch's kept flag and index.
+    Each of BLOCK_TEMPS float64 temporaries spans one row block: the
+    mask, the kernels and the sparse branch step through the chunk one
+    row block, or one piece of at most as many bytes, at a time.
     """
     rows = min(CHUNK, runs)
-    return rows * (12 * n_qd + 25) + \
-        BLOCK_TEMPS * 8 * min(rows, BLOCK_ROWS) * (n_qd + 1)
+    return rows * (13 * n_qd + 33) + _block_bytes(n_qd, rows)
 
 
 def _width():

@@ -585,6 +585,28 @@ class TestG2CW:
         assert np.array_equal(stacked["tau"], one["tau"])
         assert stacked["G2"]["LL"].shape == (len(nodes), len(one["tau"]))
 
+    @pytest.mark.parametrize("tau_max,dt,count", [
+        (0.13, 0.02, 7), (0.03, 0.02, 2), (0.14, 0.02, 8), (0.3, 0.1, 4),
+        (0.01, 0.02, 1)])
+    def test_delays_end_at_or_before_tau_max(self, tau_max, dt, count):
+        # half-step spans stop short of tau_max; whole-step spans reach it
+        # up to rounding
+        sys = presets.qd_pair()
+        drive = DriveConfig((sys.emitters[0].gamma_total / 16, 0.0),
+                            (0.0, 0.0), "cw")
+        tau = g2_cw(sys, drive, pairs=("LL",), tau_max=tau_max,
+                    dt=dt)["tau"]
+        assert dynamics.grid_points(tau_max, dt) == len(tau) == count
+        assert np.array_equal(tau, np.arange(count) * dt)
+        assert tau[-1] <= tau_max + 1e-9 * dt
+
+    def test_example_delay_grid_unchanged(self):
+        # the g2-cw example's grid, as np.arange(0, tau_max + dt/2, dt)
+        # built it
+        assert np.array_equal(
+            np.arange(dynamics.grid_points(6.0, 0.005)) * 0.005,
+            np.arange(0.0, 6.0 + 0.005 / 2, 0.005))
+
 
 def _assert_maps_equal(a, b):
     assert a.ports == b.ports

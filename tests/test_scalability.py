@@ -11,10 +11,10 @@ from scipy.special import ndtri
 from scipy.stats import chi2, poisson
 
 from wgqed import scalability
-from wgqed.scalability import (BLOCK_ROWS, BLOCK_TEMPS, CHUNK, MODES,
-                               NDTRI_MARGIN, SQRT_2PI, ScalabilityConfig,
-                               YieldResult, _draw, _min_spreads,
-                               _success_counts, chunk_bytes,
+from wgqed.scalability import (BLOCK_ROWS, BLOCK_TEMPS, CHUNK,
+                               DENSE_SHARE, MODES, NDTRI_MARGIN, SQRT_2PI,
+                               ScalabilityConfig, YieldResult, _draw,
+                               _min_spreads, _success_counts, chunk_bytes,
                                conditional_success_count,
                                min_feasible_spread, poisson_weights,
                                probabilities_per_waveguide,
@@ -60,17 +60,24 @@ class TestPoissonWeights:
         assert all(type(n) is int and type(w) is float for n, w in got)
 
 
+def draw_wavelengths(n_qd, cfg, chunk_index, m):
+    """Every row of a ``_draw`` chunk as sorted wavelengths (σ units) and
+    regions."""
+    spacings, total, _, regions = _draw(n_qd, cfg, chunk_index, m, np.inf)
+    return ndtri(spacings[:, :-1] / total[:, None]), regions
+
+
 class TestSampleWaveguide:
     """The waveguide sampler ``_draw``: sorted wavelengths, 0-based regions."""
 
     def test_shapes_and_ranges(self):
-        lam, regions = _draw(20, config(), 0, 5)
+        lam, regions = draw_wavelengths(20, config(), 0, 5)
         assert lam.shape == regions.shape == (5, 20)
         assert regions.min() >= 0 and regions.max() <= 2
         assert np.all(np.diff(lam, axis=1) >= 0)
 
     def test_single_region(self):
-        _, regions = _draw(15, config(n_reg=1, n_set=1), 0, 5)
+        _, regions = draw_wavelengths(15, config(n_reg=1, n_set=1), 0, 5)
         assert np.all(regions == 0)
 
     @pytest.mark.parametrize("n_reg", [1, 2, 3, 12, 64])
@@ -94,8 +101,8 @@ class TestSampleWaveguide:
 
     def test_region_counts_uniform_chi2(self):
         n_samples, n_qd = 10_000, 10
-        _, regions = _draw(n_qd, config(n_reg=4, n_set=4, seed=42), 0,
-                           n_samples)
+        _, regions = draw_wavelengths(n_qd, config(n_reg=4, n_set=4,
+                                                   seed=42), 0, n_samples)
         counts = np.bincount(regions.ravel(), minlength=4)
         expected = n_samples * n_qd / 4
         stat = np.sum((counts - expected) ** 2 / expected)
@@ -232,7 +239,7 @@ class TestSpreadKernel:
         n_qd = 6
         cfg = config(n_reg=3, n_set=3, delta_lambda=0.5 * 15.0, runs=3_000,
                      mode=mode)
-        lam, regions = _draw(n_qd, cfg, 0, cfg.runs)
+        lam, regions = draw_wavelengths(n_qd, cfg, 0, cfg.runs)
         dl = cfg.delta_lambda / cfg.sigma_qd
         want = sum(brute_force_min_spread(l, r, cfg.n_set, mode) <= dl
                    for l, r in zip(lam, regions))
@@ -241,7 +248,8 @@ class TestSpreadKernel:
 
     @pytest.mark.parametrize("n_reg,n_set", [(3, 3), (4, 4), (12, 4)])
     def test_fast_path_equals_partition_on_a_chunk(self, n_reg, n_set):
-        lam, regions = _draw(10, config(n_reg=n_reg, n_set=n_set), 0, CHUNK)
+        lam, regions = draw_wavelengths(10, config(n_reg=n_reg, n_set=n_set),
+                                        0, CHUNK)
         got = _min_spreads(lam, regions, n_set, "window_distinct")
         assert np.array_equal(got, partition_min_spreads(lam, regions, n_set))
         assert np.isfinite(got).any() and np.isinf(got).any()
@@ -270,6 +278,22 @@ def unfiltered_count(n_qd, cfg):
     return int(unfiltered_success_counts(
         n_qd, cfg, cfg.runs,
         {cfg.mode: [cfg.delta_lambda / cfg.sigma_qd]})[cfg.mode][0])
+
+
+def switch_tops(n_qd, cfg, m):
+    """Tops just below and just above the one from which the first chunk
+    of m rows has DENSE_SHARE of its windows close (bisected)."""
+    width = n_qd - cfg.n_set + 1
+    lo, hi = 1e-6, SQRT_2PI / ((n_qd - 1) // (cfg.n_set - 1))
+    for _ in range(30):
+        mid = np.sqrt(lo * hi)
+        close = _draw(n_qd, cfg, 0, m, mid)[2]
+        if close is not None and \
+                np.count_nonzero(close) < DENSE_SHARE * m * width:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def as_lists(counts):
@@ -346,17 +370,92 @@ class TestSampleFilter:
         (3, 3, 3, 0.01), (5, 3, 3, 1.0), (12, 4, 3, 0.01), (40, 3, 3, 0.01),
         (40, 12, 4, 0.1), (7, 2, 2, 1e-3)])
     def test_dropped_rows_cannot_fit(self, n_qd, n_reg, n_set, top):
+        # a row without a close window fails in both modes
         cfg = config(n_reg=n_reg, n_set=n_set)
-        lam, regions = _draw(n_qd, cfg, 0, 4000)
-        kept, kept_regions = _draw(n_qd, cfg, 0, 4000, top)
-        rows = np.flatnonzero(np.isin(lam[:, 0], kept[:, 0]))
-        assert 0 < len(rows) < len(lam)
-        assert np.array_equal(lam[rows], kept)
-        assert np.array_equal(regions[rows], kept_regions)
+        lam, regions = draw_wavelengths(n_qd, cfg, 0, 4000)
+        _, _, close, kept_regions = _draw(n_qd, cfg, 0, 4000, top)
+        assert np.array_equal(regions, kept_regions)
+        kept = close.any(axis=1)
+        assert 0 < kept.sum() < len(lam)
         windows = lam[:, n_set - 1:] - lam[:, :n_qd - n_set + 1]
-        dropped = np.ones(len(lam), dtype=bool)
-        dropped[rows] = False
-        assert np.all(windows[dropped].min(axis=1) > top)
+        assert np.all(windows[~kept].min(axis=1) > top)
+
+    @pytest.mark.parametrize("n_qd,n_reg,n_set,top", [
+        (3, 3, 3, 0.01), (5, 3, 3, 1.0), (12, 4, 3, 0.01), (40, 3, 3, 0.01),
+        (40, 12, 4, 0.1), (7, 2, 2, 1e-3), (56, 3, 3, 0.08),
+        (120, 3, 2, 0.003), (30, 12, 4, 0.25), (9, 6, 6, 2.0)])
+    def test_dropped_windows_cannot_fit(self, n_qd, n_reg, n_set, top):
+        # the per-window bound: a window left unmarked spans more than top
+        cfg = config(n_reg=n_reg, n_set=n_set)
+        lam, _ = draw_wavelengths(n_qd, cfg, 0, 4000)
+        close = _draw(n_qd, cfg, 0, 4000, top)[2]
+        width = n_qd - n_set + 1
+        assert close.shape == (4000, n_qd + 1)
+        assert not close[:, width:].any()
+        dropped = ~close[:, :width]
+        assert 0 < dropped.sum() < dropped.size
+        windows = lam[:, n_set - 1:] - lam[:, :width]
+        assert np.all(windows[dropped] > top)
+
+    def test_draw_equals_unfiltered_sampler(self):
+        # the bound marks windows and moves nothing: every row is drawn
+        # as by the unfiltered sampler, whatever top
+        cfg = config(n_reg=4, n_set=3)
+        rng = Generator(Philox(SeedSequence(cfg.seed, spawn_key=(30, 2))))
+        spacings = rng.standard_exponential((500, 31))
+        lam = ndtri(np.cumsum(spacings[:, :-1], axis=1)
+                    / spacings.sum(axis=1, keepdims=True))
+        regions = rng.integers(0, cfg.n_reg, size=(500, 30))
+        for top in (0.0, 0.01, np.inf):
+            got, total, _, got_regions = _draw(30, cfg, 2, 500, top)
+            assert np.array_equal(ndtri(got[:, :-1] / total[:, None]), lam)
+            assert np.array_equal(got_regions, regions)
+
+    @pytest.mark.parametrize("n_reg,n_set", [
+        (1, 1), (3, 1), (3, 2), (3, 3), (12, 1), (12, 2), (12, 3), (12, 4)])
+    def test_counts_exact_around_switch_and_skip(self, monkeypatch, n_reg,
+                                                 n_set):
+        # tops on both sides of the sparse/dense switch (bisected on the
+        # first chunk) and of the skip threshold, several chunks of 128
+        # rows, the last partial
+        monkeypatch.setattr(scalability, "CHUNK", 128)
+        chunks, pieces = [], []
+        draw, close_minima = scalability._draw, scalability._close_minima
+
+        def drawn(n_qd, cfg, chunk_index, m, top):
+            out = draw(n_qd, cfg, chunk_index, m, top)
+            close = out[2]
+            chunks.append("skip" if close is None else np.count_nonzero(close)
+                          / (m * (n_qd - n_set + 1)))
+            return out
+
+        def sparse(*args):
+            pieces.append(args[2].shape)
+            return close_minima(*args)
+
+        monkeypatch.setattr(scalability, "_draw", drawn)
+        monkeypatch.setattr(scalability, "_close_minima", sparse)
+        runs = 300
+        for n_qd in (n_set + 1, 9, 24, 61):
+            cfg = config(n_reg=n_reg, n_set=n_set, runs=runs)
+            tops = [1e-6, 0.01, 1.0]
+            if n_set > 1 and n_qd > n_set:
+                skip = SQRT_2PI / ((n_qd - 1) // (n_set - 1)) - NDTRI_MARGIN
+                below, above = switch_tops(n_qd, cfg, 128)
+                tops += [below, above, skip * 0.999, skip * 1.001]
+            for top in tops:
+                thresholds = {m: [0.0, top / 3, top] for m in MODES}
+                assert as_lists(_success_counts(n_qd, cfg, runs,
+                                                thresholds)) \
+                    == as_lists(unfiltered_success_counts(n_qd, cfg, runs,
+                                                          thresholds))
+        shares = [c for c in chunks if c != "skip"]
+        assert "skip" in chunks
+        if n_set > 1:
+            sparse_chunks = sum(0 < c < DENSE_SHARE for c in shares)
+            assert len(pieces) >= sparse_chunks > 0
+            assert any(c >= DENSE_SHARE for c in shares)
+            assert 0 in shares
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
@@ -373,10 +472,12 @@ class TestSampleFilter:
                                                       thresholds))
 
     def test_nothing_and_everything_survives(self):
-        # top = 0 drops every row before the kernels; 1000 drops none
+        # top = 0 marks no window, so no row reaches the kernels; at 1000
+        # the bound provably marks a window in every row and is skipped
         cfg = config(runs=200)
-        assert len(_draw(10, cfg, 0, cfg.runs, 0.0)[0]) == 0
-        assert len(_draw(10, cfg, 0, cfg.runs, 1e3)[0]) == cfg.runs
+        close = _draw(10, cfg, 0, cfg.runs, 0.0)[2]
+        assert close.shape == (cfg.runs, 11) and not close.any()
+        assert _draw(10, cfg, 0, cfg.runs, 1e3)[2] is None
         for top in (0.0, 1e3):
             thresholds = {m: [top] for m in MODES}
             assert as_lists(_success_counts(10, cfg, cfg.runs, thresholds)) \
@@ -416,6 +517,33 @@ class TestChunkMemory:
         assert all(0 < c[0] for c in counts.values())
         assert buffers < peak <= buffers + blocks
         assert peak <= chunk_bytes(n_qd, rows)
+
+    @pytest.mark.parametrize("n_reg,n_set", [(3, 3), (12, 4), (3, 2)])
+    def test_densest_sparse_chunk_within_chunk_bytes(self, monkeypatch,
+                                                     n_reg, n_set):
+        # the densest top that the sparse branch still takes: its close
+        # windows span several pieces, each within the block temporaries
+        n_qd, rows = 54, 20_000
+        cfg = config(n_reg=n_reg, n_set=n_set, runs=rows)
+        top = switch_tops(n_qd, cfg, rows)[0]
+        pieces, close_minima = [], scalability._close_minima
+
+        def sparse(*args):
+            pieces.append(len(args[2]))
+            return close_minima(*args)
+
+        monkeypatch.setattr(scalability, "_close_minima", sparse)
+        thresholds = {m: [top] for m in MODES}
+        tracemalloc.start()
+        try:
+            counts = _success_counts(n_qd, cfg, rows, thresholds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pieces) > 1 and sum(pieces) == rows
+        assert peak <= chunk_bytes(n_qd, rows)
+        assert as_lists(counts) == as_lists(
+            unfiltered_success_counts(n_qd, cfg, rows, thresholds))
 
 
 class TestConditionalSuccess:
