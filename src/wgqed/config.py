@@ -12,11 +12,9 @@ import yaml
 from jsonschema import Draft202012Validator
 
 from . import presets
-from .dynamics import STACK_SUPEROPERATORS, grid_points, stack_chunk
 from .errors import ConfigError
 from .instrument import DetectorModel, NoiseAveragingPlan, node_count
 from .model import DriveConfig, EmitterParams, PulseSpec, WaveguideSystem
-from .observables import saturation_powers
 from .scalability import (BUDGET_BYTES, ScalabilityConfig, chunk_bytes,
                           poisson_weights)
 from .units import ghz_to_angular
@@ -430,18 +428,19 @@ def _tables(cfg):
     if experiment == "detuning-sweep":
         deltas = axis_length(grid["detuning2_ghz"])
         return [(deltas * _trace_count(cfg), 6), (deltas, 3)]
-    if experiment == "g2-cw":
-        return [(2 * grid_points(grid["tau_max_ns"], grid["dt_ns"]) - 1,
-                 1 + 2 * len(grid["pairs"]))]
-    if experiment == "g2-pulsed":
-        return [(2 * grid_points(grid["window_ns"], grid["dt_ns"]) - 1,
-                 1 + 4 * len(grid["pairs"])), (len(grid["pairs"]), 3)]
-    if experiment == "g2-map":
-        return [(grid_points(grid["window_ns"], grid["dt_ns"]) ** 2, 6)]
     if experiment == "scalability-heatmap":
         return [(axis_length(grid["mu_qd"])
                  * axis_length(grid["delta_over_sigma"]), 5)]
-    return [(2, 11)]    # scalability: one row per mode
+    if experiment == "scalability":
+        return [(2, 11)]    # one row per mode
+    from .dynamics import grid_points
+    nt = grid_points(grid[_SPANS[experiment]], grid["dt_ns"])
+    if experiment == "g2-cw":
+        return [(2 * nt - 1, 1 + 2 * len(grid["pairs"]))]
+    if experiment == "g2-pulsed":
+        return [(2 * nt - 1, 1 + 4 * len(grid["pairs"])),
+                (len(grid["pairs"]), 3)]
+    return [(nt ** 2, 6)]   # g2-map
 
 
 def _axis_max(spec):
@@ -486,11 +485,16 @@ def dense_bytes(cfg):
     and run no more threads than fit in the budget together, so one chunk
     is counted.
     """
-    n = cfg.system.n
-    grid = cfg.grid
     total = sum(table_bytes(rows, columns) for rows, columns in _tables(cfg))
     if cfg.experiment.startswith("scalability"):
         return total + _yield_chunk_bytes(cfg)
+    # An optics config imports its engines here, as it is resolved, so
+    # that its run imports nothing; observables imports dynamics, and with
+    # it scipy.integrate and scipy.linalg, which a yield config never loads.
+    from . import observables  # noqa: F401
+    from .dynamics import STACK_SUPEROPERATORS, grid_points, stack_chunk
+    n = cfg.system.n
+    grid = cfg.grid
     if cfg.experiment == "transmission-scan":
         return total + 16 * n * n * _scan_points(cfg)
     if cfg.experiment not in _DENSE_EXPERIMENTS:
@@ -571,6 +575,7 @@ def _check_experiment(cfg):
                               "emitter 1's waveguide coupling: it needs "
                               "beta > 0")
         # the power grows with the ratio: the smallest decides
+        from .observables import saturation_powers
         if not saturation_powers(cfg.system, [fracs.min()])[0] > 0:
             raise ConfigError("rabi_over_gamma grid too small: the input "
                               "power underflows to 0")

@@ -1,19 +1,20 @@
 """Time propagation, steady states, and one- and two-time correlations.
 
-One propagation path, ``_evolve``, serves ``propagate``,
+One propagation path, ``_states``, serves ``propagate``,
 ``intensity_traces``, ``two_time_correlation``, ``g2_cw`` and the step
 propagators of ``pulsed_g2_map``.  It marches a stack of K systems that
 share one pulse timing, such as the grid points and noise nodes of a
 sweep, each with m columns: one state, the seeds of several port pairs,
-or the identity when it builds a propagator.  At each stored time it
-keeps what the caller reads from the columns, such as Tr ρ and the two
-port intensities.  Between pulses the stack takes exact steps
-expm(L₀Δt); inside a pulse window (±6σ) one RK45 solve integrates it
-under L(t) = L₀ + f(t)·D, at tolerances pooled over the stack so that
-every system meets RTOL = 1e-10 and ATOL = 1e-12 of its own.  A CW or
-undriven generator never calls the ODE solver.  Long stacks are marched
-in chunks of ``stack_chunk`` members, whose superoperators and readouts
-fit NODE_STACK_BYTES.  The members differ only in their detunings and
+or the identity when it builds a propagator.  The caller keeps what it
+reads from the columns at the stored times, such as Tr ρ and the two
+port intensities: ``_evolve`` reads each time by itself, the time
+traces read blocks of READ_BLOCK times.  Between pulses the stack takes
+exact steps expm(L₀Δt); inside a pulse window (±6σ) one RK45 solve
+integrates it under L(t) = L₀ + f(t)·D, at tolerances pooled over the
+stack so that every system meets RTOL = 1e-10 and ATOL = 1e-12 of its
+own.  A CW or undriven generator never calls the ODE solver.  Long
+stacks are marched in chunks of ``stack_chunk`` members, whose
+superoperators and readouts fit NODE_STACK_BYTES.  The members differ only in their detunings and
 drives, so one ``model.superoperators`` call builds a chunk's L₀ and D.
 
 Two-time quantities use the quantum regression theorem: with Λ_τ the same
@@ -50,12 +51,14 @@ from .hilbert import DensityState, basis_ket
 from .model import (DriveConfig, LindbladGenerator, WaveguideSystem,
                     field_operator, superoperators)
 
-NEGATIVE_G_TOL = 1e-10  # regression numerics may produce tiny negatives
+NEGATIVE_G_TOL = 1e-10  # regression numerics may produce tiny negatives;
+                        # counted below -NEGATIVE_G_TOL·max|G| of a result
 RTOL = 1e-10    # RK45 tolerances of one system inside a pulse window
 ATOL = 1e-12
 NODE_STACK_BYTES = 16 * 1024 ** 2   # one chunk of a stack
 _CACHED_STEPS = 3   # the grid step, and the steps into and out of a pulse
 STACK_SUPEROPERATORS = 3 + _CACHED_STEPS   # per member of an _evolve stack
+READ_BLOCK = 16     # stored states per member that a time trace reads at once
 
 
 @dataclass
@@ -99,10 +102,23 @@ def _evolve(l0, d, drive, y, t0, times, read=lambda x: x):
     each of ``times`` (increasing, all >= t0) from y[k] at t0; returns
     (K, len(times), ...).
 
+    ``read`` maps the (K, d², m) columns at a stored time to a (K, ...)
+    array, such as the port intensities of each state; by default the
+    columns are kept.  The march is ``_states``'.
+    """
+    first = read(y)
+    out = np.empty((len(y), len(times)) + first.shape[1:], dtype=first.dtype)
+    for i, x in enumerate(_states(l0, d, drive, y, t0, times)):
+        out[:, i] = read(x)
+    return out
+
+
+def _states(l0, d, drive, y, t0, times):
+    """The (K, d², m) columns of each of K stacked systems at each of
+    ``times`` (increasing, all >= t0) from y[k] at t0, yielded in order.
+
     ``y`` is (K, d², m): m columns per system, such as one vec(ρ) (m = 1)
-    or the identity (m = d², which gives the propagator).  ``read`` maps
-    the (K, d², m) columns at a stored time to a (K, ...) array, such as
-    the port intensities of each state; by default the columns are kept.
+    or the identity (m = d², which gives the propagator).
     ``l0`` and ``d`` are (K, d², d²) stacks (``d`` None for constant
     generators) and ``drive`` gives the pulse windows all members share.
     Pulse-free stretches take exact steps expm(L₀Δt), one batched
@@ -140,14 +156,12 @@ def _evolve(l0, d, drive, y, t0, times, read=lambda x: x):
             return (l0 @ x + drive.envelope_at(t) * (d @ x)).reshape(-1)
         return ((l0 + drive.envelope_at(t) * d) @ x).reshape(-1)
 
-    first = read(y)
-    out = np.empty((k, len(times)) + first.shape[1:], dtype=first.dtype)
     t, i = t0, 0
     for a, b in windows + [(np.inf, np.inf)]:
         while i < len(times) and times[i] <= a:
             if times[i] > t:
                 y, t = free(times[i] - t) @ y, times[i]
-            out[:, i] = read(y)
+            yield y
             i += 1
         if i == len(times):
             break
@@ -167,10 +181,9 @@ def _evolve(l0, d, drive, y, t0, times, read=lambda x: x):
                 f"{sol.message}", t=float(sol.t[-1]) if len(sol.t) else a)
         ys = sol.y.reshape(k, d2, m, -1)
         for j in range(len(inside)):
-            out[:, i + j] = read(ys[..., j])
+            yield ys[..., j]
         i += len(inside)
         y, t = ys[..., -1], b
-    return out
 
 
 def grid_points(span, dt):
@@ -192,19 +205,32 @@ def stack_chunk(dim, nt, row_bytes):
     return max(1, NODE_STACK_BYTES // member)
 
 
-def _march(rho0, systems, drives, t_grid, row_bytes, reader, trace):
+def _march(rho0, systems, drives, t_grid, row_bytes, read, trace):
     """Each member's readout on t_grid from ρ₀ at t = 0, in order, marched
-    in ``_evolve`` stacks of ``stack_chunk`` members; ``reader(members)``
-    reads a chunk (``row_bytes`` per member and time) and ``trace`` takes
-    Tr ρ from its readouts, which may drift from 1 by at most 1e-8.
+    in ``_states`` stacks of ``stack_chunk`` members.
+
+    ``read`` maps the states of a chunk's K members at up to READ_BLOCK
+    consecutive stored times, (K, n, d²), to their readouts, (K, n, ...)
+    of ``row_bytes`` per member and time; ``trace`` takes Tr ρ from the
+    readouts, which may drift from 1 by at most 1e-8.
     """
     chunk = stack_chunk(len(rho0), len(t_grid), row_bytes)
+    last = len(t_grid) - 1
     for lo in range(0, len(systems), chunk):
-        members = systems[lo:lo + chunk]
-        l0, d, timed = _stack(members, drives[lo:lo + chunk])
+        l0, d, timed = _stack(systems[lo:lo + chunk], drives[lo:lo + chunk])
         y = np.repeat(rho0.reshape(1, -1, 1), len(l0), axis=0)
-        reads = _evolve(l0, d, timed, y, 0.0, t_grid, reader(members))
-        del l0, d
+        block = np.empty((len(l0), READ_BLOCK, rho0.size), dtype=complex)
+        reads = None
+        for i, x in enumerate(_states(l0, d, timed, y, 0.0, t_grid)):
+            j = i % READ_BLOCK
+            block[:, j] = x[..., 0]
+            if j == READ_BLOCK - 1 or i == last:
+                part = read(block[:, :j + 1])
+                if reads is None:
+                    reads = np.empty(part.shape[:1] + t_grid.shape
+                                     + part.shape[2:], dtype=part.dtype)
+                reads[:, i - j:i + 1] = part
+        del l0, d, block
         drift = np.max(np.abs(trace(reads) - 1.0))
         if drift > 1e-8:
             raise NumericalError(f"trace drift {drift:.2e} exceeds 1e-8")
@@ -249,8 +275,7 @@ def propagate(initial, system, drive, t_grid, validate=True):
     dim = len(rho0)
     trajectories = []
     for states, dr in zip(_march(
-            rho0, systems, drives, t_grid, 16 * dim ** 2,
-            lambda members: lambda x: x[..., 0],
+            rho0, systems, drives, t_grid, 16 * dim ** 2, lambda x: x,
             lambda s: s[..., ::dim + 1].sum(axis=-1).real), drives):
         states = states.reshape((len(t_grid),) + rho0.shape)
         if validate:
@@ -264,23 +289,24 @@ def propagate(initial, system, drive, t_grid, validate=True):
 def intensity_traces(systems, drives, t_grid):
     """I_L(t) and I_R(t) of each (system, drive) pair from |g…g⟩ at t = 0,
     one dict {"left", "right"} per pair in order, clipped at zero; the
-    march keeps Tr ρ, ⟨E_L†E_L⟩ and ⟨E_R†E_R⟩ per member and time.
+    march keeps Tr ρ, ⟨E_L†E_L⟩ and ⟨E_R†E_R⟩ per member and time, each
+    Tr[op·ρ] the sum Σ_ij ρ_ij op_ji of one member and time, read for a
+    block of stored times at once.
     """
     dim = 2 ** systems[0].n
-    ops = np.stack([np.eye(dim), *(e.conj().T @ e for e in (
-        field_operator(systems[0], p) for p in "LR"))])
+    ops = [np.eye(dim), *(e.conj().T @ e for e in (
+        field_operator(systems[0], p) for p in "LR"))]
 
-    def reader(members):
-        tiled = np.tile(ops, (len(members), 1, 1))
-        return lambda x: np.real(np.einsum(
-            "kij,kji->k", np.repeat(x.reshape(-1, dim, dim), 3, axis=0),
-            tiled)).reshape(-1, 3)
+    def read(states):
+        rho = states.reshape(-1, dim, dim)
+        sums = [np.real(np.einsum("kij,ji->k", rho, op)) for op in ops]
+        return np.stack(sums, axis=-1).reshape(states.shape[:2] + (3,))
 
     rho0 = _as_matrix(basis_ket("g" * systems[0].n))
-    for read in _march(rho0, systems, drives, t_grid, 3 * 8, reader,
-                       lambda reads: reads[..., 0]):
-        yield {"left": np.maximum(read[:, 1], 0.0),
-               "right": np.maximum(read[:, 2], 0.0)}
+    for member in _march(rho0, systems, drives, t_grid, 3 * 8, read,
+                         lambda reads: reads[..., 0]):
+        yield {"left": np.maximum(member[:, 1], 0.0),
+               "right": np.maximum(member[:, 2], 0.0)}
 
 
 def steady_state(system, drive):
@@ -329,7 +355,7 @@ class CorrelationResult:
     """G(τ) values with clipping diagnostics."""
     tau: np.ndarray
     values: np.ndarray
-    clipped: int = 0            # entries below -NEGATIVE_G_TOL before clip
+    clipped: int = 0            # entries below -NEGATIVE_G_TOL·max|G|
 
 
 def _trace_weight(op):
@@ -337,12 +363,20 @@ def _trace_weight(op):
     return np.asarray(op).T.reshape(-1)
 
 
+def _negative(raw):
+    """Where ``raw`` lies below -NEGATIVE_G_TOL times the largest |G| of
+    its result, so that the count does not depend on the rates' scale;
+    ``raw`` is one result along τ, or (τ, K) with one result per column."""
+    scale = np.maximum(raw.max(axis=0), -raw.min(axis=0))
+    return raw < -NEGATIVE_G_TOL * scale
+
+
 def _clip_correlations(tau, raw):
-    clipped = int(np.sum(raw < -NEGATIVE_G_TOL))
+    clipped = int(np.sum(_negative(raw)))
     if clipped:
         warnings.warn(
-            f"{clipped} correlation values below -{NEGATIVE_G_TOL:g} clipped "
-            f"to zero (min {raw.min():.3e})", RuntimeWarning)
+            f"{clipped} correlation values below -{NEGATIVE_G_TOL:g}·max|G| "
+            f"clipped to zero (min {raw.min():.3e})", RuntimeWarning)
     return CorrelationResult(tau=tau, values=np.clip(raw, 0.0, None),
                              clipped=clipped)
 
@@ -352,8 +386,8 @@ def two_time_correlation(system, drive, a_op, b_op, rho, tau_grid,
     """G(τ) = Tr[B†B Λ_τ(A ρ A†)] via the quantum regression theorem.
 
     ``rho`` is the state at absolute time ``t_start`` (the steady state for
-    CW problems).  Negative values beyond the 1e-10 tolerance are clipped
-    with a warning and counted in the result.
+    CW problems).  Negative values beyond 1e-10 of the largest |G| are
+    clipped with a warning and counted in the result.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if np.any(tau_grid < 0) or np.any(np.diff(tau_grid) <= 0):
@@ -415,7 +449,7 @@ def g2_cw(systems, drive, pairs=("LL", "RR", "LR", "RL"), tau_max=6.0,
             raise NumericalError(f"zero steady flux for pair {pair}")
         out["G2"][pair] = res.values.T
         out["g2"][pair] = res.values.T / denom[:, None]
-        out["clipped"][pair] = np.sum(raw[:, :, j] < -NEGATIVE_G_TOL, axis=0)
+        out["clipped"][pair] = np.sum(_negative(raw[:, :, j]), axis=0)
     if single:
         out["intensity"] = {p: v[0] for p, v in intens.items()}
         for key in ("g2", "G2", "clipped"):
@@ -570,11 +604,13 @@ def pulsed_g2_map(system, drive, ports="LL", window=4.0, dt=0.01,
     for pair in pairs:
         same = np.where(upper, g_upper[pair], g_upper[pair[::-1]].T)
         diff = g_diff[pair]
-        n_neg = int(np.sum(same < -NEGATIVE_G_TOL)
-                    + np.sum(diff < -NEGATIVE_G_TOL))
+        tol = NEGATIVE_G_TOL * max(same.max(), -same.min(), diff.max(),
+                                   -diff.min())
+        n_neg = int(np.sum(same < -tol) + np.sum(diff < -tol))
         if n_neg:
-            warnings.warn(f"{n_neg} map values below -{NEGATIVE_G_TOL:g} "
-                          f"clipped ({pair})", RuntimeWarning)
+            warnings.warn(f"{n_neg} map values below "
+                          f"-{NEGATIVE_G_TOL:g}·max|G| clipped ({pair})",
+                          RuntimeWarning)
         meta = {"ports": pair, "dt": dt, "window": window, "period": period,
                 "separation_periods": separation_periods}
         results[pair] = PulsedG2Result(

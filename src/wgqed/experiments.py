@@ -5,6 +5,11 @@ are byte-identical for identical (config, seed).  The optics experiments
 batch or stack their grid points and noise nodes in one thread; the yield
 Monte Carlo runs on a thread pool whose width does not change its tables
 (``scalability.probabilities_per_waveguide``).
+
+The optics runners import the engines (``dynamics``, ``observables``)
+where they call them, so that the command line and the yield runs load
+neither; resolving an optics config has imported them already
+(``config.dense_bytes``).
 """
 
 import json
@@ -20,13 +25,9 @@ import numpy as np
 from . import __version__, presets
 from .config import (WRITE_BLOCK_ROWS, expand_range, scalability_config,
                      trace_times)
-from .dynamics import (g2_cw, grid_points, integrated_pulsed_g2,
-                       intensity_traces, pulsed_g2_map, stack_chunk)
 from .instrument import (DetectorModel, jitter_convolve, node_average,
                          noise_nodes, spectral_diffusion_average)
 from .model import DriveConfig
-from .observables import (directionality, saturation_powers,
-                          transmission_coherent, transmission_saturated)
 from .scalability import probabilities_per_waveguide
 from .units import angular_to_ghz, ghz_to_angular
 
@@ -188,6 +189,7 @@ def _fractions(t, left, right, start, stop):
     """Left and right shares of the emission integrated (trapezoid, along
     the last axis) over the grid times from ``start`` up to, not
     including, ``stop``."""
+    from .observables import directionality
     k0, k1 = np.searchsorted(t, [start, stop])
     return directionality(np.trapezoid(left[..., k0:k1], t[k0:k1]),
                           np.trapezoid(right[..., k0:k1], t[k0:k1]))
@@ -242,6 +244,7 @@ def _sigmas(cfg):
 
 
 def run_transmission_scan(cfg):
+    from .observables import transmission_coherent
     d1 = expand_range(cfg.grid["detuning1_ghz"])
     d2 = expand_range(cfg.grid["detuning2_ghz"])
     if cfg.system.n == 1:
@@ -266,6 +269,7 @@ def run_transmission_scan(cfg):
 
 
 def run_transmission_saturation(cfg):
+    from .observables import saturation_powers, transmission_saturated
     fracs = expand_range(cfg.grid["rabi_over_gamma"])
     powers = saturation_powers(cfg.system, fracs)
     points = transmission_saturated(cfg.system, powers)
@@ -284,6 +288,7 @@ def run_transmission_saturation(cfg):
 
 
 def run_lifetime(cfg):
+    from .dynamics import intensity_traces
     t_max = cfg.grid["t_max_ns"]
     dt = cfg.grid["dt_ns"]
     t = trace_times(cfg)
@@ -308,6 +313,8 @@ def run_lifetime(cfg):
 
 
 def run_phase_sweep(cfg):
+    from .dynamics import intensity_traces
+    from .observables import directionality
     thetas = expand_range(cfg.grid["theta_over_pi"])
     windows = cfg.grid["integration_windows_ns"]
     pulse = cfg.drive.pulse
@@ -337,6 +344,7 @@ def run_phase_sweep(cfg):
 
 
 def run_detuning_sweep(cfg):
+    from .dynamics import intensity_traces
     deltas = expand_range(cfg.grid["detuning2_ghz"])
     t_max = cfg.grid["t_max_ns"]
     dt = cfg.grid["dt_ns"]
@@ -379,6 +387,7 @@ def _symmetrize_tau(tau, fwd, bwd):
 
 
 def run_g2_cw(cfg):
+    from .dynamics import g2_cw, grid_points, stack_chunk
     pairs = tuple(cfg.grid["pairs"])
     tau_max = cfg.grid["tau_max_ns"]
     dt = cfg.grid["dt_ns"]
@@ -429,6 +438,8 @@ def _pulsed_correlograms(cfg, pairs, window, dt):
     nodes by ``node_average``; the results are the first node's, with
     those four arrays replaced by their averages.
     """
+    from .dynamics import pulsed_g2_map
+
     def node(offsets):
         return pulsed_g2_map(cfg.system.with_detuning_offsets(offsets),
                              cfg.drive, ports=pairs, window=window, dt=dt)
@@ -454,6 +465,7 @@ def _pulsed_correlograms(cfg, pairs, window, dt):
 
 
 def run_g2_pulsed(cfg):
+    from .dynamics import integrated_pulsed_g2
     ports_list = cfg.grid["pairs"]
     window = cfg.grid["window_ns"]
     dt = cfg.grid["dt_ns"]

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from wgqed import dynamics, experiments, presets
+from wgqed import dynamics, presets
 from wgqed.analytics import (analytic_g2_zero,
                              analytic_intensities_single_drive,
                              g2_zero_from_populations,
@@ -464,7 +464,8 @@ def test_g2_cw_node_chunks_match_one_stack(monkeypatch):
         calls.append(len(systems))
         return g2_cw(systems, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "g2_cw", counted)
+    # run_g2_cw imports g2_cw from dynamics when it runs
+    monkeypatch.setattr(dynamics, "g2_cw", counted)
     # 31 delays and 3 pairs: each node keeps 3 reals per delay
     member = 16 * dynamics.STACK_SUPEROPERATORS * 4 ** 4 + 31 * 8 * 3
     monkeypatch.setattr(dynamics, "NODE_STACK_BYTES", 2 * member)

@@ -532,6 +532,14 @@ class TestTwoTimeCorrelation:
         res2 = _clip_correlations(tau, np.array([1.0, -1e-11, 2.0, 3.0]))
         assert res2.clipped == 0
         assert res2.values[1] == 0.0
+        # the tolerance is 1e-10 of each result's largest |G| (here 2e-10),
+        # and each column of a (τ, K) array is a result of its own
+        raw = np.array([1.0, -1e-9, 2.0, -2e-11])
+        for scaled in (1e-6 * raw, 1e6 * raw,
+                       np.column_stack([raw, 1e-6 * raw])):
+            with pytest.warns(RuntimeWarning, match="clipped"):
+                res = _clip_correlations(tau, scaled)
+            assert res.clipped == scaled.size // 4
 
     def test_long_delay_factorization(self):
         sys = presets.qd_pair()

@@ -11,7 +11,7 @@ and antibunches the cross-port correlations.
 import numpy as np
 import pytest
 
-from wgqed.dynamics import g2_cw
+from wgqed.dynamics import _clip_correlations, g2_cw
 from wgqed.model import DriveConfig, EmitterParams, WaveguideSystem
 from wgqed.units import ghz_to_angular
 
@@ -20,11 +20,13 @@ OMEGA = ghz_to_angular(1.0 / 16.0)
 DEPH = ghz_to_angular(0.01)
 
 
-def correlations(phi, pairs=("LL", "RR", "LR")):
-    e = EmitterParams(GAMMA, 0.95, dephasing=DEPH)
+def correlations(phi, pairs=("LL", "RR", "LR"), scale=1.0):
+    """g2_cw with every rate times ``scale`` and the delays over it."""
+    e = EmitterParams(scale * GAMMA, 0.95, dephasing=scale * DEPH)
     sys = WaveguideSystem((e, e), phi)
-    drive = DriveConfig((OMEGA, 0.0), (0.0, 0.0), "cw")
-    return g2_cw(sys, drive, pairs=pairs, tau_max=3.0, dt=0.01)
+    drive = DriveConfig((scale * OMEGA, 0.0), (0.0, 0.0), "cw")
+    return g2_cw(sys, drive, pairs=pairs, tau_max=3.0 / scale,
+                 dt=0.01 / scale)
 
 
 def test_dissipative_coupling_has_no_directionality():
@@ -58,3 +60,19 @@ def test_driven_side_oscillations_from_level_splitting():
     tau = out["tau"]
     rising = g[np.searchsorted(tau, 0.8)]
     assert g.max() > 1.02 * rising or np.any(np.diff(g) < 0)
+
+
+def test_clip_count_does_not_depend_on_the_rates():
+    # at 1e-3 of the rates G2 is 1e-6 of itself; the cross-port curve
+    # reaches zero, and lowered by 1e-9 of its peak it dips below the clip
+    # tolerance at the same delays at either scale
+    counts, g2 = [], []
+    for scale in (1.0, 1e-3):
+        out = correlations(np.pi / 2, pairs=("LR",), scale=scale)
+        g = out["G2"]["LR"]
+        with pytest.warns(RuntimeWarning, match="clipped"):
+            res = _clip_correlations(out["tau"], g - 1e-9 * g.max())
+        counts.append(res.clipped)
+        g2.append(out["g2"]["LR"])
+    assert counts[0] == counts[1] > 0
+    np.testing.assert_allclose(g2[1], g2[0], rtol=1e-6, atol=1e-9)
