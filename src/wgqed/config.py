@@ -490,7 +490,8 @@ def dense_bytes(cfg):
         return total + _yield_chunk_bytes(cfg)
     # An optics config imports its engines here, as it is resolved, so
     # that its run imports nothing; observables imports dynamics, and with
-    # it scipy.integrate and scipy.linalg, which a yield config never loads.
+    # it scipy.linalg, which a yield config never loads.  No run loads
+    # scipy.integrate: dynamics steps the pulse windows with its own RK45.
     from . import observables  # noqa: F401
     from .dynamics import STACK_SUPEROPERATORS, grid_points, stack_chunk
     n = cfg.system.n

@@ -12,10 +12,13 @@ traces read blocks of READ_BLOCK times.  Between pulses the stack takes
 exact steps expm(L₀Δt); inside a pulse window (±6σ) one RK45 solve
 integrates it under L(t) = L₀ + f(t)·D, at tolerances pooled over the
 stack so that every system meets RTOL = 1e-10 and ATOL = 1e-12 of its
-own.  A CW or undriven generator never calls the ODE solver.  Long
-stacks are marched in chunks of ``stack_chunk`` members, whose
-superoperators and readouts fit NODE_STACK_BYTES.  The members differ only in their detunings and
-drives, so one ``model.superoperators`` call builds a chunk's L₀ and D.
+own.  The RK45 is ``solve_ivp``, this module's port of scipy 1.17.1's
+Dormand–Prince solver, bit for bit the same, so that no run imports
+``scipy.integrate``.  A CW or undriven generator never calls the ODE
+solver.  Long stacks are marched in chunks of ``stack_chunk`` members,
+whose superoperators and readouts fit NODE_STACK_BYTES.  The members
+differ only in their detunings and drives, so one
+``model.superoperators`` call builds a chunk's L₀ and D.
 
 Two-time quantities use the quantum regression theorem: with Λ_τ the same
 propagator that evolves ρ,
@@ -43,7 +46,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import DegenerateSteadyStateError, IntegrationError, NumericalError
@@ -171,9 +173,8 @@ def _states(l0, d, drive, y, t0, times):
         t_eval = list(inside)
         if not t_eval or t_eval[-1] < b:
             t_eval.append(b)   # the window's end state carries on
-        sol = solve_ivp(rhs, (a, b), y.reshape(-1), method="RK45",
-                        t_eval=t_eval, rtol=RTOL / np.sqrt(k),
-                        atol=ATOL / np.sqrt(k),
+        sol = solve_ivp(rhs, (a, b), y.reshape(-1), t_eval=t_eval,
+                        rtol=RTOL / np.sqrt(k), atol=ATOL / np.sqrt(k),
                         max_step=drive.pulse.sigma_t / 5.0)
         if not sol.success:
             raise IntegrationError(
@@ -184,6 +185,154 @@ def _states(l0, d, drive, y, t0, times):
             yield ys[..., j]
         i += len(inside)
         y, t = ys[..., -1], b
+
+
+# Dormand–Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 19
+# (1980)): nodes C, stages A, 5th-order weights B, error weights E (B minus
+# the 4th-order weights, with the FSAL stage) and Shampine's quartic dense
+# output P, each as scipy 1.17.1's RK45 builds it.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+               1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_EXPONENT = -1 / 5      # -1/(order of the error estimate + 1)
+_REACHED_END = ("The solver successfully reached the end of the "
+                "integration interval.")
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+@dataclass
+class IvpResult:
+    """A ``solve_ivp`` run: the states at times ``t`` as the columns of
+    ``y``, the right-hand-side evaluations, and whether it reached the end
+    of its span."""
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    success: bool
+    message: str
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, max_step=np.inf):
+    """y' = fun(t, y) from y0 at t_span[0] to t_span[1] >= t_span[0],
+    sampled at ``t_eval`` (increasing, within the span), by explicit
+    Runge–Kutta 5(4) with local extrapolation.
+
+    A port of ``scipy.integrate.solve_ivp(method="RK45")`` of scipy 1.17.1
+    for forward spans without events: the same tableau, initial step
+    (Hairer, Nørsett & Wanner, Solving ODEs I, §II.4), step control (the
+    error estimate's RMS norm against atol + rtol·max(|y|, |y_new|); safety
+    0.9, factors 0.2–10, no growth right after a rejection, failure below
+    10 ulp of t) and quartic dense output at the ``t_eval`` points, made by
+    the same numpy calls in the same order, so that its results are scipy's
+    bit for bit.  ``rtol`` is raised to 100 ε as scipy raises it.  Where
+    they part: an empty span gives y0 at every point (scipy gives none),
+    and a NaN initial step, from a right-hand side that is NaN at t0,
+    fails at once (scipy's step loop would not end).  The steps run in
+    this one frame, so a solve leaves no reference cycle behind.
+    """
+    t, t_bound = map(float, t_span)
+    if t_bound < t:
+        raise ValueError("solve_ivp integrates forward in time only")
+    t_eval = np.asarray(t_eval)
+    y = np.asarray(y0)
+    dtype = complex if np.iscomplexobj(y) else float
+    y = y.astype(dtype, copy=False)
+    rtol = max(rtol, 100 * np.finfo(float).eps)
+
+    def f_of(t, y):
+        return np.asarray(fun(t, y), dtype=dtype)
+
+    f = f_of(t, y)
+    if t == t_bound:
+        return IvpResult(t_eval, np.repeat(y[:, None], len(t_eval), axis=1),
+                         nfev=1, success=True, message=_REACHED_END)
+    interval = t_bound - t
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    d2 = _rms((f_of(t + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, interval, max_step)
+    nfev, success = 2, True
+    stages = np.empty((len(_C) + 1, y.size), dtype=dtype)
+    ts, ys, i_eval = [], [], 0
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while h_abs >= min_step:
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            stages[0] = f
+            for s in range(1, len(_C)):
+                dy = np.dot(stages[:s].T, _A[s, :s]) * h
+                stages[s] = f_of(t + _C[s] * h, y + dy)
+            y_new = y + h * np.dot(stages[:-1].T, _B)
+            f_new = f_of(t + h, y_new)
+            stages[-1] = f_new
+            nfev += len(_C)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(stages.T, _E) * h / scale)
+            if error_norm < 1:
+                factor = _MAX_FACTOR if error_norm == 0 else \
+                    min(_MAX_FACTOR, _SAFETY * error_norm ** _EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
+            rejected = True
+        else:               # the step fell below min_step
+            success = False
+            break
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        i_new = np.searchsorted(t_eval, t, side="right")
+        if i_new > i_eval:
+            x = (t_eval[i_eval:i_new] - t_old) / h
+            p = np.cumprod(np.tile(x, (_P.shape[1], 1)), axis=0)
+            out = h * np.dot(stages.T.dot(_P), p)
+            out += y_old[:, None]
+            ts.append(t_eval[i_eval:i_new])
+            ys.append(out)
+            i_eval = i_new
+    return IvpResult(
+        t=np.hstack(ts) if ts else np.empty(0),
+        y=np.hstack(ys) if ys else np.empty((y.size, 0), dtype=dtype),
+        nfev=nfev, success=success,
+        message=_REACHED_END if success else _TOO_SMALL_STEP)
 
 
 def grid_points(span, dt):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import tracemalloc
 from collections import Counter
 
@@ -9,7 +10,8 @@ from scipy.integrate import solve_ivp
 from wgqed import dynamics, hilbert, model, presets
 from wgqed.dynamics import (g2_cw, integrated_pulsed_g2, propagate,
                             pulsed_g2_map, steady_state, two_time_correlation)
-from wgqed.errors import DegenerateSteadyStateError, NumericalError
+from wgqed.errors import (DegenerateSteadyStateError, IntegrationError,
+                          NumericalError)
 from wgqed.hilbert import DensityState, basis_ket, collective_state
 from wgqed.instrument import NoiseAveragingPlan, noise_nodes
 from wgqed.model import (DriveConfig, EmitterParams, LindbladGenerator,
@@ -155,10 +157,11 @@ class TestExactPropagation:
 
     def test_one_ode_call_per_pulse_window(self, monkeypatch):
         spans = []
+        port = dynamics.solve_ivp
 
         def counting(fun, t_span, *args, **kwargs):
             spans.append(tuple(t_span))
-            return solve_ivp(fun, t_span, *args, **kwargs)
+            return port(fun, t_span, *args, **kwargs)
 
         monkeypatch.setattr(dynamics, "solve_ivp", counting)
         sys = presets.qd_pair()
@@ -172,6 +175,130 @@ class TestExactPropagation:
         np.testing.assert_allclose(traj.states.reshape(len(t), -1),
                                    rk45_reference(sys, drive, t),
                                    rtol=0, atol=1e-9)
+
+
+class NanAfter:
+    """A pulsed drive stand-in whose one window is [0, 1] and whose
+    envelope turns NaN after ``t_nan``."""
+    pulse = PulseSpec(sigma_t=0.03, area=np.pi)
+
+    def __init__(self, t_nan):
+        self.t_nan = t_nan
+
+    def pulse_windows(self, t0, t1):
+        return [(0.0, 1.0)]
+
+    def envelope_at(self, t):
+        return np.nan if t > self.t_nan else 1.0
+
+
+class TestSolveIvpPort:
+    """``dynamics.solve_ivp`` is scipy 1.17.1's RK45 (``solve_ivp(method=
+    "RK45")``) ported: the same times, states, RHS evaluations and
+    outcome, bit for bit."""
+
+    def assert_as_scipy(self, fun, t_span, y0, t_eval, **tols):
+        got = dynamics.solve_ivp(fun, t_span, y0, t_eval=t_eval, **tols)
+        ref = solve_ivp(fun, t_span, y0, method="RK45", t_eval=t_eval,
+                        **tols)
+        assert np.array_equal(got.t, ref.t)
+        assert np.array_equal(got.y, ref.y)
+        assert (got.nfev, got.success, got.message) == \
+            (ref.nfev, ref.success, ref.message)
+        return got
+
+    def stacked_linear(self, k=3, n=6, m=4):
+        """A random complex stack of K systems of m columns each under
+        (L + e^{-t²}·D)X, flattened as ``_states`` flattens it."""
+        gen = np.random.default_rng(5)
+        l0, d = (gen.normal(size=(2, k, n, n))
+                 + 1j * gen.normal(size=(2, k, n, n)))
+        y0 = gen.normal(size=(k, n, m)) + 1j * gen.normal(size=(k, n, m))
+
+        def fun(t, x):
+            return ((l0 + np.exp(-t * t) * d) @ x.reshape(k, n, m)).ravel()
+        return fun, y0.ravel()
+
+    def test_stacked_system_inside_and_at_the_end(self):
+        fun, y0 = self.stacked_linear()
+        got = self.assert_as_scipy(fun, (0.2, 1.3), y0,
+                                   [0.25, 0.7, 0.7 + 1e-9, 1.3],
+                                   rtol=1e-10, atol=1e-12)
+        assert got.success and got.y.shape == (len(y0), 4)
+        self.assert_as_scipy(fun, (0.2, 1.3), y0, [1.3],
+                             rtol=1e-6, atol=1e-8)
+
+    def test_binding_max_step(self):
+        fun, y0 = self.stacked_linear(k=2, m=1)
+        free = dynamics.solve_ivp(fun, (0.0, 1.0), y0, [1.0], rtol=1e-6,
+                                  atol=1e-8)
+        bound = self.assert_as_scipy(fun, (0.0, 1.0), y0, [0.5, 1.0],
+                                     rtol=1e-6, atol=1e-8, max_step=0.01)
+        assert bound.nfev >= 6 * 100 > free.nfev
+
+    def test_rejected_steps(self):
+        # a stiff decay under a fast drive: the step control rejects steps
+        # (more evaluations than the 6 per step and 2 to start)
+        def fun(t, x):
+            return -50.0 * x + np.sin(40.0 * t)
+        got = self.assert_as_scipy(fun, (0.0, 2.0), np.ones(3),
+                                   np.linspace(0.0, 2.0, 9),
+                                   rtol=1e-3, atol=1e-6)
+        steps = solve_ivp(fun, (0.0, 2.0), np.ones(3), rtol=1e-3,
+                          atol=1e-6).t.size - 1
+        assert got.nfev > 2 + 6 * steps
+
+    def test_empty_span_gives_the_initial_state(self):
+        # scipy evaluates the RHS once and succeeds, but returns no points
+        # (it reads t_eval from its end when t0 >= tf); the port gives y0
+        y0 = np.array([1.0 + 2.0j, -0.5j])
+        got = dynamics.solve_ivp(lambda t, x: -x, (0.5, 0.5), y0, [0.5, 0.5],
+                                 rtol=1e-8, atol=1e-10)
+        ref = solve_ivp(lambda t, x: -x, (0.5, 0.5), y0, t_eval=[0.5, 0.5],
+                        rtol=1e-8, atol=1e-10)
+        assert (got.nfev, got.success) == (ref.nfev, ref.success) == (1, True)
+        assert np.array_equal(got.t, [0.5, 0.5])
+        assert np.array_equal(got.y, np.stack([y0, y0], axis=1))
+
+    def test_rhs_turning_nan_fails_as_scipy_does(self):
+        fun, y0 = self.stacked_linear(k=1, n=2, m=1)
+
+        def blowup(t, x):
+            return fun(t, x) * (np.nan if t > 0.5 else 1.0)
+        with np.errstate(invalid="ignore"):
+            got = self.assert_as_scipy(blowup, (0.0, 1.0), y0,
+                                       [0.1, 0.3, 0.6, 1.0],
+                                       rtol=1e-8, atol=1e-10)
+        assert not got.success and got.message == \
+            "Required step size is less than spacing between numbers."
+        assert got.t[-1] < 0.5
+
+    def test_states_raises_integration_error(self):
+        l0 = np.zeros((1, 4, 4), dtype=complex)
+        d = np.eye(4, dtype=complex)[None]
+        y = np.ones((1, 4, 1), dtype=complex)
+        # NaN part way, and from the start, where scipy's step loop would
+        # not end: a NaN step size fails at once
+        for t_nan in (0.4, -1.0):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(IntegrationError) as err:
+                list(dynamics._states(l0, d, NanAfter(t_nan), y, 0.0,
+                                      np.array([0.2, 0.5, 1.0])))
+            assert err.value.t <= max(t_nan, 0.0) + 0.03
+
+    def test_step_matrices_leave_no_reference_cycle(self):
+        sys = presets.qd_pair()
+        drive = DriveConfig((1.0, 0.6), (0.0, 0.9), "pulsed",
+                            PulseSpec(sigma_t=0.03, area=np.pi))
+        gen = LindbladGenerator(sys, drive)
+        gc.collect()
+        gc.disable()
+        try:
+            mats = dynamics._step_matrices(gen, np.arange(0.0, 0.5, 0.025))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(mats) == 19
 
 
 class TestStackedPropagation:
@@ -370,10 +497,11 @@ class TestPropagatorColumns:
 
     def test_pulsed_map_solves_keep_only_requested_times(self, monkeypatch):
         calls = []
+        port = dynamics.solve_ivp
 
         def recording(fun, t_span, *args, **kwargs):
             calls.append(kwargs.get("t_eval"))
-            return solve_ivp(fun, t_span, *args, **kwargs)
+            return port(fun, t_span, *args, **kwargs)
 
         monkeypatch.setattr(dynamics, "solve_ivp", recording)
         sys, drive, t = self.pulse_between_grid_points()

@@ -2,7 +2,9 @@
 
 The command line and the yield runs load none of the optics engines and
 their scipy modules.  Resolving an optics config imports its engines, so
-that its run imports nothing more.  Every library name of ``wgqed`` is
+that its run imports nothing more, and no optics run loads scipy's ODE
+solvers or, with them, ``scipy.optimize``: the pulse windows are stepped
+by wgqed's own RK45.  Every library name of ``wgqed`` is
 imported from its module on first use and is the module's own object.
 """
 
@@ -20,6 +22,7 @@ YIELD = [p for p in CONFIGS if p.stem.startswith("scalability")]
 OPTICS = [p for p in CONFIGS if p not in YIELD]
 ENGINES = ("scipy.integrate", "scipy.linalg", "wgqed.dynamics",
            "wgqed.observables", "wgqed.analytics")
+SOLVERS = ("scipy.integrate", "scipy.optimize")
 
 # the library names that wgqed gave before they were imported lazily
 EXPORTS = {
@@ -71,7 +74,8 @@ from wgqed.experiments import run_experiment
 cfg = resolve_config(load_config(sys.argv[1]))
 before = set(sys.modules)
 run_experiment(cfg)
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(json.dumps({"new": sorted(set(sys.modules) - before),
+                  "loaded": sorted(sys.modules)}))
 """
 
 LAZY_NAMES = """
@@ -109,7 +113,9 @@ def test_command_line_and_yield_runs_load_no_engine():
 
 @pytest.mark.parametrize("path", OPTICS, ids=lambda p: p.stem)
 def test_optics_run_imports_nothing_after_resolution(path):
-    assert _python(RUN_AFTER_RESOLVE, path) == []
+    got = _python(RUN_AFTER_RESOLVE, path)
+    assert got["new"] == []
+    assert not set(SOLVERS) & set(got["loaded"])
 
 
 def test_library_names_resolve_lazily_to_their_modules():
