@@ -473,9 +473,9 @@ def dense_bytes(cfg):
     of the one summed drive part that the build holds) and work matrices,
     and beyond those one chunk of their stacks: for the pulsed maps one step
     propagator per grid step that overlaps the pulse; for g2-cw and the
-    time traces STACK_SUPEROPERATORS per member of an ``_evolve`` stack
-    beyond the first (the noise nodes of g2-cw and lifetime, the θ points
-    of phase-sweep, the (Δ₂, noise node) pairs of detuning-sweep).  The
+    time traces STACK_SUPEROPERATORS per member of a stack chunk beyond
+    the first (the noise nodes of g2-cw and lifetime, the θ points of
+    phase-sweep, the (Δ₂, noise node) pairs of detuning-sweep).  The
     work matrices count the first member's.  Grid arrays are one chunk's
     readouts (members × nt reals: one per pair for g2-cw, the trace and two
     intensities for the time traces), g2-cw's _G2_ARRAYS τ × node × pair

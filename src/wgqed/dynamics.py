@@ -5,10 +5,10 @@ One propagation path, ``_states``, serves ``propagate``,
 propagators of ``pulsed_g2_map``.  It marches a stack of K systems that
 share one pulse timing, such as the grid points and noise nodes of a
 sweep, each with m columns: one state, the seeds of several port pairs,
-or the identity when it builds a propagator.  The caller keeps what it
-reads from the columns at the stored times, such as Tr ρ and the two
-port intensities: ``_evolve`` reads each time by itself, the time
-traces read blocks of READ_BLOCK times.  Between pulses the stack takes
+or the identity when it builds a propagator.  ``_march`` reads it for all
+but the step propagators: it keeps what the caller reads from the
+columns, such as Tr ρ and the two port intensities, for blocks of
+READ_BLOCK stored times at once.  Between pulses the stack takes
 exact steps expm(L₀Δt); inside a pulse window (±6σ) one RK45 solve
 integrates it under L(t) = L₀ + f(t)·D, at tolerances pooled over the
 stack so that every system meets RTOL = 1e-10 and ATOL = 1e-12 of its
@@ -27,16 +27,16 @@ propagator that evolves ρ,
 
 CW correlations start from the steady state and are τ-stationary.
 ``g2_cw`` takes a stack of systems, such as the spectral-diffusion nodes
-of a noise average: one superoperator build for the stack and one steady
-state per node, then one ``_evolve`` march of the pairs' seeds
-E_α ρ_ss E_α† as columns, where each delay reads column p with pair p's
-weight E_β†E_β alone.
+of a noise average: per chunk one superoperator build and one steady
+state per node, then one ``_march`` of the pairs' seeds E_α ρ_ss E_α† as
+columns, where each delay reads column p with pair p's weight E_β†E_β
+alone.
 Pulsed correlations are computed as fully time-resolved maps G(t₁, t₂)
 over one pulse window (same-pulse) and across one repetition period
 (different-pulse), then integrated along the diagonal; one
 ``pulsed_g2_map`` call serves every port pair from one set of step
 propagators: expm(L₀Δt) for the grid steps no pulse touches, and for
-each other step the identity marched through ``_evolve``.  Stacking and
+each other step the identity marched through ``_states``.  Stacking and
 sharing in ``g2_cw`` and ``pulsed_g2_map`` leave each node's and pair's
 arithmetic as in a call of its own, so their results are bit-identical
 to one call per node and pair.
@@ -59,8 +59,8 @@ RTOL = 1e-10    # RK45 tolerances of one system inside a pulse window
 ATOL = 1e-12
 NODE_STACK_BYTES = 16 * 1024 ** 2   # one chunk of a stack
 _CACHED_STEPS = 3   # the grid step, and the steps into and out of a pulse
-STACK_SUPEROPERATORS = 3 + _CACHED_STEPS   # per member of an _evolve stack
-READ_BLOCK = 16     # stored states per member that a time trace reads at once
+STACK_SUPEROPERATORS = 3 + _CACHED_STEPS   # per member of a _march stack
+READ_BLOCK = 16     # stored times per member that _march reads at once
 
 
 @dataclass
@@ -82,37 +82,6 @@ def _as_matrix(state):
     if state.ndim == 1:
         return np.outer(state, state.conj())
     return state
-
-
-def _stack(systems, drives):
-    """L₀ and D of each (system, drive) pair as (K, d², d²) stacks, with
-    the drive whose pulses the pairs share.
-
-    ``superoperators`` builds the stacks: a pulse-driven member gives its
-    static L₀ and D = Σ_m w_m D_m, any other member its constant generator
-    as L₀ and D = 0.  D and the drive are None when no member is
-    pulse-driven.
-    """
-    l0, d = superoperators(systems, drives)
-    timed = None if d is None else \
-        [dr for dr in drives if dr.is_pulse_driven][-1]
-    return l0, d, timed
-
-
-def _evolve(l0, d, drive, y, t0, times, read=lambda x: x):
-    """What ``read`` keeps of the columns of each of K stacked systems at
-    each of ``times`` (increasing, all >= t0) from y[k] at t0; returns
-    (K, len(times), ...).
-
-    ``read`` maps the (K, d², m) columns at a stored time to a (K, ...)
-    array, such as the port intensities of each state; by default the
-    columns are kept.  The march is ``_states``'.
-    """
-    first = read(y)
-    out = np.empty((len(y), len(times)) + first.shape[1:], dtype=first.dtype)
-    for i, x in enumerate(_states(l0, d, drive, y, t0, times)):
-        out[:, i] = read(x)
-    return out
 
 
 def _states(l0, d, drive, y, t0, times):
@@ -177,9 +146,9 @@ def _states(l0, d, drive, y, t0, times):
                         rtol=RTOL / np.sqrt(k), atol=ATOL / np.sqrt(k),
                         max_step=drive.pulse.sigma_t / 5.0)
         if not sol.success:
-            raise IntegrationError(
-                f"integrator failed near t = {sol.t[-1] if len(sol.t) else a:.6g} ns: "
-                f"{sol.message}", t=float(sol.t[-1]) if len(sol.t) else a)
+            raise IntegrationError(f"integrator failed near t = "
+                                   f"{sol.reached:.6g} ns: {sol.message}",
+                                   t=sol.reached)
         ys = sol.y.reshape(k, d2, m, -1)
         for j in range(len(inside)):
             yield ys[..., j]
@@ -225,13 +194,14 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 @dataclass
 class IvpResult:
     """A ``solve_ivp`` run: the states at times ``t`` as the columns of
-    ``y``, the right-hand-side evaluations, and whether it reached the end
-    of its span."""
+    ``y``, the right-hand-side evaluations, whether it reached the end
+    of its span, and the time its accepted steps reached."""
     t: np.ndarray
     y: np.ndarray
     nfev: int
     success: bool
     message: str
+    reached: float
 
 
 def _rms(x):
@@ -271,7 +241,8 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, max_step=np.inf):
     f = f_of(t, y)
     if t == t_bound:
         return IvpResult(t_eval, np.repeat(y[:, None], len(t_eval), axis=1),
-                         nfev=1, success=True, message=_REACHED_END)
+                         nfev=1, success=True, message=_REACHED_END,
+                         reached=t)
     interval = t_bound - t
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
@@ -332,7 +303,8 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, max_step=np.inf):
         t=np.hstack(ts) if ts else np.empty(0),
         y=np.hstack(ys) if ys else np.empty((y.size, 0), dtype=dtype),
         nfev=nfev, success=success,
-        message=_REACHED_END if success else _TOO_SMALL_STEP)
+        message=_REACHED_END if success else _TOO_SMALL_STEP,
+        reached=float(t))
 
 
 def grid_points(span, dt):
@@ -342,7 +314,7 @@ def grid_points(span, dt):
 
 
 def stack_chunk(dim, nt, row_bytes):
-    """Members per ``_evolve`` stack for Hilbert dimension ``dim`` and
+    """Members per ``_march`` stack for Hilbert dimension ``dim`` and
     ``nt`` stored times of ``row_bytes`` readout bytes each.
 
     Each member holds STACK_SUPEROPERATORS dim²×dim² complex matrices (L₀,
@@ -354,35 +326,43 @@ def stack_chunk(dim, nt, row_bytes):
     return max(1, NODE_STACK_BYTES // member)
 
 
-def _march(rho0, systems, drives, t_grid, row_bytes, read, trace):
-    """Each member's readout on t_grid from ρ₀ at t = 0, in order, marched
-    in ``_states`` stacks of ``stack_chunk`` members.
+def _march(systems, drives, times, row_bytes, start, read, t0=0.0,
+           trace=None):
+    """Each member's readout at ``times`` (increasing, all >= t0), in
+    order, marched in ``_states`` stacks of ``stack_chunk`` members.
 
-    ``read`` maps the states of a chunk's K members at up to READ_BLOCK
-    consecutive stored times, (K, n, d²), to their readouts, (K, n, ...)
-    of ``row_bytes`` per member and time; ``trace`` takes Tr ρ from the
+    Each chunk's L₀ and D come from one ``superoperators`` call, with the
+    last pulse-driven member's drive for the pulse windows they share.
+    ``start`` maps the chunk's (K, d², d²) L₀ to its (K, d², m) columns at
+    t0.  ``read`` maps the columns at up to READ_BLOCK consecutive stored
+    times, (K, n, d², m), to their readouts, (K, n, ...) of ``row_bytes``
+    per member and time.  ``trace``, if given, takes Tr ρ from a chunk's
     readouts, which may drift from 1 by at most 1e-8.
     """
-    chunk = stack_chunk(len(rho0), len(t_grid), row_bytes)
-    last = len(t_grid) - 1
+    chunk = stack_chunk(2 ** systems[0].n, len(times), row_bytes)
+    last = len(times) - 1
     for lo in range(0, len(systems), chunk):
-        l0, d, timed = _stack(systems[lo:lo + chunk], drives[lo:lo + chunk])
-        y = np.repeat(rho0.reshape(1, -1, 1), len(l0), axis=0)
-        block = np.empty((len(l0), READ_BLOCK, rho0.size), dtype=complex)
+        part = drives[lo:lo + chunk]
+        l0, d = superoperators(systems[lo:lo + chunk], part)
+        timed = None if d is None else \
+            [dr for dr in part if dr.is_pulse_driven][-1]
+        y = start(l0)
+        block = np.empty((len(y), READ_BLOCK) + y.shape[1:], dtype=complex)
         reads = None
-        for i, x in enumerate(_states(l0, d, timed, y, 0.0, t_grid)):
+        for i, x in enumerate(_states(l0, d, timed, y, t0, times)):
             j = i % READ_BLOCK
-            block[:, j] = x[..., 0]
+            block[:, j] = x
             if j == READ_BLOCK - 1 or i == last:
-                part = read(block[:, :j + 1])
+                got = read(block[:, :j + 1])
                 if reads is None:
-                    reads = np.empty(part.shape[:1] + t_grid.shape
-                                     + part.shape[2:], dtype=part.dtype)
-                reads[:, i - j:i + 1] = part
-        del l0, d, block
-        drift = np.max(np.abs(trace(reads) - 1.0))
-        if drift > 1e-8:
-            raise NumericalError(f"trace drift {drift:.2e} exceeds 1e-8")
+                    reads = np.empty(got.shape[:1] + times.shape
+                                     + got.shape[2:], dtype=got.dtype)
+                reads[:, i - j:i + 1] = got
+        del l0, d, y, block
+        if trace is not None:
+            drift = np.max(np.abs(trace(reads) - 1.0))
+            if drift > 1e-8:
+                raise NumericalError(f"trace drift {drift:.2e} exceeds 1e-8")
         yield from reads
 
 
@@ -424,8 +404,10 @@ def propagate(initial, system, drive, t_grid, validate=True):
     dim = len(rho0)
     trajectories = []
     for states, dr in zip(_march(
-            rho0, systems, drives, t_grid, 16 * dim ** 2, lambda x: x,
-            lambda s: s[..., ::dim + 1].sum(axis=-1).real), drives):
+            systems, drives, t_grid, 16 * dim ** 2,
+            lambda l0: np.repeat(rho0.reshape(1, -1, 1), len(l0), axis=0),
+            lambda x: x[..., 0],
+            trace=lambda s: s[..., ::dim + 1].sum(axis=-1).real), drives):
         states = states.reshape((len(t_grid),) + rho0.shape)
         if validate:
             for s in states:
@@ -452,8 +434,10 @@ def intensity_traces(systems, drives, t_grid):
         return np.stack(sums, axis=-1).reshape(states.shape[:2] + (3,))
 
     rho0 = _as_matrix(basis_ket("g" * systems[0].n))
-    for member in _march(rho0, systems, drives, t_grid, 3 * 8, read,
-                         lambda reads: reads[..., 0]):
+    for member in _march(
+            systems, drives, t_grid, 3 * 8,
+            lambda l0: np.repeat(rho0.reshape(1, -1, 1), len(l0), axis=0),
+            read, trace=lambda reads: reads[..., 0]):
         yield {"left": np.maximum(member[:, 1], 0.0),
                "right": np.maximum(member[:, 2], 0.0)}
 
@@ -544,10 +528,9 @@ def two_time_correlation(system, drive, a_op, b_op, rho, tau_grid,
     rho_m = _as_matrix(rho)
     seed = (a_op @ rho_m @ a_op.conj().T).reshape(1, -1, 1)
     w = _trace_weight(b_op.conj().T @ b_op)
-    l0, d, timed = _stack([system], [drive])
-    g = _evolve(l0, d, timed, seed, t_start, t_start + tau_grid,
-                lambda x: x[..., 0] @ w)
-    return _clip_correlations(tau_grid, np.real(g[0]))
+    [g] = _march([system], [drive], t_start + tau_grid, 16,
+                 lambda l0: seed, lambda x: x[..., 0] @ w, t0=t_start)
+    return _clip_correlations(tau_grid, np.real(g))
 
 
 def g2_cw(systems, drive, pairs=("LL", "RR", "LR", "RL"), tau_max=6.0,
@@ -556,11 +539,12 @@ def g2_cw(systems, drive, pairs=("LL", "RR", "LR", "RL"), tau_max=6.0,
 
     ``systems`` is one WaveguideSystem or a sequence of them sharing the
     CW drive, such as the detuning nodes of a noise average; they may
-    differ only in their detunings (else ValueError), so one ``_stack``
-    build and one E_L, E_R serve all.  Each gets its own steady state; all
-    march as one ``_evolve`` stack with the pairs' seeds as columns, and
-    each delay keeps the P reals Tr[E_β†E_β·X_p] of pair p's column, so
-    pass at most ``stack_chunk(dim, len(tau), 8·P)`` systems.
+    differ only in their detunings (else ValueError), so one E_L, E_R
+    serve all and one ``superoperators`` build serves each chunk of
+    ``stack_chunk(dim, len(tau), 8·P)`` systems.  Each gets its own steady
+    state; a chunk marches as one ``_march`` stack with the pairs' seeds as
+    columns, and each delay keeps the P reals Tr[E_β†E_β·X_p] of pair p's
+    column.
 
     Returns a dict with 'tau', per-pair normalized 'g2' (τ ≥ 0) and 'G2',
     steady intensities, and per-pair clip counts.  For a sequence every
@@ -572,24 +556,28 @@ def g2_cw(systems, drive, pairs=("LL", "RR", "LR", "RL"), tau_max=6.0,
     if not drive.is_cw:
         raise ValueError("g2_cw requires a CW drive")
     tau = np.arange(grid_points(tau_max, dt)) * dt
-    l, _, _ = _stack(stack, [drive] * len(stack))
     dim = 2 ** stack[0].n
     ops = {p: field_operator(stack[0], p) for p in "LR"}
     flux = {p: ops[p].conj().T @ ops[p] for p in "LR"}
-    seeds = np.empty((len(stack), dim ** 2, len(pairs)), dtype=complex)
-    intens = {"L": np.empty(len(stack)), "R": np.empty(len(stack))}
-    for k in range(len(stack)):
-        rho_ss = _null_state(l[k], dim)
-        for p in "LR":
-            intens[p][k] = max(np.real(rho_ss.expectation(flux[p])), 0.0)
-        seeds[k] = np.stack(
-            [(ops[p[0]] @ rho_ss.matrix @ ops[p[0]].conj().T).reshape(-1)
-             for p in pairs], axis=1)
-    weights = np.broadcast_to([_trace_weight(flux[p[1]]) for p in pairs],
-                              (len(stack), len(pairs), dim ** 2))
-    raw = _evolve(l, None, None, seeds, 0.0, tau, lambda x: np.real(
-        np.einsum("kpj,kjp->kp", weights, x))).transpose(1, 0, 2)
-    del l
+    intens = {"L": [], "R": []}
+
+    def start(l):
+        seeds = np.empty((len(l), dim ** 2, len(pairs)), dtype=complex)
+        for k in range(len(l)):
+            rho_ss = _null_state(l[k], dim)
+            for p in "LR":
+                intens[p].append(
+                    max(np.real(rho_ss.expectation(flux[p])), 0.0))
+            seeds[k] = np.stack(
+                [(ops[p[0]] @ rho_ss.matrix @ ops[p[0]].conj().T).reshape(-1)
+                 for p in pairs], axis=1)
+        return seeds
+
+    weights = np.array([_trace_weight(flux[p[1]]) for p in pairs])
+    raw = np.stack(list(_march(
+        stack, [drive] * len(stack), tau, 8 * len(pairs), start,
+        lambda x: np.real(np.einsum("pj,knjp->knp", weights, x)))), axis=1)
+    intens = {p: np.array(v) for p, v in intens.items()}
     out = {"tau": tau, "intensity": intens, "g2": {}, "G2": {}, "clipped": {}}
     for j, pair in enumerate(pairs):
         res = _clip_correlations(tau, raw[:, :, j])
@@ -632,7 +620,7 @@ def _step_matrices(gen, t):
     """Propagator Φ_k over each [t_k, t_{k+1}] of the uniform grid t.
 
     The steps that no pulse touches share one expm(L₀Δt); each other step
-    marches the identity through ``_evolve`` as one system of d² columns.
+    marches the identity through ``_states`` as one system of d² columns.
     """
     l0 = gen.static_superoperator
     eye = np.eye(len(l0), dtype=complex)[None]
@@ -641,8 +629,9 @@ def _step_matrices(gen, t):
     mats = []
     for a, b in zip(t[:-1], t[1:]):
         if drive.pulse_windows(a, b):
-            mats.append(_evolve(l0[None], gen.drive_part[None], drive, eye,
-                                a, np.array([b]))[0, 0])
+            [phi] = _states(l0[None], gen.drive_part[None], drive, eye, a,
+                            np.array([b]))
+            mats.append(phi[0])
         else:
             if p_static is None:
                 p_static = expm(l0 * (t[1] - t[0]))

@@ -526,8 +526,8 @@ def test_detuning_sweep_stack_matches_per_point_average(monkeypatch):
         sizes.append(len(systems))
         return stack(systems, drives)
 
-    stack = dynamics._stack
-    monkeypatch.setattr(dynamics, "_stack", counted)
+    stack = dynamics.superoperators
+    monkeypatch.setattr(dynamics, "superoperators", counted)
     table = _columns(run_detuning_sweep(cfg), "time_resolved")
     assert sizes == [3, 3, 3, 3]
     sigmas = [e.spectral_diffusion_sigma for e in cfg.system.emitters]
@@ -552,13 +552,13 @@ def test_detuning_sweep_stack_matches_per_point_average(monkeypatch):
 def test_trace_leak_in_readout_march_raises(monkeypatch):
     # the time traces keep Tr ρ beside the intensities: a generator that
     # leaks trace fails the drift check rather than being read past
-    stack = dynamics._stack
+    stack = dynamics.superoperators
 
     def leaky(systems, drives):
-        l0, d, timed = stack(systems, drives)
-        return l0 - 0.01 * np.eye(l0.shape[-1]), d, timed
+        l0, d = stack(systems, drives)
+        return l0 - 0.01 * np.eye(l0.shape[-1]), d
 
-    monkeypatch.setattr(dynamics, "_stack", leaky)
+    monkeypatch.setattr(dynamics, "superoperators", leaky)
     cfg = resolve_config({"experiment": "lifetime",
                           "grid": {"t_max_ns": 1.0, "dt_ns": 0.05}})
     with pytest.raises(NumericalError, match="trace drift"):

@@ -357,7 +357,7 @@ class TestDenseSizeGuard:
     def test_stacked_traces_counted_one_chunk(
             self, tmp_path, capsys, monkeypatch, experiment, n, noise,
             members, times):
-        # the θ points, (Δ₂, node) pairs or nodes of one _evolve stack, with
+        # the θ points, (Δ₂, node) pairs or nodes of one stack, with
         # one chunk's readouts (the trace and two intensities per time) and
         # the (rows, columns) of the tables; phase-sweep halves its step so
         # that its 41 θ points need two chunks

@@ -285,6 +285,9 @@ class TestSolveIvpPort:
                 list(dynamics._states(l0, d, NanAfter(t_nan), y, 0.0,
                                       np.array([0.2, 0.5, 1.0])))
             assert err.value.t <= max(t_nan, 0.0) + 0.03
+            if t_nan > 0:
+                # where the steps stopped, not the last stored time, 0.2
+                assert 0.2 < err.value.t <= t_nan
 
     def test_step_matrices_leave_no_reference_cycle(self):
         sys = presets.qd_pair()
@@ -385,10 +388,9 @@ class TestStackedPropagation:
 
         def counted(systems, drives):
             sizes.append(len(systems))
-            return stack(systems, drives)
+            return superoperators(systems, drives)
 
-        stack = dynamics._stack
-        monkeypatch.setattr(dynamics, "_stack", counted)
+        monkeypatch.setattr(dynamics, "superoperators", counted)
         member = 16 * (dynamics.STACK_SUPEROPERATORS * 4 ** 4
                        + len(t) * 4 ** 2)
         monkeypatch.setattr(dynamics, "NODE_STACK_BYTES", 2 * member)
@@ -439,18 +441,22 @@ class TestPropagatorColumns:
         systems = [sys, sys.with_detuning_offsets([0.0, 5.0])]
         drives = [drive, DriveConfig((0.4, 1.0), (0.0, 0.0), "pulsed",
                                      drive.pulse)]
-        l0, d, timed = dynamics._stack(systems, drives)
         columns = np.stack([np.outer(a, a.conj()).reshape(-1) for a in
                             map(basis_ket, ("gg", "eg", "ee"))], axis=1)
         y = np.stack([columns, columns[:, ::-1]])
         assert y.shape == (2, 16, 3)
         times = t[3:]
-        stacked = dynamics._evolve(l0, d, timed, y, 0.01, times)
+
+        def march(members, start):
+            return np.array(list(dynamics._march(
+                systems[members], drives[members], times, 16 * 16 * 3,
+                lambda l0: start, lambda x: x, t0=0.01)))
+
+        stacked = march(slice(None), y)
         assert stacked.shape == (2, len(times), 16, 3)
         for k in range(2):
             for j in range(3):
-                alone = dynamics._evolve(l0[k:k + 1], d[k:k + 1], timed,
-                                         y[k:k + 1, :, j:j + 1], 0.01, times)
+                alone = march(slice(k, k + 1), y[k:k + 1, :, j:j + 1])
                 np.testing.assert_allclose(stacked[k, :, :, j],
                                            alone[0, :, :, 0], rtol=0,
                                            atol=1e-9)
@@ -462,15 +468,18 @@ class TestPropagatorColumns:
                    sys.with_detuning_offsets([-3.0, 0.0])]
         drives = [drive, DriveConfig((0.4, 1.0), (0.0, 0.0), "pulsed",
                                      drive.pulse), drive]
-        l0, d, timed = dynamics._stack(systems, drives)
         rho = np.outer(basis_ket("gg"), basis_ket("gg").conj())
         y = np.repeat(rho.reshape(1, -1, 1), 3, axis=0)
         w = np.stack([[dynamics._trace_weight(op) for op in (
             np.eye(4), *(e.conj().T @ e for e in (
                 field_operator(s, p) for p in "LR")))] for s in systems])
-        read = dynamics._evolve(l0, d, timed, y, 0.0, t,
-                                lambda x: np.einsum("krj,kjm->krm", w, x))
-        states = dynamics._evolve(l0, d, timed, y, 0.0, t)
+
+        def march(read, row_bytes):
+            return np.array(list(dynamics._march(
+                systems, drives, t, row_bytes, lambda l0: y, read)))
+
+        read = march(lambda x: np.einsum("krj,knjm->knrm", w, x), 16 * 3)
+        states = march(lambda x: x, 16 * 16)
         assert read.shape == (3, len(t), 3, 1)
         np.testing.assert_allclose(
             read, np.einsum("krj,ktjm->ktrm", w, states), rtol=0, atol=1e-15)
@@ -481,15 +490,19 @@ class TestPropagatorColumns:
         sys = presets.qd_pair()
         cw = DriveConfig((0.3, 0.0), (0.0, 0.0), "cw")
         systems = [sys, sys.with_detuning_offsets([0.0, 2.0])]
-        l0, d, timed = dynamics._stack(systems, [cw, cw])
+        _, d = superoperators(systems, [cw, cw])
         assert d is None
         rng = np.random.default_rng(5)
         y = rng.normal(size=(2, 16, 3)) + 1j * rng.normal(size=(2, 16, 3))
         w = rng.normal(size=(2, 3, 16)) + 1j * rng.normal(size=(2, 3, 16))
         tau = np.arange(0.0, 0.3 + 0.005, 0.01)
-        read = dynamics._evolve(l0, None, None, y, 0.0, tau,
-                                lambda x: np.einsum("kpj,kjp->kp", w, x))
-        states = dynamics._evolve(l0, None, None, y, 0.0, tau)
+
+        def march(read, row_bytes):
+            return np.array(list(dynamics._march(
+                systems, [cw, cw], tau, row_bytes, lambda l0: y, read)))
+
+        read = march(lambda x: np.einsum("kpj,knjp->knp", w, x), 16 * 3)
+        states = march(lambda x: x, 16 * 16 * 3)
         assert read.shape == (2, len(tau), 3)
         for i in range(len(tau)):
             assert np.array_equal(
@@ -720,6 +733,32 @@ class TestG2CW:
                                           one[key][pair])
         assert np.array_equal(stacked["tau"], one["tau"])
         assert stacked["G2"]["LL"].shape == (len(nodes), len(one["tau"]))
+
+    def test_long_stack_marches_in_chunks(self, monkeypatch):
+        # five nodes in chunks of two: one superoperator build per chunk,
+        # and every array as one call over the whole stack gives it
+        sys = presets.qd_pair()
+        drive = DriveConfig((sys.emitters[0].gamma_total / 16, 0.0),
+                            (0.0, 0.0), "cw")
+        nodes = [sys.with_detuning_offsets([0.0, 0.2 * j]) for j in range(5)]
+        pairs = ("LL", "LR", "RL")
+        whole = g2_cw(nodes, drive, pairs=pairs, tau_max=0.3, dt=0.01)
+        sizes = []
+
+        def counted(systems, drives):
+            sizes.append(len(systems))
+            return superoperators(systems, drives)
+
+        monkeypatch.setattr(dynamics, "superoperators", counted)
+        # 31 delays and 3 pairs: each node keeps 3 reals per delay
+        member = 16 * dynamics.STACK_SUPEROPERATORS * 4 ** 4 + 31 * 8 * 3
+        monkeypatch.setattr(dynamics, "NODE_STACK_BYTES", 2 * member)
+        chunked = g2_cw(nodes, drive, pairs=pairs, tau_max=0.3, dt=0.01)
+        assert sizes == [2, 2, 1]
+        assert np.array_equal(whole["tau"], chunked["tau"])
+        for key in ("intensity", "G2", "g2", "clipped"):
+            for name, value in whole[key].items():
+                assert np.array_equal(value, chunked[key][name])
 
     @pytest.mark.parametrize("tau_max,dt,count", [
         (0.13, 0.02, 7), (0.03, 0.02, 2), (0.14, 0.02, 8), (0.3, 0.1, 4),
@@ -1012,7 +1051,7 @@ class TestSuperoperatorStack:
                        for j in range(k)]
             calls.clear()
             if build == "stack":
-                dynamics._stack(systems, [cw] * k)
+                dynamics.superoperators(systems, [cw] * k)
             elif build == "g2_cw":
                 g2_cw(systems, cw, tau_max=0.05, dt=0.01)
             else:
@@ -1036,9 +1075,9 @@ class TestSuperoperatorStack:
                               "pulsed", self.PULSE) for j in range(k)]
         tracemalloc.start()
         try:
-            _, d, timed = dynamics._stack(systems, drives)
+            _, d = dynamics.superoperators(systems, drives)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert d is not None and timed is drives[-1]
+        assert d is not None
         assert peak < k * dynamics.STACK_SUPEROPERATORS * 16 * 4 ** 8
