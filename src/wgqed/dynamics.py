@@ -664,7 +664,7 @@ def pulsed_g2_map(system, drive, ports="LL", window=4.0, dt=0.01,
     the far-away different-pulse window alike.  The pulse still acts after
     the reset when its area is nonzero.
     """
-    pairs = [ports] if isinstance(ports, str) else list(ports)
+    pairs = [ports] if isinstance(ports, str) else list(dict.fromkeys(ports))
     for pair in pairs:
         if not (len(pair) == 2 and set(pair) <= set("LR")):
             raise ValueError("ports must be two of 'L'/'R'")
@@ -737,11 +737,15 @@ def pulsed_g2_map(system, drive, ports="LL", window=4.0, dt=0.01,
             if k < nt - 1:
                 far = mats[k] @ far
 
-    upper = np.arange(nt)[None, :] >= np.arange(nt)[:, None]
+    # each map's lower triangle, zero so far, is its reverse pair's upper
+    # one transposed; the upper triangles are read only, so order is free
+    for pair in pairs:
+        same, reverse = g_upper[pair], g_upper[pair[::-1]]
+        for i in range(1, nt):
+            same[i, :i] = reverse[:i, i]
     results = {}
     for pair in pairs:
-        same = np.where(upper, g_upper[pair], g_upper[pair[::-1]].T)
-        diff = g_diff[pair]
+        same, diff = g_upper[pair], g_diff.pop(pair)
         tol = NEGATIVE_G_TOL * max(same.max(), -same.min(), diff.max(),
                                    -diff.min())
         n_neg = int(np.sum(same < -tol) + np.sum(diff < -tol))
@@ -753,10 +757,10 @@ def pulsed_g2_map(system, drive, ports="LL", window=4.0, dt=0.01,
                 "separation_periods": separation_periods}
         results[pair] = PulsedG2Result(
             ports=pair, t=t,
-            same=CorrelationMap(t, t, np.clip(same, 0.0, None),
+            same=CorrelationMap(t, t, np.clip(same, 0.0, None, out=same),
                                 "same_pulse", dict(meta)),
             different=CorrelationMap(t, t + separation_periods * period,
-                                     np.clip(diff, 0.0, None),
+                                     np.clip(diff, 0.0, None, out=diff),
                                      "different_pulse", dict(meta)),
             intensity_a=intensity[pair[0]], intensity_b=intensity[pair[1]],
             period=period, clipped=n_neg)
