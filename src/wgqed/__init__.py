@@ -6,34 +6,17 @@ correlations, detector/inhomogeneity post-processing, closed-form weak-
 drive oracles, and a Monte Carlo device-yield estimator, behind a
 config-driven CLI (``wgqed run|validate|list-experiments``).
 
-``import wgqed`` loads numpy and ``scipy.special`` only.  The library
-names below are imported from their modules on first use (PEP 562), so
-that a yield run never loads the optics engines and their scipy modules.
+``import wgqed`` imports none of its modules.  The library names below
+are imported from their modules on first use (PEP 562), so that a run
+loads only what its experiment uses.  The only scipy module that any
+wgqed module imports is ``scipy.special``, in ``scalability`` (the yield
+Monte Carlo) and ``analytics`` (the closed-form oracles); the optics
+engines use numpy alone, so no optics run imports scipy, and their
+tables do not depend on the installed scipy version.  ``scalability``
+also sets the OpenBLAS thread rule for scipy's library.
 """
 
 import importlib
-import os
-
-import numpy  # noqa: F401
-
-# numpy and scipy each bundle an OpenBLAS with its own worker threads, and
-# on the small dense products here the two pools fight over the cores.
-# numpy's library, loaded above, keeps the user's thread count or its own
-# default; only its count sets the last digits of the pulsed maps.  Unless
-# the user set a thread variable, scipy's library (expm) loads with one
-# thread.  It reads the variable once, when it loads, and scipy.special,
-# the first scipy module any wgqed module imports, already loads it; so
-# this changes nothing when scipy was imported before wgqed.
-if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS",
-                                     "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
-                                     "OPENBLAS_DEFAULT_NUM_THREADS")):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import scipy.special  # noqa: F401
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-else:
-    import scipy.special  # noqa: F401
 
 __version__ = "0.1.0"
 

@@ -15,9 +15,7 @@ from . import presets
 from .errors import ConfigError
 from .instrument import DetectorModel, NoiseAveragingPlan, node_count
 from .model import DriveConfig, EmitterParams, PulseSpec, WaveguideSystem
-from .scalability import (BUDGET_BYTES, ScalabilityConfig, chunk_bytes,
-                          poisson_weights)
-from .units import ghz_to_angular
+from .units import BUDGET_BYTES, ghz_to_angular
 
 EXPERIMENTS = (
     "transmission-scan", "transmission-saturation", "lifetime",
@@ -340,6 +338,7 @@ _DEFAULT_DRIVES = {
 def scalability_config(cfg, **overrides):
     """The ScalabilityConfig of a resolved config's scalability section;
     ``mode`` must be overridden where the section's mode is "both"."""
+    from .scalability import ScalabilityConfig
     s = cfg.scalability
     base = dict(mu_qd=s["mu_qd"], sigma_qd=s["sigma_qd_nm"],
                 delta_lambda=s["delta_lambda_nm"], n_reg=s["n_reg"],
@@ -370,7 +369,7 @@ def _check_scalability(cfg):
 # point), arrays that grow with its grid, and its table rows.  A config
 # whose estimate exceeds this budget is refused before anything is built.
 DENSE_BUDGET_BYTES = BUDGET_BYTES
-_DENSE_WORK = 8     # build temporaries, L(t), D, SVD factors, expm Padé terms
+_DENSE_WORK = 8     # one generator's build temporaries and SVD factors
 _DENSE_EXPERIMENTS = ("transmission-saturation", "lifetime", "phase-sweep",
                       "detuning-sweep", "g2-cw", "g2-pulsed", "g2-map")
 _G2_ARRAYS = 2      # g2-cw's τ × node × pair floats: G2 and g2
@@ -455,6 +454,7 @@ def _axis_max(spec):
 def _yield_chunk_bytes(cfg):
     """Bytes of one yield chunk at the largest N of the Poisson support of
     the experiment's largest mu_qd (``scalability.chunk_bytes``)."""
+    from .scalability import chunk_bytes, poisson_weights
     mu = cfg.scalability["mu_qd"] if cfg.experiment == "scalability" \
         else _axis_max(cfg.grid["mu_qd"])
     n_max = poisson_weights(float(mu))[-1][0]
@@ -469,18 +469,23 @@ def dense_bytes(cfg):
     experiment holds its tables (``table_bytes``).
     transmission-scan solves its P grid points as one batch of N×N
     resolvents, 16·N²·P bytes.  The Lindblad experiments hold the static
-    generator, one superoperator per driven emitter (a conservative count
-    of the one summed drive part that the build holds) and work matrices,
-    and beyond those one chunk of their stacks: for the pulsed maps one step
-    propagator per grid step that overlaps the pulse; for g2-cw and the
-    time traces STACK_SUPEROPERATORS per member of a stack chunk beyond
-    the first (the noise nodes of g2-cw and lifetime, the θ points of
-    phase-sweep, the (Δ₂, noise node) pairs of detuning-sweep).  The
-    work matrices count the first member's.  Grid arrays are one chunk's
-    readouts (members × nt reals: one per pair for g2-cw, the trace and two
-    intensities for the time traces), g2-cw's _G2_ARRAYS τ × node × pair
-    floats for one chunk, and _MAP_ARRAYS nt × nt floats per port pair for
-    the pulsed maps.  The yield experiments hold one chunk of Monte Carlo
+    generator and one superoperator per driven emitter (a conservative
+    count of the one summed drive part that the build holds), and beyond
+    those the superoperators of the step that peaks, each counted from
+    the engine's own constants: for the pulsed maps one step propagator
+    per grid step that overlaps the pulse and ``dynamics.RK45_WORK`` for
+    the solve that marches the identity through a pulse step; for g2-cw
+    and the time traces STACK_SUPEROPERATORS per member of one stack chunk
+    (the noise nodes of g2-cw and lifetime, the θ points of phase-sweep,
+    the (Δ₂, noise node) pairs of detuning-sweep) and
+    ``dynamics.EXPM_WORK`` for the exponential of one member at a time;
+    transmission-saturation _DENSE_WORK for one generator's build and
+    steady state.  Grid arrays are one chunk's readouts (members × nt
+    reals: one per pair for g2-cw, the trace and two intensities for the
+    time traces), the time traces' RK45_WORK states of one column per
+    member in a pulse window, g2-cw's _G2_ARRAYS τ × node × pair floats
+    for one chunk, and _MAP_ARRAYS nt × nt floats per port pair for the
+    pulsed maps.  The yield experiments hold one chunk of Monte Carlo
     samples at the largest N (``_yield_chunk_bytes``) per worker thread,
     and run no more threads than fit in the budget together, so one chunk
     is counted.
@@ -489,11 +494,11 @@ def dense_bytes(cfg):
     if cfg.experiment.startswith("scalability"):
         return total + _yield_chunk_bytes(cfg)
     # An optics config imports its engines here, as it is resolved, so
-    # that its run imports nothing; observables imports dynamics, and with
-    # it scipy.linalg, which a yield config never loads.  No run loads
-    # scipy.integrate: dynamics steps the pulse windows with its own RK45.
+    # that its run imports nothing; observables imports dynamics.  The
+    # engines load no scipy module.
     from . import observables  # noqa: F401
-    from .dynamics import STACK_SUPEROPERATORS, grid_points, stack_chunk
+    from .dynamics import (EXPM_WORK, RK45_WORK, STACK_SUPEROPERATORS,
+                           grid_points, stack_chunk)
     n = cfg.system.n
     grid = cfg.grid
     if cfg.experiment == "transmission-scan":
@@ -503,12 +508,12 @@ def dense_bytes(cfg):
     dim2 = 4 ** n
     driven = 1 if cfg.drive is None else \
         sum(r != 0 for r in cfg.drive.rabi_amplitude)
-    count = 1 + driven + _DENSE_WORK
+    count = 1 + driven
     if cfg.experiment in ("g2-pulsed", "g2-map") and not cfg.drive.is_cw:
         dt = grid["dt_ns"]
         nt = grid_points(grid["window_ns"], dt)
         count += min(int(np.ceil(12.0 * cfg.drive.pulse.sigma_t / dt)) + 2,
-                     nt - 1)
+                     nt - 1) + RK45_WORK
         pairs = 1 if cfg.experiment == "g2-map" else len(grid["pairs"])
         total += 8 * _MAP_ARRAYS * pairs * nt ** 2
     members = pairs = 0
@@ -528,8 +533,12 @@ def dense_bytes(cfg):
         times, row = _trace_count(cfg), 8 * 3
     if members:
         chunk = min(members, stack_chunk(2 ** n, times, row))
-        count += STACK_SUPEROPERATORS * (chunk - 1)
+        count += STACK_SUPEROPERATORS * chunk + EXPM_WORK
         total += (row + 8 * _G2_ARRAYS * pairs) * chunk * times
+        if cfg.experiment != "g2-cw":
+            total += 16 * RK45_WORK * dim2 * chunk
+    elif cfg.experiment == "transmission-saturation":
+        count += _DENSE_WORK
     return total + 16 * dim2 ** 2 * count
 
 

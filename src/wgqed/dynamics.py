@@ -13,8 +13,10 @@ exact steps expm(L₀Δt); inside a pulse window (±6σ) one RK45 solve
 integrates it under L(t) = L₀ + f(t)·D, at tolerances pooled over the
 stack so that every system meets RTOL = 1e-10 and ATOL = 1e-12 of its
 own.  The RK45 is ``solve_ivp``, this module's port of scipy 1.17.1's
-Dormand–Prince solver, bit for bit the same, so that no run imports
-``scipy.integrate``.  A CW or undriven generator never calls the ODE
+Dormand–Prince solver, bit for bit the same, and the exponential is
+``expm``, this module's scaling and squaring with Padé approximants
+(Al-Mohy & Higham 2009, the method of scipy's), so that this module
+imports no scipy module.  A CW or undriven generator never calls the ODE
 solver.  Long stacks are marched in chunks of ``stack_chunk`` members,
 whose superoperators and readouts fit NODE_STACK_BYTES.  The members
 differ only in their detunings and drives, so one
@@ -42,11 +44,11 @@ arithmetic as in a call of its own, so their results are bit-identical
 to one call per node and pair.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DegenerateSteadyStateError, IntegrationError, NumericalError
 from .hilbert import DensityState, basis_ket
@@ -61,6 +63,14 @@ NODE_STACK_BYTES = 16 * 1024 ** 2   # one chunk of a stack
 _CACHED_STEPS = 3   # the grid step, and the steps into and out of a pulse
 STACK_SUPEROPERATORS = 3 + _CACHED_STEPS   # per member of a _march stack
 READ_BLOCK = 16     # stored times per member that _march reads at once
+# Work arrays that the size guard counts (config.dense_bytes), traced with
+# tracemalloc at N = 4: one ``_expm`` call holds up to 7.5 matrices of
+# its argument's size beyond the argument, and one pulse-window solve of
+# ``_states`` 17.5 arrays of its state's size (its 7 stage rows, the
+# dense output's 4 columns, the right-hand side's temporaries, the start
+# and the result; for a pulse step's propagator the state is d²×d²)
+EXPM_WORK = 8
+RK45_WORK = 18
 
 
 @dataclass
@@ -305,6 +315,129 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol, max_step=np.inf):
         nfev=nfev, success=success,
         message=_REACHED_END if success else _TOO_SMALL_STEP,
         reached=float(t))
+
+
+# Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009): for each
+# Padé degree m the bound θ_m on the ‖A^k‖^(1/k), the coefficients b_j of
+# p_m(x) = Σ b_j x^j (q_m(x) = p_m(−x)) and 1/|c_{2m+1}|, the reciprocal
+# of the leading coefficient of the backward-error series that ℓ reads
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
+_PADE = {
+    3: (120., 60., 12., 1.),
+    5: (30240., 15120., 3360., 420., 30., 1.),
+    7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
+    9: (17643225600., 8821612800., 2075673600., 302702400., 30270240.,
+        2162160., 110880., 3960., 90., 1.),
+    13: (64764752532480000., 32382376266240000., 7771770303897600.,
+         1187353796428800., 129060195264000., 10559470521600.,
+         670442572800., 33522128640., 1323241920., 40840800., 960960.,
+         16380., 182., 1.)}
+_C_RECIP = {3: 100800., 5: 10059033600., 7: 4487938430976000.,
+            9: 5914384781877411840000.,
+            13: 113250775606021113483283660800000000.}
+
+
+def expm(a):
+    """e^A of a square matrix, or of each matrix of a (K, n, n) stack.
+
+    Scaling and squaring with Padé approximants, Algorithm 6.1 of Al-Mohy
+    & Higham (2009), with exact 1-norms of the powers: each matrix gets its
+    own degree and scaling (``_expm``), so a member of a stack equals its
+    own 2-D call bit for bit.
+    """
+    a = np.asarray(a)
+    if a.ndim == 2:
+        return _expm(a)
+    out = np.empty(a.shape, dtype=np.result_type(a, float))
+    for k, member in enumerate(a):
+        out[k] = _expm(member)
+    return out
+
+
+def _norm1(x):
+    return np.abs(x).sum(axis=0).max()
+
+
+def _ell(a, m):
+    """ℓ(A, m): the extra squarings that keep the backward error of the
+    degree-m approximant of A within the unit roundoff 2⁻⁵³, from the
+    exact 1-norm of |A|^(2m+1) (computed for |A|/‖A‖₁, which cannot
+    overflow)."""
+    norm = _norm1(a)
+    if norm == 0:
+        return 0
+    v = np.ones(len(a))
+    scaled = np.abs(a) / norm
+    for _ in range(2 * m + 1):
+        v = v @ scaled
+    power = v.max()
+    if power == 0:
+        return 0
+    log_alpha = 2 * m * math.log2(norm) + math.log2(power) \
+        - math.log2(_C_RECIP[m])
+    return max(math.ceil((log_alpha + 53) / (2 * m)), 0)
+
+
+def _expm(a):
+    """e^A of one square matrix (``expm``).
+
+    The least degree m of 3, 5 whose θ_m bounds max(‖A⁴‖^¼, ‖A⁶‖^⅙), or of
+    7, 9 whose θ_m bounds max(‖A⁶‖^⅙, ‖A⁸‖^⅛), and whose ℓ(A, m) is 0;
+    otherwise m = 13 on A/2ˢ, with the least s that brings the smaller of
+    those two bounds and max(‖A⁸‖^⅛, ‖A¹⁰‖^⅒) within θ₁₃, plus ℓ(A/2ˢ, 13),
+    and s squarings of the result.  A matrix that is not finite gives NaN.
+    """
+    if not np.all(np.isfinite(a)):
+        return np.full(a.shape, np.nan, dtype=np.result_type(a, float))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    d6 = _norm1(a6) ** (1 / 6)
+    eta = max(_norm1(a4) ** (1 / 4), d6)
+    for m in (3, 5):
+        if eta <= _THETA[m] and _ell(a, m) == 0:
+            return _pade(a, [a2, a4], m)
+    a8 = a4 @ a4
+    d8 = _norm1(a8) ** (1 / 8)
+    eta = max(d6, d8)
+    for m in (7, 9):
+        if eta <= _THETA[m] and _ell(a, m) == 0:
+            return _pade(a, [a2, a4, a6, a8], m)
+    del a8
+    eta = min(eta, max(d8, _norm1(a4 @ a6) ** (1 / 10)))
+    s = max(math.ceil(math.log2(eta / _THETA[13])), 0) if eta > 0 else 0
+    s += _ell(a * 2.0 ** -s, 13)
+    if s:
+        a = a * 2.0 ** -s
+        a2 *= 2.0 ** (-2 * s)
+        a4 *= 2.0 ** (-4 * s)
+        a6 *= 2.0 ** (-6 * s)
+    x = _pade(a, [a2, a4, a6], 13)
+    for _ in range(s):
+        x = x @ x
+    return x
+
+
+def _pade(a, even, m):
+    """r_m(A) = q_m(A)⁻¹p_m(A) from A and its even powers [A², A⁴, …]: with
+    U the odd and V the even part of p_m(A), q_m(A) = V − U."""
+    b = _PADE[m]
+    eye = np.eye(len(a))
+    if m == 13:
+        a2, a4, a6 = even
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) \
+            + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    else:
+        powers = [eye, *even][:(m + 1) // 2]    # I, A², …, A^(m−1)
+        u = a @ sum(b[2 * j + 1] * x for j, x in enumerate(powers))
+        v = sum(b[2 * j] * x for j, x in enumerate(powers))
+    p = v + u
+    v -= u
+    del u
+    return np.linalg.solve(v, p)
 
 
 def grid_points(span, dt):

@@ -28,7 +28,6 @@ from .config import (WRITE_BLOCK_ROWS, expand_range, scalability_config,
 from .instrument import (DetectorModel, jitter_convolve, node_average,
                          noise_nodes, spectral_diffusion_average)
 from .model import DriveConfig
-from .scalability import probabilities_per_waveguide
 from .units import angular_to_ghz, ghz_to_angular
 
 
@@ -220,7 +219,14 @@ def _base_metadata(cfg, **extra):
             "jitter": "Gaussian IRF applied to computed signals along each "
                       "time axis (sqrt(2)*sigma along tau for integrated "
                       "correlograms)",
-            "negative_correlation_clip": 1e-10,
+            # dynamics.NEGATIVE_G_TOL, relative to each result's scale
+            "negative_correlation_clip": {
+                "clipped_to": 0.0,
+                "counted_below": -1e-10,
+                "relative_to": "max|G| of each result: one port pair's "
+                               "curve for one noise node, or both maps of "
+                               "one pulsed pair",
+            },
         },
     }
     meta.update(extra)
@@ -526,6 +532,7 @@ def run_g2_map(cfg):
 
 
 def run_scalability(cfg):
+    from .scalability import probabilities_per_waveguide
     mode = cfg.scalability["mode"]
     modes = ["consecutive", "window_distinct"] if mode == "both" else [mode]
     configs = [scalability_config(cfg, mode=m) for m in modes]
@@ -549,6 +556,7 @@ def run_scalability(cfg):
 
 
 def run_scalability_heatmap(cfg):
+    from .scalability import probabilities_per_waveguide
     mus = expand_range(cfg.grid["mu_qd"])
     rels = expand_range(cfg.grid["delta_over_sigma"])
     s = cfg.scalability

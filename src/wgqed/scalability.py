@@ -76,7 +76,26 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import gammaln, ndtri, xlogy
+
+from .units import BUDGET_BYTES
+
+# numpy and scipy each bundle an OpenBLAS with its own worker threads, and
+# on the small dense products of a run the two pools fight over the cores.
+# scipy.special, the only scipy module wgqed imports, loads scipy's
+# library, so unless the user set a thread variable it loads with one
+# thread; numpy's library, loaded above, keeps the user's count or its own
+# default.  The library reads the variable once, when it loads, so this
+# changes nothing when scipy was imported before this module.
+if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS",
+                                     "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "OPENBLAS_DEFAULT_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        from scipy.special import gammaln, ndtri, xlogy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+else:
+    from scipy.special import gammaln, ndtri, xlogy
 
 CHUNK = 1 << 15
 BLOCK_ROWS = 1 << 11    # rows per block of _draw's mask and the kernels
@@ -92,9 +111,6 @@ DENSE_SHARE = 0.25
 # (traced: 86–145 in all for n_reg ≤ 12 with a quarter of the windows
 # close), so that its row pieces stay within the block temporaries
 WINDOW_BYTES = 128
-# Bytes that a run may hold (config.DENSE_BUDGET_BYTES): the pool draws no
-# more chunks at once than fit in it together
-BUDGET_BYTES = 2 * 1024 ** 3
 MODES = ("consecutive", "window_distinct")
 SQRT_2PI = np.sqrt(2.0 * np.pi)   # least slope of the normal quantile
 NDTRI_MARGIN = 1e-9               # σ units; ndtri rounds to ~1e-14

@@ -1,9 +1,13 @@
-"""Thread counts of the two OpenBLAS libraries after ``import wgqed``.
+"""Thread counts of the two OpenBLAS libraries after importing wgqed.
 
 numpy bundles one OpenBLAS (``libscipy_openblas64_``) and scipy another
-(``libscipy_openblas``).  Each test imports wgqed in a fresh interpreter
-whose environment holds no thread variable unless the test sets one, and
-reads each loaded library's thread count through ctypes.
+(``libscipy_openblas``).  ``import wgqed`` and the command line load
+neither scipy module nor scipy's library; ``wgqed.scalability``, which a
+yield config imports as it is resolved, loads scipy's library through
+``scipy.special`` and sets its thread rule.  Each test imports modules in
+a fresh interpreter whose environment holds no thread variable unless the
+test sets one, and reads each loaded library's thread count through
+ctypes.
 """
 
 import json
@@ -19,14 +23,15 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
                "OPENBLAS_DEFAULT_NUM_THREADS")
 
 # Imports the given modules in turn, then prints each loaded library's
-# thread count (null when not loaded or not readable) and whether
-# os.environ came through the imports unchanged.
+# thread count (null when not loaded or not readable), which libraries
+# are loaded and whether os.environ came through the imports unchanged.
 PROBE = """
 import ctypes, json, os, sys
 before = dict(os.environ)
 for name in sys.argv[1:]:
     __import__(name)
 counts = {"numpy": None, "scipy": None}
+loaded = set()
 getters = {"numpy": "scipy_openblas_get_num_threads64_",
            "scipy": "scipy_openblas_get_num_threads"}
 with open("/proc/self/maps") as fh:
@@ -35,10 +40,12 @@ for path in paths:
     lib = ("numpy" if "libscipy_openblas64_" in path else
            "scipy" if "libscipy_openblas" in path else None)
     if lib is not None:
+        loaded.add(lib)
         getter = getattr(ctypes.CDLL(path), getters[lib], None)
         if getter is not None:
             counts[lib] = getter()
-print(json.dumps({"counts": counts, "environ": dict(os.environ) == before}))
+print(json.dumps({"counts": counts, "loaded": sorted(loaded),
+                  "environ": dict(os.environ) == before}))
 """
 
 
@@ -56,34 +63,44 @@ def _probe(*modules, **env):
 
 
 def _counts(*modules, **env):
-    """The thread counts after importing ``modules``.  Importing wgqed
-    loads both libraries, so a count that reads None there fails; a probe
-    without wgqed, such as scipy.linalg alone, skips instead."""
+    """The thread counts after importing ``modules``.  Importing
+    wgqed.scalability loads both libraries, so a count that reads None
+    there fails; a probe without it, such as scipy.linalg alone, skips
+    instead."""
     got = _probe(*modules, **env)
     if None in got["counts"].values():
         message = ("numpy's or scipy's OpenBLAS thread count is not "
                    f"readable: {got['counts']}")
-        if any(m.split(".")[0] == "wgqed" for m in modules):
+        if "wgqed.scalability" in modules:
             pytest.fail(message)
         pytest.skip(message)
     return got["counts"]
 
 
-# wgqed.scalability and wgqed.cli take the lighter path of a yield run,
-# whose first scipy module is scipy.special
+@pytest.mark.parametrize("module", ["wgqed", "wgqed.cli"])
+def test_wgqed_and_cli_load_no_scipy_library(module):
+    # the probe finds scipy's library once loaded (the tests below)
+    assert "scipy" not in _probe(module)["loaded"]
+
+
+# whichever entry point comes first, scipy's library loads with one thread
+# when wgqed.scalability imports scipy.special, as a yield config is
+# resolved after `wgqed.cli` has been imported
 @pytest.mark.parametrize("module", ["wgqed", "wgqed.scalability",
                                     "wgqed.cli"])
 def test_scipy_library_loads_single_threaded(module):
-    assert _counts(module)["scipy"] == 1
+    assert _counts(module, "wgqed.scalability")["scipy"] == 1
 
 
 def test_numpy_library_keeps_its_own_count():
-    assert _counts("wgqed")["numpy"] == _probe("numpy")["counts"]["numpy"]
+    assert _counts("wgqed.scalability")["numpy"] == \
+        _probe("numpy")["counts"]["numpy"]
 
 
 def test_environment_unchanged_by_the_import():
-    assert _probe("wgqed")["environ"]
-    assert _probe("wgqed", OPENBLAS_NUM_THREADS="2")["environ"]
+    for modules in (["wgqed"], ["wgqed.cli"], ["wgqed.scalability"]):
+        assert _probe(*modules)["environ"]
+        assert _probe(*modules, OPENBLAS_NUM_THREADS="2")["environ"]
 
 
 @pytest.mark.parametrize("var", THREAD_VARS)
@@ -92,10 +109,11 @@ def test_user_thread_variable_wins(var):
     if alone["scipy"] != 2:
         pytest.skip(f"OpenBLAS runs {alone['scipy']} thread(s) when 2 "
                     "are asked for on this machine")
-    assert _counts("wgqed", **{var: "2"}) == alone
+    assert _counts("wgqed.scalability", **{var: "2"}) == alone
+    assert _counts("wgqed.cli", "wgqed.scalability", **{var: "2"}) == alone
 
 
 def test_scipy_imported_first_is_left_alone():
-    got = _probe("scipy.linalg", "wgqed")
+    got = _probe("scipy.linalg", "wgqed.scalability")
     assert got["environ"]
     assert got["counts"] == _probe("scipy.linalg")["counts"]

@@ -285,10 +285,12 @@ class TestDenseSizeGuard:
         cfg.drive = model.DriveConfig.off(7)
         cfg.grid = {"tau_max_ns": 6.0, "dt_ns": 0.005, "pairs": ["LL", "RR"]}
         # 1201 delays: a table of 2401 rows and 5 columns, and the readout,
-        # G2 and g2 for one node and two pairs
+        # G2 and g2 for one node and two pairs; the static generator, one
+        # node's stack superoperators and its exponential's work
         grid = config.table_bytes(2401, 5) + 3 * 8 * 1201 * 2
-        assert dense_bytes(cfg) == 16 * 16 ** 7 * 9 + grid
-        assert 16 * 16 ** 7 * 9 > DENSE_BUDGET_BYTES
+        count = 1 + dynamics.STACK_SUPEROPERATORS + dynamics.EXPM_WORK
+        assert dense_bytes(cfg) == 16 * 16 ** 7 * count + grid
+        assert 16 * 16 ** 7 > DENSE_BUDGET_BYTES
         small = resolve_config({"experiment": "g2-map",
                                 "system": collinear(4)})
         assert 0 < dense_bytes(small) < DENSE_BUDGET_BYTES
@@ -312,7 +314,8 @@ class TestDenseSizeGuard:
         # G2 and g2 for one chunk of nodes and four pairs
         grid = config.table_bytes(2401, 9) + 3 * 8 * 1201 * chunk * 4
         assert dense_bytes(cfg) == superop * (
-            10 + dynamics.STACK_SUPEROPERATORS * (chunk - 1)) + grid
+            2 + dynamics.STACK_SUPEROPERATORS * chunk + dynamics.EXPM_WORK) \
+            + grid
         assert dense_bytes(cfg) < DENSE_BUDGET_BYTES
 
     def test_twelve_emitter_transmission_scan_resolves(self):
@@ -358,8 +361,9 @@ class TestDenseSizeGuard:
             self, tmp_path, capsys, monkeypatch, experiment, n, noise,
             members, times):
         # the θ points, (Δ₂, node) pairs or nodes of one stack, with
-        # one chunk's readouts (the trace and two intensities per time) and
-        # the (rows, columns) of the tables; phase-sweep halves its step so
+        # one chunk's readouts (the trace and two intensities per time), its
+        # pulse-window solve on one column per member, and the (rows,
+        # columns) of the tables; phase-sweep halves its step so
         # that its 41 θ points need two chunks
         tables = {"phase-sweep": [(41, 6)],
                   "detuning-sweep": [(31 * 251, 6), (31, 3)],
@@ -377,8 +381,9 @@ class TestDenseSizeGuard:
         driven = sum(w != 0 for w in cfg.drive.rabi_amplitude)
         chunk = dynamics.stack_chunk(2 ** n, times, 8 * 3)
         assert 1 < chunk < members
-        need = 16 * 16 ** n * (1 + driven + 8 + dynamics.STACK_SUPEROPERATORS
-                               * (chunk - 1)) \
+        need = 16 * 16 ** n * (1 + driven + dynamics.STACK_SUPEROPERATORS
+                               * chunk + dynamics.EXPM_WORK) \
+            + 16 * dynamics.RK45_WORK * 4 ** n * chunk \
             + 8 * 3 * chunk * times \
             + sum(config.table_bytes(rows, cols) for rows, cols in tables)
         assert dense_bytes(cfg) == need

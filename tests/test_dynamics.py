@@ -1081,3 +1081,74 @@ class TestSuperoperatorStack:
             tracemalloc.stop()
         assert d is not None
         assert peak < k * dynamics.STACK_SUPEROPERATORS * 16 * 4 ** 8
+
+
+class TestExpm:
+    """``dynamics.expm`` against scipy's (a test-only oracle) on the
+    generators that runs exponentiate, and stacks against single calls."""
+
+    PULSE = PulseSpec(sigma_t=0.03, area=np.pi, repetition_period=13.6)
+    # a partial step into a pulse, the grid steps of the example configs,
+    # coarser steps, and the gap between pulse windows (13.6 − 4 ns); at
+    # N = 2 they reach Padé degrees 3, 5, 5, 5, 7, 9 and 13
+    STEPS = (1e-3, 4e-3, 0.01, 0.02, 0.1, 0.25, 9.6)
+
+    def generators(self, n):
+        """L₀ of an N-emitter stack: undriven, CW-driven and pulse-driven
+        members with random detunings."""
+        rng = np.random.default_rng(10 + n)
+        base = collinear_system([0.0, 0.7, 1.9, 2.6][:n])
+        drives = [DriveConfig.off(n),
+                  DriveConfig(rng.uniform(0.2, 1.0, n),
+                              rng.uniform(0.0, 2 * np.pi, n), "cw"),
+                  DriveConfig(rng.uniform(0.2, 1.0, n),
+                              rng.uniform(0.0, 2 * np.pi, n), "pulsed",
+                              self.PULSE)]
+        systems = [base.with_detunings(rng.normal(0.0, 2.0, n))
+                   for _ in drives]
+        return superoperators(systems, drives)[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_agrees_with_scipy(self, n):
+        from scipy.linalg import expm as scipy_expm
+        l0 = self.generators(n)
+        for dt in self.STEPS:
+            got = dynamics.expm(l0 * dt)
+            for k in range(len(l0)):
+                want = scipy_expm(l0[k] * dt)
+                assert np.max(np.abs(got[k] - want)) <= \
+                    1e-13 * np.max(np.abs(want)), (n, dt, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_members_equal_single_calls(self, n):
+        l0 = self.generators(n)
+        # members of one stack reach different degrees and scalings
+        a = np.concatenate([l0 * dt for dt in self.STEPS])
+        stack = dynamics.expm(a)
+        for k in range(len(a)):
+            assert np.array_equal(stack[k], dynamics.expm(a[k]))
+
+    def test_degrees_and_scalings_all_reached(self, monkeypatch):
+        seen = set()
+        pade = dynamics._pade
+
+        def recording(a, even, m):
+            seen.add(m)
+            return pade(a, even, m)
+
+        monkeypatch.setattr(dynamics, "_pade", recording)
+        dynamics.expm(self.generators(2)[2] * np.array(self.STEPS)[:, None,
+                                                                   None])
+        assert seen == {3, 5, 7, 9, 13}
+
+    def test_special_matrices(self):
+        assert np.array_equal(dynamics.expm(np.zeros((3, 3))), np.eye(3))
+        np.testing.assert_allclose(
+            dynamics.expm(np.diag([1.0, -2.0, 30.0])),
+            np.diag(np.exp([1.0, -2.0, 30.0])), rtol=1e-13)
+        # nilpotent: e^N = I + N
+        nil = np.array([[0.0, 5.0], [0.0, 0.0]])
+        np.testing.assert_allclose(dynamics.expm(nil), np.eye(2) + nil,
+                                   rtol=1e-15)
+        assert np.isnan(dynamics.expm(np.array([[np.nan, 0.0],
+                                                [0.0, 1.0]]))).all()

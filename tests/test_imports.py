@@ -1,11 +1,14 @@
 """What each entry point imports, each checked in a fresh interpreter.
 
-The command line and the yield runs load none of the optics engines and
-their scipy modules.  Resolving an optics config imports its engines, so
-that its run imports nothing more, and no optics run loads scipy's ODE
-solvers or, with them, ``scipy.optimize``: the pulse windows are stepped
-by wgqed's own RK45.  Every library name of ``wgqed`` is
-imported from its module on first use and is the module's own object.
+``import wgqed`` and the command line load no scipy module.  The yield
+runs load none of the optics engines; resolving a yield config loads
+``scipy.special`` (the size guard reads the Poisson support) and never
+``scipy.linalg``.  Resolving an optics config imports its engines, so
+that its run imports nothing more, and no optics validation or run
+loads any scipy module: the pulse windows are stepped by wgqed's own
+RK45 and the steps between them by its own matrix exponential.  Every
+library name of ``wgqed`` is imported from its module on first use and
+is the module's own object.
 """
 
 import json
@@ -22,7 +25,6 @@ YIELD = [p for p in CONFIGS if p.stem.startswith("scalability")]
 OPTICS = [p for p in CONFIGS if p not in YIELD]
 ENGINES = ("scipy.integrate", "scipy.linalg", "wgqed.dynamics",
            "wgqed.observables", "wgqed.analytics")
-SOLVERS = ("scipy.integrate", "scipy.optimize")
 
 # the library names that wgqed gave before they were imported lazily
 EXPORTS = {
@@ -50,31 +52,48 @@ EXPORTS = {
                     "probability_per_chip", "probability_per_waveguide"],
 }
 
-# list-experiments, then validate and run each yield config given; the
-# number of Monte Carlo runs changes no import, so each run draws 200
+# import wgqed, then the command line, list-experiments, then validate
+# and run each yield config given, with the modules loaded after each
+# step; the number of Monte Carlo runs changes no import, so each run
+# draws 200
 YIELD_RUN = """
+import contextlib, io, json, sys
+steps = {}
+import wgqed
+steps["wgqed"] = sorted(sys.modules)
+from wgqed.cli import main
+from wgqed.config import load_config, resolve_config
+from wgqed.experiments import run_experiment
+steps["cli"] = sorted(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    exits = [main(["list-experiments"])]
+    steps["list"] = sorted(sys.modules)
+    for path in sys.argv[1:]:
+        exits.append(main(["validate", path]))
+        steps[f"validate {path}"] = sorted(sys.modules)
+        data = load_config(path)
+        data["scalability"] = {**data.get("scalability", {}), "runs": 200}
+        run_experiment(resolve_config(data))
+        steps[f"run {path}"] = sorted(sys.modules)
+print(json.dumps({"exits": exits, "steps": steps}))
+"""
+
+# validate an optics config through the command line, then resolve and
+# run it, with the modules loaded after validating and before and after
+# the run
+RUN_AFTER_RESOLVE = """
 import contextlib, io, json, sys
 from wgqed.cli import main
 from wgqed.config import load_config, resolve_config
 from wgqed.experiments import run_experiment
 with contextlib.redirect_stdout(io.StringIO()):
-    exits = [main(["list-experiments"])]
-    for path in sys.argv[1:]:
-        exits.append(main(["validate", path]))
-        data = load_config(path)
-        data["scalability"] = {**data.get("scalability", {}), "runs": 200}
-        run_experiment(resolve_config(data))
-print(json.dumps({"exits": exits, "modules": sorted(sys.modules)}))
-"""
-
-RUN_AFTER_RESOLVE = """
-import json, sys
-from wgqed.config import load_config, resolve_config
-from wgqed.experiments import run_experiment
+    exit_code = main(["validate", sys.argv[1]])
+validated = sorted(sys.modules)
 cfg = resolve_config(load_config(sys.argv[1]))
 before = set(sys.modules)
 run_experiment(cfg)
-print(json.dumps({"new": sorted(set(sys.modules) - before),
+print(json.dumps({"exit": exit_code, "validated": validated,
+                  "new": sorted(set(sys.modules) - before),
                   "loaded": sorted(sys.modules)}))
 """
 
@@ -105,21 +124,34 @@ def _python(script, *args):
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def _scipy(modules):
+    return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
 def test_command_line_and_yield_runs_load_no_engine():
     got = _python(YIELD_RUN, *YIELD)
     assert got["exits"] == [0] * (1 + len(YIELD))
-    assert not set(ENGINES) & set(got["modules"])
+    steps = got["steps"]
+    for step in ("wgqed", "cli", "list"):
+        assert _scipy(steps[step]) == [], step
+    for step, modules in steps.items():
+        assert not set(ENGINES) & set(modules), step
+    # the first yield config loads scipy.special as it is validated
+    assert "scipy.special" in steps[f"validate {YIELD[0]}"]
 
 
 @pytest.mark.parametrize("path", OPTICS, ids=lambda p: p.stem)
 def test_optics_run_imports_nothing_after_resolution(path):
     got = _python(RUN_AFTER_RESOLVE, path)
+    assert got["exit"] == 0
     assert got["new"] == []
-    assert not set(SOLVERS) & set(got["loaded"])
+    assert _scipy(got["validated"]) == []
+    assert _scipy(got["loaded"]) == []
 
 
 def test_library_names_resolve_lazily_to_their_modules():
     got = _python(LAZY_NAMES, json.dumps(EXPORTS))
+    assert _scipy(got["loaded"]) == []
     assert not set(ENGINES) & set(got["loaded"])
     assert got["missing"] == [] and got["differ"] == []
     assert got["star"] == sorted(n for names in EXPORTS.values()
