@@ -64,7 +64,7 @@ _CACHED_STEPS = 3   # the grid step, and the steps into and out of a pulse
 STACK_SUPEROPERATORS = 3 + _CACHED_STEPS   # per member of a _march stack
 READ_BLOCK = 16     # stored times per member that _march reads at once
 # Work arrays that the size guard counts (config.dense_bytes), traced with
-# tracemalloc at N = 4: one ``_expm`` call holds up to 7.5 matrices of
+# tracemalloc at N = 4: one ``_expm`` call holds up to 7.6 matrices of
 # its argument's size beyond the argument, and one pulse-window solve of
 # ``_states`` 17.5 arrays of its state's size (its 7 stage rows, the
 # dense output's 4 columns, the right-hand side's temporaries, the start
@@ -421,7 +421,9 @@ def _expm(a):
 
 def _pade(a, even, m):
     """r_m(A) = q_m(A)⁻¹p_m(A) from A and its even powers [A², A⁴, …]: with
-    U the odd and V the even part of p_m(A), q_m(A) = V − U."""
+    U the odd and V the even part of p_m(A), q_m(A) = V − U, and r_m(A) is
+    formed as I + 2(V − U)⁻¹U, so that the entries that are small next to
+    the identity keep their own relative accuracy."""
     b = _PADE[m]
     eye = np.eye(len(a))
     if m == 13:
@@ -434,10 +436,11 @@ def _pade(a, even, m):
         powers = [eye, *even][:(m + 1) // 2]    # I, A², …, A^(m−1)
         u = a @ sum(b[2 * j + 1] * x for j, x in enumerate(powers))
         v = sum(b[2 * j] * x for j, x in enumerate(powers))
-    p = v + u
     v -= u
-    del u
-    return np.linalg.solve(v, p)
+    x = np.linalg.solve(v, u)
+    x *= 2.0
+    x += eye
+    return x
 
 
 def grid_points(span, dt):
