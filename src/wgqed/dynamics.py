@@ -386,10 +386,19 @@ def _expm(a):
     7, 9 whose θ_m bounds max(‖A⁶‖^⅙, ‖A⁸‖^⅛), and whose ℓ(A, m) is 0;
     otherwise m = 13 on A/2ˢ, with the least s that brings the smaller of
     those two bounds and max(‖A⁸‖^⅛, ‖A¹⁰‖^⅒) within θ₁₃, plus ℓ(A/2ˢ, 13),
-    and s squarings of the result.  A matrix that is not finite gives NaN.
+    and s squarings of the result.  A matrix with ‖A‖₁ above 2¹⁰⁰, whose
+    powers up to A¹⁰ could overflow, is scaled to within θ₁₃ first and its
+    exponential squared back; one that is not finite gives NaN.
     """
-    if not np.all(np.isfinite(a)):
+    norm = _norm1(a)
+    if not math.isfinite(norm):
         return np.full(a.shape, np.nan, dtype=np.result_type(a, float))
+    if norm > 2.0 ** 100:
+        s = math.ceil(math.log2(norm / _THETA[13]))
+        x = _expm(a * 2.0 ** -s)
+        for _ in range(s):
+            x = x @ x
+        return x
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4

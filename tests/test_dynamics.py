@@ -1152,3 +1152,9 @@ class TestExpm:
                                    rtol=1e-15)
         assert np.isnan(dynamics.expm(np.array([[np.nan, 0.0],
                                                 [0.0, 1.0]]))).all()
+        # decay at rates whose powers A⁴…A¹⁰ overflow: every population
+        # ends in the ground state
+        for rate in (1e20, 1e40, 1e60, 1e200):
+            decay = np.array([[-rate, 0.0], [rate, 0.0]])
+            np.testing.assert_allclose(dynamics.expm(decay),
+                                       [[0.0, 0.0], [1.0, 1.0]], atol=1e-15)
