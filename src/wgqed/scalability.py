@@ -80,12 +80,12 @@ from numpy.random import Generator, Philox, SeedSequence
 from .units import BUDGET_BYTES
 
 # numpy and scipy each bundle an OpenBLAS with its own worker threads, and
-# on the small dense products of a run the two pools fight over the cores.
-# scipy.special, the only scipy module wgqed imports, loads scipy's
-# library, so unless the user set a thread variable it loads with one
-# thread; numpy's library, loaded above, keeps the user's count or its own
-# default.  The library reads the variable once, when it loads, so this
-# changes nothing when scipy was imported before this module.
+# the two pools fight over the cores.  scipy.special, the only scipy module
+# wgqed imports, loads scipy's library, so unless the user set a thread
+# variable it loads with one thread; numpy's library, loaded above, keeps
+# the user's count or its own default.  The library reads the variable
+# once, when it loads, so this changes nothing when scipy was imported
+# before this module.
 if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS",
                                      "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
                                      "OPENBLAS_DEFAULT_NUM_THREADS")):
