@@ -59,6 +59,11 @@ NEGATIVE_G_TOL = 1e-10  # regression numerics may produce tiny negatives;
                         # counted below -NEGATIVE_G_TOL·max|G| of a result
 RTOL = 1e-10    # RK45 tolerances of one system inside a pulse window
 ATOL = 1e-12
+# A pulse window whose RK45 needs more steps than this for stability alone
+# fails before it starts: 30x the most that any example config or the
+# N = 4 benchmark configs take in one window (326, detuning-sweep).
+RK45_STEP_CAP = 10_000
+RK45_STABLE = 3.3   # the RK45 stability region's reach along -R (h·|λ|)
 NODE_STACK_BYTES = 16 * 1024 ** 2   # one chunk of a stack
 _CACHED_STEPS = 3   # the grid step, and the steps into and out of a pulse
 STACK_SUPEROPERATORS = 3 + _CACHED_STEPS   # per member of a _march stack
@@ -111,7 +116,9 @@ def _states(l0, d, drive, y, t0, times):
     (L₀ + f(t)·D)X for more, one product instead of two.  Its error norm
     is pooled over the stack, so RTOL and ATOL are divided by √K: the
     pooled norm is then the root of the sum of the systems' own squared
-    norms, each an RMS over that system's d²·m entries.
+    norms, each an RMS over that system's d²·m entries.  A window that
+    needs more than RK45_STEP_CAP steps for stability alone raises
+    IntegrationError before its solve.
     """
     k, d2, m = y.shape
     if d is None:
@@ -120,6 +127,9 @@ def _states(l0, d, drive, y, t0, times):
         windows = [(max(lo, t0), min(hi, times[-1]))
                    for lo, hi in drive.pulse_windows(t0, times[-1])]
     steps = {}
+    # the spectral radius is at least |tr L₀|/d² (D is traceless), and an
+    # explicit step h is stable only where h·radius <= RK45_STABLE
+    radius = np.abs(np.trace(l0, axis1=1, axis2=2)).max() / d2
 
     def free(dt):
         for length in steps:
@@ -148,6 +158,11 @@ def _states(l0, d, drive, y, t0, times):
             break
         if a > t:
             y = free(a - t) @ y
+        least = (b - a) * radius / RK45_STABLE
+        if least > RK45_STEP_CAP:
+            raise IntegrationError(
+                f"pulse window at t = {a:.6g} ns too stiff for the RK45: "
+                f"at least {least:.3g} steps (cap {RK45_STEP_CAP})", t=a)
         inside = times[i:][times[i:] <= b]
         t_eval = list(inside)
         if not t_eval or t_eval[-1] < b:

@@ -16,9 +16,14 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -235,3 +240,30 @@ def test_validate_exit_codes_hold_for_long_grids(data):
         assert checked in (0, 2)
         if checked == 2:
             _report(err, "config")
+
+
+@pytest.mark.parametrize("gamma", [1e20, 1e40, 1e60, 1e120])
+def test_stiff_pulse_window_exits_3_within_seconds(gamma):
+    # an RK45 would need ~1e19 steps or more for stability alone in this
+    # π pulse's window; the run is refused before the solve, in a fresh
+    # interpreter that is killed should it run on
+    data = {"experiment": "lifetime", "seed": 1,
+            "system": {"emitters": [{"gamma_ghz": gamma, "beta": 0.5}]},
+            "drive": {"mode": "pulsed", "weights": [1.0],
+                      "pulse": {"sigma_ns": 0.03, "area_over_pi": 1.0,
+                                "period_ns": 13.6}},
+            "grid": {"t_max_ns": 0.2, "dt_ns": 0.004}}
+    assert validate_config(data) == []
+    src = Path(__file__).resolve().parent.parent / "src"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump(data))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "wgqed.cli", "run", str(path), "--out",
+             str(Path(tmp) / "o")], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+    assert done.returncode == 3
+    assert "too stiff" in _report(done.stderr, "numerical")["message"]
+    assert elapsed < 20
