@@ -8,12 +8,11 @@ config-driven CLI (``wgqed run|validate|list-experiments``).
 
 ``import wgqed`` imports none of its modules.  The library names below
 are imported from their modules on first use (PEP 562), so that a run
-loads only what its experiment uses.  The only scipy module that any
-wgqed module imports is ``scipy.special``, in ``scalability`` (the yield
-Monte Carlo) and ``analytics`` (the closed-form oracles); the optics
-engines use numpy alone, so no optics run imports scipy, and their
-tables do not depend on the installed scipy version.  ``scalability``
-also sets the OpenBLAS thread rule for scipy's library.
+loads only what its experiment uses.  No wgqed module imports scipy: the
+engines and the yield Monte Carlo use numpy alone (the normal quantile
+and the Poisson weights of ``scalability`` are ports of the Cephes
+routines behind scipy.special), so no table depends on the installed
+scipy, which the tests use only as an oracle.
 """
 
 import importlib

@@ -31,10 +31,10 @@ operator identities at any drive strength):
     ⇒ g²_LR(0) = √(g²_LL g²_RR)·cos²φ
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .model import effective_hamiltonian
 
@@ -144,6 +144,7 @@ def lifetime_irf_curve(times, gamma, sigma_irf, t0=0.0):
         return np.where(t >= 0, gamma * np.exp(-gamma * np.maximum(t, 0.0)), 0.0)
     s = sigma_irf
     arg = (gamma * s ** 2 - t) / (np.sqrt(2.0) * s)
+    erfc = np.vectorize(math.erfc, otypes=[float])
     return 0.5 * gamma * np.exp(gamma * (0.5 * gamma * s ** 2 - t)) * erfc(arg)
 
 

@@ -494,8 +494,7 @@ def dense_bytes(cfg):
     if cfg.experiment.startswith("scalability"):
         return total + _yield_chunk_bytes(cfg)
     # An optics config imports its engines here, as it is resolved, so
-    # that its run imports nothing; observables imports dynamics.  The
-    # engines load no scipy module.
+    # that its run imports nothing; observables imports dynamics.
     from . import observables  # noqa: F401
     from .dynamics import (EXPM_WORK, RK45_WORK, STACK_SUPEROPERATORS,
                            grid_points, stack_chunk)

@@ -64,12 +64,16 @@ keyed by (seed, n_qd, chunk index), and reductions are integer sums.
 ``probabilities_per_waveguide`` runs the N on a pool of threads, one per
 CPU in the process's affinity mask (so ``taskset`` limits it), largest N
 first.  A chunk holds a spacing buffer, int32 regions and a close-window
-mask and steps through them in row blocks of BLOCK_ROWS rows (or, for
-the close windows, in pieces of as many bytes), so the chunks in flight
-hold about 13 bytes per sample value together with a few row blocks each
-(``chunk_bytes``).
+mask and steps through them in row blocks of at most BLOCK_ROWS rows,
+fewer where ``ndtri``'s scratch or a many-region scan would not fit in
+as many bytes (or, for the close windows, in pieces of as many bytes),
+so the chunks in flight hold about 13 bytes per sample value together
+with a few row blocks each (``chunk_bytes``).  The normal quantile
+``ndtri`` is this module's numpy port of the Cephes routine, so no
+count depends on the installed scipy.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -78,24 +82,6 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .units import BUDGET_BYTES
-
-# numpy and scipy each bundle an OpenBLAS with its own worker threads, and
-# the two pools fight over the cores.  scipy.special, the only scipy module
-# wgqed imports, loads scipy's library, so unless the user set a thread
-# variable it loads with one thread; numpy's library, loaded above, keeps
-# the user's count or its own default.  The library reads the variable
-# once, when it loads, so this changes nothing when scipy was imported
-# before this module.
-if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS",
-                                     "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
-                                     "OPENBLAS_DEFAULT_NUM_THREADS")):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        from scipy.special import gammaln, ndtri, xlogy
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-else:
-    from scipy.special import gammaln, ndtri, xlogy
 
 CHUNK = 1 << 15
 BLOCK_ROWS = 1 << 11    # rows per block of _draw's mask and the kernels
@@ -108,12 +94,16 @@ BLOCK_TEMPS = 4         # float64 row-block temporaries alive at once
 # one at 0.1 lost at 0.03σ and matched 0.25 elsewhere.
 DENSE_SHARE = 0.25
 # ``_close_minima`` is given WINDOW_BYTES + 16·n_reg bytes per close window
-# (traced: 86–145 in all for n_reg ≤ 12 with a quarter of the windows
-# close), so that its row pieces stay within the block temporaries
+# (traced: 91–122 for n_reg ≤ 12 with a quarter of the windows close) and
+# ``ndtri``'s scratch for its quantiles, two a window, or (n_set + 1)/2
+# in runs of two windows, so that its row pieces stay within the block
+# temporaries
 WINDOW_BYTES = 128
 MODES = ("consecutive", "window_distinct")
 SQRT_2PI = np.sqrt(2.0 * np.pi)   # least slope of the normal quantile
 NDTRI_MARGIN = 1e-9               # σ units; ndtri rounds to ~1e-14
+NDTRI_BLOCK = 1 << 15             # values per block of ``ndtri``
+NDTRI_BYTES = 40                  # its scratch per value of a block
 
 
 @dataclass(frozen=True)
@@ -157,6 +147,171 @@ class YieldResult:
     truncated_mass: float = 1.0
 
 
+# Cephes ``ndtri`` and ``lgam`` (S. L. Moshier, *Methods and Programs for
+# Mathematical Functions*, 1989), the routines behind scipy.special's
+# ``ndtri`` and ``gammaln``: the same coefficients, Horner order and
+# branches.  ``ndtri`` is a rational in (y − ½)² for e⁻² < y ≤ 1 − e⁻²
+# and, in the tails, a rational in 1/x with x = √(−2 log y), one
+# coefficient set below x = 8 and one above.
+_EXP_M2 = 0.13533528323661269189         # e⁻²
+_S2PI = 2.50662827463100050242           # √(2π)
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+       -5.66762857469070293439E1, 1.39312609387279679503E1,
+       -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+       8.63602421390890590575E1, -2.25462687854119370527E2,
+       2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+       5.71628192246421288162E1, 4.40805073893200834700E1,
+       1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+       -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+       4.13172038254672030440E1, 1.50425385692907503408E1,
+       2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+       3.93881025292474443415E0, 1.33303460815807542389E0,
+       2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6,
+       6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+       1.37702099489081330271E0, 2.16236993594496635890E-1,
+       1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+# lgam for x ≥ 13: Stirling's series in 1/x², its tail A below x = 1000
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+           7.93650340457716943945E-4, -2.77777777730099687205E-3,
+           8.33333333333331927722E-2)
+_LS2PI = 0.91893853320467274178          # log √(2π)
+
+
+def _polevl(x, coef, out=None):
+    """Σ coef[i]·x^(n−i) by Horner's rule, as Cephes ``polevl``."""
+    out = np.multiply(x, coef[0], out=out)
+    out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _p1evl(x, coef, out=None):
+    """``_polevl`` with a leading coefficient of 1, as Cephes ``p1evl``."""
+    out = np.add(x, coef[0], out=out)
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _ndtri_central(y, work):
+    """ndtri of values in (e⁻², 1 − e⁻²], in the first len(y) columns
+    of the (4, ≥ len(y)) scratch ``work``."""
+    v, v2, x, q = work[:, :len(y)]
+    np.subtract(y, 0.5, out=v)
+    np.multiply(v, v, out=v2)
+    _polevl(v2, _P0, x)
+    x *= v2
+    x /= _p1evl(v2, _Q0, q)
+    x *= v
+    x += v
+    x *= _S2PI
+    return x
+
+
+def _ndtri_tails(y):
+    """ndtri of values outside (e⁻², 1 − e⁻²]: ∓ inf at 0 and 1, NaN
+    outside [0, 1]."""
+    t = np.minimum(y, 1.0 - y)        # 1 − y is exact above ½
+    edges = np.flatnonzero(~(t > 0.0))
+    t[edges] = 0.5
+    x = np.log(t)
+    x *= -2.0
+    x = np.sqrt(x, out=x)
+    x0 = np.log(x)
+    x0 /= x
+    x0 = np.subtract(x, x0, out=x0)
+    far = np.flatnonzero(x >= 8.0)
+    z = np.divide(1.0, x, out=x)
+    p, q = _polevl(z, _P1), _p1evl(z, _Q1)
+    if len(far):
+        p[far], q[far] = _polevl(z[far], _P2), _p1evl(z[far], _Q2)
+    p *= z
+    p /= q
+    x0 -= p
+    # x0 > 0: Cephes negates it below ½
+    x0 = np.copysign(x0, y - 0.5, out=x0)
+    x0[edges] = np.where(y[edges] == 0.0, -np.inf,
+                         np.where(y[edges] == 1.0, np.inf, np.nan))
+    return x0
+
+
+def _ndtri_flat(y, work):
+    """ndtri of a 1-D array, in ``work`` (``_ndtri_central``): the central
+    rational on every value (NaN where it is none), then the tails
+    redone."""
+    with np.errstate(invalid="ignore", over="ignore"):   # garbage outside
+        out = _ndtri_central(y, work)
+    at = np.flatnonzero((y <= _EXP_M2) | (y > 1.0 - _EXP_M2))
+    if len(at):
+        out[at] = _ndtri_tails(y[at])
+    return out
+
+
+def ndtri(y, out=None):
+    """Inverse of the standard normal CDF, elementwise.
+
+    Cephes ``ndtri``: scipy's bits wherever it needs no logarithm (the
+    central branch) and within a few ulp in the tails, where numpy's
+    ``log`` may round differently from libm's.  Written into ``out``
+    when given, whatever its strides (it may be ``y`` itself).  The
+    leading axis is worked through in blocks of about NDTRI_BLOCK values,
+    each needing about NDTRI_BYTES of scratch a value.
+    """
+    y = np.asarray(y, dtype=float)
+    if out is None:
+        out = np.empty(y.shape)
+    if y.ndim == 0:
+        out[()] = _ndtri_flat(y.reshape(1), np.empty((4, 1)))[0]
+        return out
+    per = math.prod(y.shape[1:])
+    step = max(1, NDTRI_BLOCK // max(1, per))
+    work = np.empty((4, min(y.size, step * per)))
+    for i in range(0, len(y), step):
+        block = y[i:i + step]
+        out[i:i + step] = _ndtri_flat(block.reshape(-1),
+                                      work).reshape(block.shape)
+    return out
+
+
+def _log_factorial(n):
+    """log n! of each integer n ≥ 0 in a 1-D array: Cephes ``lgam`` at
+    n + 1, scipy's ``gammaln`` bit for bit, with libm's ``log``
+    (``math.log``; numpy's may round differently)."""
+    x = n + 1.0
+    out = np.empty(len(x))
+    small = x < 13.0          # lgam = log((x − 1)!) from the exact product
+    out[small] = [math.log(float(math.prod(range(2, int(k)))))
+                  for k in x[small]]
+    x = x[~small]
+    q = x - 0.5
+    q *= [math.log(v) for v in x.tolist()]
+    q -= x
+    q += _LS2PI
+    p = 1.0 / (x * x)
+    big = x >= 1000.0
+    tail = _polevl(p, _LGAM_A)
+    tail[big] = (7.9365079365079365079365e-4 * p[big]
+                 - 2.7777777777777777777778e-3) * p[big] \
+        + 0.0833333333333333333333
+    tail /= x
+    q += tail
+    out[~small] = q
+    return out
+
+
 def poisson_weights(mu, mass_target=0.9995):
     """Poisson pmf values up to the smallest N covering ``mass_target``.
 
@@ -169,7 +324,7 @@ def poisson_weights(mu, mass_target=0.9995):
     size = int(mu + 10.0 * np.sqrt(mu)) + 32
     while True:
         n = np.arange(min(size, 100_000))
-        w = np.exp(xlogy(n, mu) - gammaln(n + 1) - mu)
+        w = np.exp(n * math.log(mu) - _log_factorial(n) - mu)
         covered = np.flatnonzero(np.cumsum(w) >= mass_target)
         if covered.size:
             return list(zip(range(covered[0] + 1),
@@ -249,16 +404,38 @@ def min_feasible_spread(wavelengths, regions, n_set, mode="consecutive"):
                               codes.reshape(1, -1), n_set, mode)[0])
 
 
-def _blocks(m):
-    """Row slices of BLOCK_ROWS rows covering m rows."""
-    return (slice(i, min(i + BLOCK_ROWS, m))
-            for i in range(0, m, BLOCK_ROWS))
+def _blocks(m, size=BLOCK_ROWS):
+    """Row slices of ``size`` rows covering m rows."""
+    return (slice(i, min(i + size, m)) for i in range(0, m, size))
 
 
 def _block_bytes(n_qd, m):
     """Bytes of the BLOCK_TEMPS float64 row-block temporaries of a chunk
     of m rows; the sparse branch keeps within them too."""
     return BLOCK_TEMPS * 8 * min(m, BLOCK_ROWS) * (n_qd + 1)
+
+
+def _fit(budget, size, quantiles):
+    """The most items of ``size`` bytes that fit in ``budget`` bytes
+    together with ``ndtri``'s scratch for ``quantiles`` values each
+    (NDTRI_BYTES a value, for at most NDTRI_BLOCK values at once); at
+    least one."""
+    items = budget // (size + NDTRI_BYTES * quantiles)
+    if items * quantiles > NDTRI_BLOCK:
+        items = max(items, (budget - NDTRI_BYTES * NDTRI_BLOCK) // size)
+    return max(1, int(items))
+
+
+def _dense_rows(n_qd, m, scan):
+    """Rows per block of the dense branch, so that a block stays within
+    ``_block_bytes``.  Its rows' wavelengths and regions, copied when a
+    chunk keeps only some rows, take 12 bytes a value; next to them, in
+    turn, ``ndtri`` needs its scratch and the kernels ``scan`` bytes a row
+    beyond the BLOCK_TEMPS row temporaries of ``_block_bytes``."""
+    budget = _block_bytes(n_qd, m)
+    held = 12 * n_qd
+    return min(BLOCK_ROWS, _fit(budget, held, n_qd),
+               max(1, budget // (held + scan)))
 
 
 def _pieces(close, n_close, limit):
@@ -323,25 +500,39 @@ def _close_minima(spacings, total, close, regions, n_set, modes):
     """Minimal feasible spread per mode of every row with a close window,
     computed on the close windows alone.
 
-    ``ndtri`` runs only at the ends of the close windows.  A window's
-    spread is that of ``consecutive``, inf unless its regions are
-    distinct.  A feasible set of either mode within ``top`` has every
-    n_set-emitter sub-window close, so for ``window_distinct`` it lies
-    inside one run of consecutive close windows: a run of one window
-    keeps that window's spread, longer runs go through ``_min_spreads``,
-    grouped by run length.  A row's minimum may exceed the true one only
-    where both exceed ``top``.
+    ``ndtri`` runs once per piece: at the two ends of a close window
+    alone, and at every position of a run of consecutive close windows,
+    where one window's end is a later one's start.  A window's spread is
+    that of ``consecutive``, inf unless its regions are distinct.  A
+    feasible set of either mode within ``top`` has every n_set-emitter
+    sub-window close, so for ``window_distinct`` it lies inside one run:
+    a run of one window keeps that window's spread, longer runs go
+    through ``_min_spreads``, grouped by run length.  A row's minimum may
+    exceed the true one only where both exceed ``top``.
     """
     n = regions.shape[1]
     k = n_set - 1
     values, labels = spacings.ravel(), regions.ravel()
     flat = np.flatnonzero(close)          # window starts in the buffer
     row = flat // (n + 1)
-    scale = total[row]
-    lo = values[flat] / scale
-    spread = values[flat + k] / scale
-    ndtri(spread, out=spread)
-    spread -= ndtri(lo, out=lo)
+    run = np.flatnonzero(np.diff(flat, prepend=-2) != 1)
+    length = np.diff(run, append=len(flat))
+    alone = length == 1
+    count = np.where(alone, 2, length + k)
+    base = np.cumsum(count) - count       # a run's first quantile in lam
+    at = np.arange(count.sum())
+    at -= np.repeat(base, count)          # the offset inside the run
+    at[np.repeat(alone, count)] *= k
+    at += np.repeat(flat[run], count)
+    lam = values[at]
+    lam /= total[at // (n + 1)]
+    del at
+    lam = ndtri(lam, out=lam)
+    start = np.repeat(base - run, length)
+    start += np.arange(len(flat))         # each window's start in lam
+    spread = lam[start + np.where(np.repeat(alone, length), 1, k)]
+    spread -= lam[start]
+    del start
     start = flat - row                    # the same starts in ``regions``
     seen = np.left_shift(np.uint64(1), labels[start], dtype=np.uint64,
                          casting="unsafe")
@@ -354,19 +545,14 @@ def _close_minima(spacings, total, close, regions, n_set, modes):
         minima["consecutive"] = np.minimum.reduceat(
             spread, np.flatnonzero(np.diff(row, prepend=-1)))
     if "window_distinct" in modes:
-        run = np.flatnonzero(np.diff(flat, prepend=-2) != 1)
-        length = np.diff(run, append=len(flat))
         best = spread[run]
-        for size in np.unique(length[length > 1]).tolist():
+        for size in np.unique(length[~alone]).tolist():
             which = np.flatnonzero(length == size)
-            first = flat[run[which]]
-            own = row[run[which]]
-            at = first[:, None] + np.arange(size + k)
-            lam = values[at]
-            lam /= total[own, None]
-            best[which] = _min_spreads(ndtri(lam, out=lam),
-                                       labels[at - own[:, None]], n_set,
-                                       "window_distinct")
+            span = np.arange(size + k)
+            best[which] = _min_spreads(
+                lam[base[which, None] + span],
+                labels[start[run[which], None] + span], n_set,
+                "window_distinct")
         minima["window_distinct"] = np.minimum.reduceat(
             best, np.flatnonzero(np.diff(row[run], prepend=-1)))
     return minima
@@ -389,6 +575,10 @@ def _success_counts(n_qd, config, runs, thresholds):
         return counts
     top = max(max(t) for t in thresholds.values())
     windows = n_qd - config.n_set + 1
+    # the window_distinct scan over more regions than n_set holds ``last``
+    # and its partitioned copy, (rows, n_reg) int64 each, and more
+    scan = (24 * config.n_reg + 32 if "window_distinct" in thresholds
+            and config.n_reg > config.n_set else 0)
     for chunk_index, done in enumerate(range(0, runs, CHUNK)):
         m = min(CHUNK, runs - done)
         spacings, total, close, regions = _draw(n_qd, config, chunk_index,
@@ -397,8 +587,9 @@ def _success_counts(n_qd, config, runs, thresholds):
         if close is not None:
             n_close = np.count_nonzero(close)
             if n_close < DENSE_SHARE * m * windows:
-                limit = _block_bytes(n_qd, m) // (WINDOW_BYTES
-                                                  + 16 * config.n_reg)
+                limit = _fit(_block_bytes(n_qd, m),
+                             WINDOW_BYTES + 16 * config.n_reg,
+                             max(2, (config.n_set + 1) / 2))
                 for rows in _pieces(close, n_close, limit):
                     minima = _close_minima(spacings[rows], total[rows],
                                            close[rows], regions[rows],
@@ -410,7 +601,8 @@ def _success_counts(n_qd, config, runs, thresholds):
             kept = np.flatnonzero(close.any(axis=1))
             del close
         cum = spacings[:, :-1]
-        for rows in _blocks(m if kept is None else len(kept)):
+        size = _dense_rows(n_qd, m, scan)
+        for rows in _blocks(m if kept is None else len(kept), size):
             if kept is not None:
                 rows = kept[rows]
             lam = cum[rows]
@@ -462,8 +654,8 @@ def _counts_per_n(config, thresholds, n_max):
     """``_success_counts`` for N = 0 … n_max, in N order.
 
     The N run on a pool of ``_width()`` threads, largest N first; numpy's
-    fills, sums, sorts and scipy's ``ndtri`` release the GIL.  The pool
-    runs no more chunks at once than fit in BUDGET_BYTES at n_max
+    fills, sums, sorts and the ufuncs of ``ndtri`` release the GIL.  The
+    pool runs no more chunks at once than fit in BUDGET_BYTES at n_max
     (``chunk_bytes``), but at least one.  Each count is an integer sum
     over its own Philox streams, so the counts do not depend on the
     width.  The first exception raised in a worker cancels the N not yet

@@ -1,12 +1,12 @@
 """What each entry point imports, each checked in a fresh interpreter.
 
-``import wgqed`` and the command line load no scipy module.  The yield
-runs load none of the optics engines; resolving a yield config loads
-``scipy.special`` (the size guard reads the Poisson support) and never
-``scipy.linalg``.  Resolving an optics config imports its engines, so
-that its run imports nothing more, and no optics validation or run
-loads any scipy module: the pulse windows are stepped by wgqed's own
-RK45 and the steps between them by its own matrix exponential.  Every
+No entry point, validation or run loads any scipy module: the pulse
+windows are stepped by wgqed's own RK45, the steps between them by its
+own matrix exponential, and the yield Monte Carlo draws its normal
+quantiles and Poisson weights from its own ports of the Cephes routines.
+The yield runs load none of the optics engines.  Resolving an optics
+config imports its engines, so that its run imports nothing more.  With
+scipy made unimportable, every example config validates and runs.  Every
 library name of ``wgqed`` is imported from its module on first use and
 is the module's own object.
 """
@@ -97,6 +97,26 @@ print(json.dumps({"exit": exit_code, "validated": validated,
                   "loaded": sorted(sys.modules)}))
 """
 
+# scipy cannot be imported: validate every config given, then run the
+# first (an optics config) and the last (a yield config of 200 runs)
+WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from wgqed.cli import main
+from wgqed.config import load_config, resolve_config
+from wgqed.experiments import run_experiment
+paths = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    exits = [main(["validate", path]) for path in paths]
+rows = []
+for path in (paths[0], paths[-1]):
+    data = load_config(path)
+    if "scalability" in data:
+        data["scalability"] = {**data["scalability"], "runs": 200}
+    rows.append(len(run_experiment(resolve_config(data)).tables))
+print(json.dumps({"exits": exits, "tables": rows}))
+"""
+
 LAZY_NAMES = """
 import importlib, json, sys
 import wgqed
@@ -131,13 +151,16 @@ def _scipy(modules):
 def test_command_line_and_yield_runs_load_no_engine():
     got = _python(YIELD_RUN, *YIELD)
     assert got["exits"] == [0] * (1 + len(YIELD))
-    steps = got["steps"]
-    for step in ("wgqed", "cli", "list"):
-        assert _scipy(steps[step]) == [], step
-    for step, modules in steps.items():
+    for step, modules in got["steps"].items():
+        assert _scipy(modules) == [], step
         assert not set(ENGINES) & set(modules), step
-    # the first yield config loads scipy.special as it is validated
-    assert "scipy.special" in steps[f"validate {YIELD[0]}"]
+
+
+def test_every_config_validates_and_runs_without_scipy():
+    paths = OPTICS + YIELD
+    got = _python(WITHOUT_SCIPY, *paths)
+    assert got["exits"] == [0] * len(paths)
+    assert all(n > 0 for n in got["tables"])
 
 
 @pytest.mark.parametrize("path", OPTICS, ids=lambda p: p.stem)

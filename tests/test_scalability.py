@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import ndtri
+from scipy.special import gammaln
+from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import chi2, poisson
 
 from wgqed import scalability
 from wgqed.scalability import (BLOCK_ROWS, BLOCK_TEMPS, CHUNK,
                                DENSE_SHARE, MODES, NDTRI_MARGIN, SQRT_2PI,
                                ScalabilityConfig, YieldResult, _draw,
-                               _min_spreads, _success_counts, chunk_bytes,
-                               conditional_success_count,
+                               _log_factorial, _min_spreads, _success_counts,
+                               chunk_bytes, conditional_success_count, ndtri,
                                min_feasible_spread, poisson_weights,
                                probabilities_per_waveguide,
                                probability_per_chip,
@@ -58,6 +59,68 @@ class TestPoissonWeights:
         got = poisson_weights(mu)
         assert got == want
         assert all(type(n) is int and type(w) is float for n, w in got)
+
+
+    def test_log_factorial_is_scipy_gammaln(self):
+        # Cephes lgam with libm's log: scipy's bits on 1 … 100 000
+        n = np.arange(100_000)
+        assert np.array_equal(_log_factorial(n), gammaln(n + 1.0))
+
+
+EXP_M2 = np.exp(-2.0)
+
+
+class TestNdtri:
+    """wgqed's port of Cephes ndtri against scipy's, a test-only oracle."""
+
+    def test_central_branch_has_scipy_bits(self):
+        rng = np.random.default_rng(3)
+        u = rng.uniform(EXP_M2, 1 - EXP_M2, 1_000_000)
+        edges = [np.nextafter(EXP_M2, 1.0), 0.5, np.nextafter(0.5, 0.0),
+                 1 - EXP_M2, np.nextafter(1 - EXP_M2, 0.0)]
+        u = np.concatenate([u, edges])
+        assert np.array_equal(ndtri(u), scipy_ndtri(u))
+
+    def test_tails_within_a_few_ulp(self):
+        # numpy's log may round differently from libm's, by an ulp that
+        # the tail formula carries into a few ulp of the result
+        rng = np.random.default_rng(4)
+        tail = np.concatenate([rng.uniform(0.0, EXP_M2, 1_000_000),
+                               10.0 ** -rng.uniform(0.9, 300.0, 200_000),
+                               [EXP_M2, 5e-324, 1e-14, 1.2664165549e-14]])
+        tail = np.concatenate([tail, 1 - tail[tail > 1e-16]])
+        got, want = ndtri(tail), scipy_ndtri(tail)
+        assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))
+        assert np.count_nonzero(got != want) < 1e-3 * len(tail)
+
+    def test_edges(self):
+        y = np.array([0.0, 1.0, -0.0, -1e-300, -0.5, 1.0 + 2e-16, 2.0,
+                      np.nan, np.inf, -np.inf, 0.5])
+        got = ndtri(y)
+        assert np.array_equal(got, scipy_ndtri(y), equal_nan=True)
+        assert got[0] == -np.inf and got[1] == np.inf and got[-1] == 0.0
+        assert np.isnan(got[3:10]).all()
+        assert ndtri(0.5) == 0.0 and ndtri(np.float64(0.0)) == -np.inf
+
+    def test_out_on_a_non_contiguous_view(self, monkeypatch):
+        # as the dense branch calls it: rows of the spacing buffer without
+        # its last column, in blocks of fewer rows than the view holds
+        monkeypatch.setattr(scalability, "NDTRI_BLOCK", 1000)
+        rng = np.random.default_rng(5)
+        buffer = rng.random((700, 56))
+        before = buffer.copy()
+        view = buffer[::2, :-1]
+        want = ndtri(view.copy())
+        got = ndtri(view, out=view)
+        assert got is view
+        assert np.array_equal(view, want)
+        assert np.array_equal(want, ndtri(np.ascontiguousarray(
+            before[::2, :-1])))
+        assert np.array_equal(buffer[1::2], before[1::2])
+        assert np.array_equal(buffer[:, -1], before[:, -1])
+        pieces = np.empty(len(view) * 55)
+        ndtri(before[::2, :-1].reshape(-1), out=pieces)
+        assert np.array_equal(pieces.reshape(view.shape), want)
 
 
 def draw_wavelengths(n_qd, cfg, chunk_index, m):
@@ -352,7 +415,7 @@ class TestSampleFilter:
     }
 
     def test_normal_quantile_slope_bound(self):
-        # the lemma behind the uniform-space filter, held by scipy's ndtri
+        # the lemma behind the uniform-space filter, held by wgqed's ndtri
         rng = np.random.default_rng(11)
         tails = 10.0 ** -rng.uniform(1.0, 12.5, (2, 50_000))
         near_edge = 10.0 ** -rng.uniform(11.5, 12.5, (2, 50_000))
@@ -541,6 +604,28 @@ class TestChunkMemory:
         finally:
             tracemalloc.stop()
         assert len(pieces) > 1 and sum(pieces) == rows
+        assert peak <= chunk_bytes(n_qd, rows)
+        assert as_lists(counts) == as_lists(
+            unfiltered_success_counts(n_qd, cfg, rows, thresholds))
+
+
+    @pytest.mark.parametrize("modes", [MODES[:1], MODES[1:], MODES])
+    @pytest.mark.parametrize("n_qd,n_set", [(5, 2), (8, 2), (20, 8)])
+    def test_dense_chunk_of_many_regions_within_chunk_bytes(self, n_qd,
+                                                            n_set, modes):
+        # 64 regions at small N, just above the sparse/dense switch: the
+        # window_distinct scan holds 24·n_reg bytes a row, far more than
+        # the row temporaries, and ndtri its scratch; the dense row blocks
+        # shrink so that both fit
+        rows = 20_000
+        cfg = config(n_reg=64, n_set=n_set, runs=rows)
+        thresholds = {m: [switch_tops(n_qd, cfg, rows)[1]] for m in modes}
+        tracemalloc.start()
+        try:
+            counts = _success_counts(n_qd, cfg, rows, thresholds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= chunk_bytes(n_qd, rows)
         assert as_lists(counts) == as_lists(
             unfiltered_success_counts(n_qd, cfg, rows, thresholds))

@@ -8,11 +8,9 @@ its outputs into a temporary directory and prints one JSON object mapping
 "experiment/file" to the sha256 of that file, and "OPENBLAS_NUM_THREADS"
 to the value it ran under ("unset" when unset).  numpy's OpenBLAS thread
 count alone decides the last digits of g2-map/map.csv and
-g2-pulsed/correlogram.csv.  The optics configs load no scipy module, so
-their tables do not depend on the installed scipy; a yield config loads
-``scipy.special`` through ``wgqed.scalability``, which, unless a thread
-variable is set, loads scipy's OpenBLAS with one thread and leaves the
-tables as they are.  Two checkouts run under the same setting produce
+g2-pulsed/correlogram.csv.  No config loads any scipy module, so no
+table depends on the installed scipy.  Two checkouts run under the same
+setting produce
 the same tables exactly when their outputs diff clean:
 
     python3 tools/output_hashes.py > after.json
