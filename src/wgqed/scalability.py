@@ -274,7 +274,7 @@ def ndtri(y, out=None):
     if out is None:
         out = np.empty(y.shape)
     if y.ndim == 0:
-        out[()] = _ndtri_flat(y.reshape(1), np.empty((4, 1)))[0]
+        ndtri(y.reshape(1), out=out.reshape(1))
         return out
     per = math.prod(y.shape[1:])
     step = max(1, NDTRI_BLOCK // max(1, per))

@@ -108,13 +108,13 @@ from wgqed.experiments import run_experiment
 paths = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     exits = [main(["validate", path]) for path in paths]
-rows = []
+tables = []
 for path in (paths[0], paths[-1]):
     data = load_config(path)
     if "scalability" in data:
         data["scalability"] = {**data["scalability"], "runs": 200}
-    rows.append(len(run_experiment(resolve_config(data)).tables))
-print(json.dumps({"exits": exits, "tables": rows}))
+    tables.append(len(run_experiment(resolve_config(data)).tables))
+print(json.dumps({"exits": exits, "tables": tables}))
 """
 
 LAZY_NAMES = """
