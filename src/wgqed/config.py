@@ -5,11 +5,12 @@ GHz, times in ns, wavelengths in nm, phases in units of π.  Unknown keys
 are rejected everywhere.
 """
 
+import operator
 from dataclasses import dataclass, field
+from numbers import Number
 
 import numpy as np
 import yaml
-from jsonschema import Draft202012Validator
 
 from . import presets
 from .errors import ConfigError
@@ -165,10 +166,15 @@ class ResolvedConfig:
     raw: dict = field(default_factory=dict)
 
 
+# libyaml's parser where PyYAML was built with it: the same data, parsed
+# several times faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path):
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:
@@ -179,13 +185,102 @@ def load_config(path):
 
 
 def validate_config(data):
-    """Schema-validate a raw config dict; returns the list of errors."""
-    validator = Draft202012Validator(SCHEMA)
-    errors = []
-    for err in sorted(validator.iter_errors(data), key=lambda e: list(e.path)):
-        loc = "/".join(str(p) for p in err.path) or "<root>"
-        errors.append({"path": loc, "message": err.message})
-    return errors
+    """Schema-validate a raw config dict; returns the list of errors.
+
+    Each error is ``{"path", "message"}``, sorted by path, with the
+    message text of JSON Schema 2020-12's reference validator
+    (jsonschema), except that an ``integer`` is an int and never an
+    integral float such as ``3.0``.
+    """
+    return [{"path": "/".join(map(str, path)) or "<root>", "message": message}
+            for path, message in sorted(_schema_errors(SCHEMA, data, ()),
+                                        key=lambda error: error[0])]
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "number": lambda x: isinstance(x, Number) and not isinstance(x, bool),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+}
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "exclusiveMinimum": (operator.le,
+                         "is less than or equal to the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+}
+# the keywords _schema_errors checks, additionalProperties only as false;
+# SCHEMA may use no other
+KEYWORDS = frozenset({
+    "type", "enum", "required", "properties", "additionalProperties",
+    "items", "minItems", "maxItems", "minimum", "exclusiveMinimum",
+    "maximum", "oneOf"})
+
+
+def _schema_errors(schema, instance, path):
+    """(path, message) of each way ``instance`` breaks ``schema``, keyword
+    by keyword in the schema's own order, as jsonschema yields them."""
+    for key, value in schema.items():
+        if key == "type":
+            if not _TYPES[value](instance):
+                yield path, f"{instance!r} is not of type {value!r}"
+        elif key == "enum":
+            # True == 1 in Python, but not in JSON
+            if not any(each == instance
+                       and isinstance(each, bool) == isinstance(instance, bool)
+                       for each in value):
+                yield path, f"{instance!r} is not one of {value!r}"
+        elif key == "oneOf":
+            valid = [each for each in value
+                     if next(_schema_errors(each, instance, path), None)
+                     is None]
+            if not valid:
+                yield path, (f"{instance!r} is not valid under any of the "
+                             "given schemas")
+            elif len(valid) > 1:
+                schemas = ", ".join(map(repr, valid[1:] + valid[:1]))
+                yield path, f"{instance!r} is valid under each of {schemas}"
+        elif key in _BOUNDS:
+            breaks, words = _BOUNDS[key]
+            if _TYPES["number"](instance) and breaks(instance, value):
+                yield path, f"{instance!r} {words} {value!r}"
+        elif key not in KEYWORDS or (key == "additionalProperties"
+                                     and value is not False):
+            raise NotImplementedError(f"schema keyword {key!r}: {value!r}")
+        elif isinstance(instance, list):
+            if key == "items":
+                for index, item in enumerate(instance):
+                    yield from _schema_errors(value, item, path + (index,))
+            elif key == "minItems" and len(instance) < value:
+                yield path, (f"{instance!r} should be non-empty" if value == 1
+                             else f"{instance!r} is too short")
+            elif key == "maxItems" and len(instance) > value:
+                yield path, (f"{instance!r} is expected to be empty"
+                             if value == 0 else f"{instance!r} is too long")
+        elif isinstance(instance, dict):
+            if key == "required":
+                for name in value:
+                    if name not in instance:
+                        yield path, f"{name!r} is a required property"
+            elif key == "properties":
+                for name, sub in value.items():
+                    if name in instance:
+                        yield from _schema_errors(sub, instance[name],
+                                                  path + (name,))
+            elif key == "additionalProperties":
+                # keys that print alike (1 and '1') keep the config's
+                # order, where jsonschema's set of them follows the hash
+                # seed
+                extra = sorted((name for name in instance
+                                if name not in schema.get("properties", {})),
+                               key=str)
+                if extra:
+                    verb = "was" if len(extra) == 1 else "were"
+                    yield path, ("Additional properties are not allowed "
+                                 f"({', '.join(map(repr, extra))} {verb} "
+                                 "unexpected)")
 
 
 def expand_range(spec):

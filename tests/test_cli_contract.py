@@ -267,3 +267,45 @@ def test_stiff_pulse_window_exits_3_within_seconds(gamma):
     assert done.returncode == 3
     assert "too stiff" in _report(done.stderr, "numerical")["message"]
     assert elapsed < 20
+
+
+# JSON Schema 2020-12 counts 3.0 as an integer, but numpy's seeding,
+# ranges and Gauss-Hermite nodes and Python's range() need an int: each
+# such config exits 2 before it runs
+FAST_YIELD = {"mu_qd": 3.0, "n_reg": 3, "n_set": 3, "n_wg": 2, "runs": 50}
+INTEGRAL_FLOATS = {
+    "seed": {"experiment": "lifetime", "seed": 1.0,
+             "grid": {"t_max_ns": 0.2, "dt_ns": 0.02}},
+    "scalability/runs": {"experiment": "scalability",
+                         "scalability": {**FAST_YIELD, "runs": 50.0}},
+    "scalability/n_reg": {"experiment": "scalability",
+                          "scalability": {**FAST_YIELD, "n_reg": 3.0}},
+    "scalability/n_wg": {"experiment": "scalability",
+                         "scalability": {**FAST_YIELD, "n_wg": 2.0}},
+    "grid/detuning1_ghz/points": {
+        "experiment": "transmission-scan",
+        "grid": {"detuning1_ghz": {"start": -1.0, "stop": 1.0,
+                                   "points": 3.0},
+                 "detuning2_ghz": {"values": [0.0]}}},
+    "noise/nodes": {"experiment": "g2-cw",
+                    "noise": {"scheme": "gauss_hermite", "nodes": 3.0},
+                    "grid": {"tau_max_ns": 0.1, "dt_ns": 0.05}},
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("path", INTEGRAL_FLOATS)
+def test_integral_float_in_integer_slot_exits_2(tmp_path, command, path):
+    data = INTEGRAL_FLOATS[path]
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump(data))
+    argv = [command, str(config)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    code, err = _call(argv)
+    assert code == 2
+    value = data
+    for key in path.split("/"):
+        value = value[key]
+    assert _report(err, "config")["details"] == [
+        {"path": path, "message": f"{value!r} is not of type 'integer'"}]

@@ -61,6 +61,13 @@ class TestConfigValidation:
             assert validate_config(data) == [], path.name
             resolve_config(data)
 
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")),
+                             ids=lambda p: p.stem)
+    def test_loader_gives_pure_python_data(self, path):
+        # load_config parses with libyaml where PyYAML has it
+        with open(path) as fh:
+            assert load_config(path) == yaml.load(fh, Loader=yaml.SafeLoader)
+
     def test_unknown_key_rejected(self):
         errors = validate_config({"experiment": "lifetime", "bogus": 1})
         assert any("bogus" in e["message"] for e in errors)
@@ -112,6 +119,14 @@ class TestCLI:
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["validate", "/nonexistent/x.yaml"]) == 2
+
+    def test_invalid_yaml_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "broken.yaml"
+        p.write_text("experiment: [lifetime\nseed: 1\n")
+        assert main(["validate", str(p)]) == 2
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "config"
+        assert report["message"].startswith(f"invalid YAML in {p}: ")
 
     def test_run_writes_tables_and_metadata(self, tmp_path, capsys):
         p = write_yaml(tmp_path, FAST_LIFETIME)

@@ -4,11 +4,13 @@ No entry point, validation or run loads any scipy module: the pulse
 windows are stepped by wgqed's own RK45, the steps between them by its
 own matrix exponential, and the yield Monte Carlo draws its normal
 quantiles and Poisson weights from its own ports of the Cephes routines.
-The yield runs load none of the optics engines.  Resolving an optics
-config imports its engines, so that its run imports nothing more.  With
-scipy made unimportable, every example config validates and runs.  Every
-library name of ``wgqed`` is imported from its module on first use and
-is the module's own object.
+Nor does any load jsonschema or its dependencies: configs are checked
+against the schema by wgqed's own checker.  The yield runs load none of
+the optics engines.  Resolving an optics config imports its engines, so
+that its run imports nothing more.  With scipy or jsonschema made
+unimportable, every example config validates and runs.  Every library
+name of ``wgqed`` is imported from its module on first use and is the
+module's own object.
 """
 
 import json
@@ -25,6 +27,8 @@ YIELD = [p for p in CONFIGS if p.stem.startswith("scalability")]
 OPTICS = [p for p in CONFIGS if p not in YIELD]
 ENGINES = ("scipy.integrate", "scipy.linalg", "wgqed.dynamics",
            "wgqed.observables", "wgqed.analytics")
+# the test-only libraries, with jsonschema's own dependencies
+TEST_ONLY = ("scipy", "jsonschema", "referencing", "attrs", "rpds")
 
 # the library names that wgqed gave before they were imported lazily
 EXPORTS = {
@@ -97,15 +101,16 @@ print(json.dumps({"exit": exit_code, "validated": validated,
                   "loaded": sorted(sys.modules)}))
 """
 
-# scipy cannot be imported: validate every config given, then run the
-# first (an optics config) and the last (a yield config of 200 runs)
-WITHOUT_SCIPY = """
+# the module named first cannot be imported: validate every config given,
+# then run the first (an optics config) and the last (a yield config of
+# 200 runs)
+WITHOUT = """
 import contextlib, io, json, sys
-sys.modules["scipy"] = None
+sys.modules[sys.argv[1]] = None
 from wgqed.cli import main
 from wgqed.config import load_config, resolve_config
 from wgqed.experiments import run_experiment
-paths = sys.argv[1:]
+paths = sys.argv[2:]
 with contextlib.redirect_stdout(io.StringIO()):
     exits = [main(["validate", path]) for path in paths]
 tables = []
@@ -144,23 +149,32 @@ def _python(script, *args):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def _scipy(modules):
-    return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+def _test_only(modules):
+    """The modules of the test-only libraries among ``modules``."""
+    return [m for m in modules if m.split(".")[0] in TEST_ONLY]
 
 
 def test_command_line_and_yield_runs_load_no_engine():
     got = _python(YIELD_RUN, *YIELD)
     assert got["exits"] == [0] * (1 + len(YIELD))
     for step, modules in got["steps"].items():
-        assert _scipy(modules) == [], step
+        assert _test_only(modules) == [], step
         assert not set(ENGINES) & set(modules), step
 
 
-def test_every_config_validates_and_runs_without_scipy():
+def _validates_and_runs_without(module):
     paths = OPTICS + YIELD
-    got = _python(WITHOUT_SCIPY, *paths)
+    got = _python(WITHOUT, module, *paths)
     assert got["exits"] == [0] * len(paths)
     assert all(n > 0 for n in got["tables"])
+
+
+def test_every_config_validates_and_runs_without_scipy():
+    _validates_and_runs_without("scipy")
+
+
+def test_every_config_validates_and_runs_without_jsonschema():
+    _validates_and_runs_without("jsonschema")
 
 
 @pytest.mark.parametrize("path", OPTICS, ids=lambda p: p.stem)
@@ -168,13 +182,13 @@ def test_optics_run_imports_nothing_after_resolution(path):
     got = _python(RUN_AFTER_RESOLVE, path)
     assert got["exit"] == 0
     assert got["new"] == []
-    assert _scipy(got["validated"]) == []
-    assert _scipy(got["loaded"]) == []
+    assert _test_only(got["validated"]) == []
+    assert _test_only(got["loaded"]) == []
 
 
 def test_library_names_resolve_lazily_to_their_modules():
     got = _python(LAZY_NAMES, json.dumps(EXPORTS))
-    assert _scipy(got["loaded"]) == []
+    assert _test_only(got["loaded"]) == []
     assert not set(ENGINES) & set(got["loaded"])
     assert got["missing"] == [] and got["differ"] == []
     assert got["star"] == sorted(n for names in EXPORTS.values()
