@@ -103,47 +103,62 @@ def _write_rows(fh, rows):
     """Write each row as one CSV line, with the text ``_fmt`` gives each
     value, formatting a block of rows one column at a time."""
     columns = rows.columns if isinstance(rows, Rows) else list(zip(*rows))
-    # per column: may its next block repeat?  A block that came out more
-    # than half distinct says its later blocks will not.
-    dedupe = [True] * len(columns)
+    # per column: the sorted distinct bit patterns of its last deduplicated
+    # block and their text, or None once a block came out more than half
+    # distinct, which says its later blocks will not repeat
+    known = [(np.empty(0, np.int64), [])] * len(columns)
     for lo in range(0, len(rows), WRITE_BLOCK_ROWS):
         fh.write(_lines([c[lo:lo + WRITE_BLOCK_ROWS] for c in columns],
-                        dedupe))
+                        known))
         fh.write("\n")
 
 
-def _lines(block, dedupe):
+def _lines(block, known):
     """The CSV lines, without the last newline, of a block of columns,
-    updating each column's ``dedupe`` flag; the text of its values is
+    updating each column's ``known`` text; the text of its values is
     freed on return."""
     text = []
     for i, values in enumerate(block):
-        column, dedupe[i] = _column_text(values, dedupe[i])
+        column, known[i] = _column_text(values, known[i])
         text.append(column)
     return "\n".join(map(",".join, zip(*text)))
 
 
-def _column_text(values, dedupe):
-    """``_fmt`` of each value of one column block, and whether the
-    column's next block is worth deduplicating.
+def _column_text(values, known):
+    """``_fmt`` of each value of one column block, and the ``known`` text
+    for the column's next block.
 
     A float array is formatted through Python floats, which ``float``
-    converts exactly.  With ``dedupe``, a long float64 block in which at
-    most half the values are distinct formats each distinct bit pattern
-    once, so ±0.0 and every NaN keep their own text; a block with more
-    distinct values clears the flag.
+    converts exactly.  Unless ``known`` is None, a long float64 block in
+    which at most half the values are distinct formats each distinct bit
+    pattern once, so ±0.0 and every NaN keep their own text, and takes
+    the text of a pattern that the column's previous such block had from
+    ``known`` (g2-map's t2 column repeats its 401 values in every block);
+    its own patterns and their text are the next block's ``known``.  A
+    block with more distinct values returns None.
     """
     if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"
             and values.itemsize <= 8):
-        return list(map(_fmt, values)), dedupe
-    if dedupe and values.dtype == np.float64 and len(values) >= _DEDUPE_MIN:
+        return list(map(_fmt, values)), known
+    if known is not None and values.dtype == np.float64 and \
+            len(values) >= _DEDUPE_MIN:
         bits, index = np.unique(values.view(np.int64), return_inverse=True)
         if 2 * len(bits) > len(values):
-            dedupe = False
+            known = None
         else:
-            text = list(map(float.__repr__, bits.view(np.float64).tolist()))
-            return list(map(text.__getitem__, index.tolist())), dedupe
-    return list(map(float.__repr__, values.tolist())), dedupe
+            before, told = known
+            at = np.searchsorted(before, bits).clip(max=len(before) - 1)
+            new = np.flatnonzero(before[at] != bits) if len(before) else \
+                np.arange(len(bits))
+            floats = bits.view(np.float64).tolist()
+            if len(new) == len(bits):
+                text = list(map(float.__repr__, floats))
+            else:
+                text = list(map(told.__getitem__, at.tolist()))
+                for i in new.tolist():
+                    text[i] = float.__repr__(floats[i])
+            return list(map(text.__getitem__, index.tolist())), (bits, text)
+    return list(map(float.__repr__, values.tolist())), known
 
 
 def _fmt(v):

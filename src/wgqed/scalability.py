@@ -43,38 +43,44 @@ few windows that can.  Every feasible set in either mode spans at least
 n_set consecutive sorted emitters, and each of its n_set-emitter
 sub-windows spans no more than it does; so only windows of n_set
 consecutive emitters that fit inside the group's largest tuning range
-``top`` matter.  ``_draw`` marks those *close* windows before the normal
-quantile: its slope is at least √(2π), so a window whose uniforms
-satisfy √(2π)·(u[j+k] − u[j]) > top + 1e-9 (k = n_set − 1) cannot fit;
-the 1e-9 σ margin covers the quantile's rounding.  Where close windows
-are few (below DENSE_SHARE of a chunk's windows), ``ndtri`` runs only
-at their ends: the consecutive spread and the region popcount are
-computed per close window, a feasible window of either mode within
-``top`` lies inside one run of consecutive close windows, and each
-row's minimum is taken over its close windows (``_close_minima``).
-Elsewhere the kernels run on the rows that have a close window.  A row
-without one fails for every mode and δλ of the group.  Both branches
-are exact, so every count equals the unfiltered one; the denominators
-stay ``runs``, and the regions of every row are still drawn, so the
-Philox streams are unchanged.
+``top`` matter.  ``_close`` marks those *close* windows before the
+normal quantile: its slope is at least √(2π), so a window whose
+uniforms satisfy √(2π)·(u[j+k] − u[j]) > top + 1e-9 (k = n_set − 1)
+cannot fit; the 1e-9 σ margin covers the quantile's rounding.  Where
+close windows are few (below DENSE_SHARE of a row block's windows),
+``ndtri`` runs only at their ends: the consecutive spread and the region
+popcount are computed per close window, a feasible window of either
+mode within ``top`` lies inside one run of consecutive close windows,
+and each row's minimum is taken over its close windows
+(``_close_minima``).  Elsewhere the kernels run on the rows that have a
+close window.  A row without one fails for every mode and δλ of the
+group.  Both branches are exact, so every count equals the unfiltered
+one; the denominators stay ``runs``, and the regions of every row are
+still drawn, so the Philox streams are unchanged.
 
 Sampling is deterministic and independent of the thread count: samples
 are partitioned into fixed-size chunks with counter-based Philox streams
 keyed by (seed, n_qd, chunk index), and reductions are integer sums.
 ``probabilities_per_waveguide`` runs the N on a pool of threads, one per
 CPU in the process's affinity mask (so ``taskset`` limits it), largest N
-first.  A chunk holds a spacing buffer, int32 regions and a close-window
-mask and steps through them in row blocks of at most BLOCK_ROWS rows,
-fewer where ``ndtri``'s scratch or a many-region scan would not fit in
-as many bytes (or, for the close windows, in pieces of as many bytes),
-so the chunks in flight hold about 13 bytes per sample value together
-with a few row blocks each (``chunk_bytes``).  The normal quantile
-``ndtri`` is this module's numpy port of the Cephes routine, so no
-count depends on the installed scipy.
+first.  A stream draws all of a chunk's spacings before its regions, and
+its exponentials take a varying number of Philox draws, so the regions
+of a row can only be reached by drawing every spacing before them.
+``_walk`` therefore goes through a chunk twice in row blocks of about
+BLOCK_BYTES of spacings: pass 1 draws each block's spacings into one
+reused buffer and keeps only what its count needs, the close windows'
+quantile inputs (sparse) or the wavelengths of its rows with a close
+window (dense), never more than the block's own spacing bytes; pass 2
+draws each block's regions and counts it.  So a chunk in flight holds
+at most 8 bytes per sample value and one block being worked
+(``chunk_bytes``); at the published point (δλ/σ = 0.01) it keeps under
+a tenth of that.  The normal quantile ``ndtri`` is this module's numpy
+port of the Cephes routine, so no count depends on the installed scipy.
 """
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
@@ -84,21 +90,23 @@ from numpy.random import Generator, Philox, SeedSequence
 from .units import BUDGET_BYTES
 
 CHUNK = 1 << 15
-BLOCK_ROWS = 1 << 11    # rows per block of _draw's mask and the kernels
-BLOCK_TEMPS = 4         # float64 row-block temporaries alive at once
-# A chunk runs the row-block kernels once DENSE_SHARE of its windows are
-# close, and ``_close_minima`` below that.  Chosen on a one-thread sweep of
-# N = 0–56 at 20 000 runs, both modes, n_reg = n_set = 3, top 0.003–0.2σ
-# (2-vCPU Xeon): counting every chunk from its close windows took 1.5–2.4×
-# as long as the kernels at 0.08σ, a switch at 0.4 lost at 0.05–0.08σ, and
-# one at 0.1 lost at 0.03σ and matched 0.25 elsewhere.
+BLOCK_ROWS = 1 << 11    # rows per kernel call, and the fewest of a block
+# A chunk's Philox stream is walked in row blocks of BLOCK_BYTES of
+# spacings, at least BLOCK_ROWS rows (``_walk``).  On the yield
+# benchmark's workload and pool of two threads (2-vCPU Xeon, 5 runs
+# each) blocks of 1, 2, 4 and 8 MiB peaked at 120, 122, 126 and 141 MB,
+# against 141 MB for whole chunks; blocks of 2048 rows at 119 MB, but
+# their many small calls took 18 % longer.
+BLOCK_BYTES = 1 << 21
+BLOCK_TEMPS = 4         # float64 block-sized temporaries alive at once
+# A block is counted from its close windows (``_close_minima``) while
+# fewer than DENSE_SHARE of its windows are close, and by the row-block
+# kernels otherwise.  Chosen, as a switch per chunk, on a one-thread
+# sweep of N = 0–56 at 20 000 runs, both modes, n_reg = n_set = 3, top
+# 0.003–0.2σ (2-vCPU Xeon): counting every chunk from its close windows
+# took 1.5–2.4× as long as the kernels at 0.08σ, a switch at 0.4 lost at
+# 0.05–0.08σ, and one at 0.1 lost at 0.03σ and matched 0.25 elsewhere.
 DENSE_SHARE = 0.25
-# ``_close_minima`` is given WINDOW_BYTES + 16·n_reg bytes per close window
-# (traced: 91–122 for n_reg ≤ 12 with a quarter of the windows close) and
-# ``ndtri``'s scratch for its quantiles, two a window, or (n_set + 1)/2
-# in runs of two windows, so that its row pieces stay within the block
-# temporaries
-WINDOW_BYTES = 128
 MODES = ("consecutive", "window_distinct")
 SQRT_2PI = np.sqrt(2.0 * np.pi)   # least slope of the normal quantile
 NDTRI_MARGIN = 1e-9               # σ units; ndtri rounds to ~1e-14
@@ -404,142 +412,205 @@ def min_feasible_spread(wavelengths, regions, n_set, mode="consecutive"):
                               codes.reshape(1, -1), n_set, mode)[0])
 
 
-def _blocks(m, size=BLOCK_ROWS):
+def _blocks(m, size):
     """Row slices of ``size`` rows covering m rows."""
     return (slice(i, min(i + size, m)) for i in range(0, m, size))
 
 
+def _block_rows(n_qd):
+    """Rows per block of a chunk with n_qd emitters a row."""
+    return max(BLOCK_ROWS, BLOCK_BYTES // (8 * (n_qd + 1)))
+
+
 def _block_bytes(n_qd, m):
-    """Bytes of the BLOCK_TEMPS float64 row-block temporaries of a chunk
-    of m rows; the sparse branch keeps within them too."""
-    return BLOCK_TEMPS * 8 * min(m, BLOCK_ROWS) * (n_qd + 1)
+    """Bytes that one row block of a chunk of m rows takes while it is
+    worked: its spacing buffer or its regions, BLOCK_TEMPS float64
+    temporaries of its size and ``ndtri``'s scratch for its values."""
+    rows = min(m, _block_rows(n_qd))
+    return (BLOCK_TEMPS + 1) * 8 * rows * (n_qd + 1) + \
+        NDTRI_BYTES * min(NDTRI_BLOCK, rows * n_qd)
 
 
-def _fit(budget, size, quantiles):
-    """The most items of ``size`` bytes that fit in ``budget`` bytes
-    together with ``ndtri``'s scratch for ``quantiles`` values each
-    (NDTRI_BYTES a value, for at most NDTRI_BLOCK values at once); at
-    least one."""
-    items = budget // (size + NDTRI_BYTES * quantiles)
-    if items * quantiles > NDTRI_BLOCK:
-        items = max(items, (budget - NDTRI_BYTES * NDTRI_BLOCK) // size)
-    return max(1, int(items))
+def _kernel_rows(n_qd, held):
+    """Rows per call of the kernels, BLOCK_ROWS or fewer, so that a call
+    whose rows hold ``held`` bytes each beside the kernels' own row
+    temporaries stays within the BLOCK_TEMPS temporaries of BLOCK_ROWS
+    rows of n_qd emitters."""
+    budget = BLOCK_TEMPS * 8 * BLOCK_ROWS * (n_qd + 1)
+    return max(1, min(BLOCK_ROWS, budget // held))
 
 
-def _dense_rows(n_qd, m, scan):
-    """Rows per block of the dense branch, so that a block stays within
-    ``_block_bytes``.  Its rows' wavelengths and regions, copied when a
-    chunk keeps only some rows, take 12 bytes a value; next to them, in
-    turn, ``ndtri`` needs its scratch and the kernels ``scan`` bytes a row
-    beyond the BLOCK_TEMPS row temporaries of ``_block_bytes``."""
-    budget = _block_bytes(n_qd, m)
-    held = 12 * n_qd
-    return min(BLOCK_ROWS, _fit(budget, held, n_qd),
-               max(1, budget // (held + scan)))
+def _close(spacings, total, n_set, top):
+    """Close-window mask of a row block of cumulative spacings.
 
-
-def _pieces(close, n_close, limit):
-    """Row slices of ``close`` covering its rows, each holding at most
-    ``limit`` of its n_close close windows, or one row where that row
-    alone holds more."""
-    m = len(close)
-    if n_close <= limit:
-        return [slice(0, m)]
-    ends = np.cumsum(np.count_nonzero(close, axis=1))
-    pieces, start, held = [], 0, 0
-    while start < m:
-        stop = max(int(np.searchsorted(ends, held + limit, side="right")),
-                   start + 1)
-        pieces.append(slice(start, stop))
-        start, held = stop, int(ends[stop - 1])
-    return pieces
-
-
-def _draw(n_qd, config, chunk_index, m, top):
-    """Draw chunk ``chunk_index`` of m waveguides with n_qd emitters each.
-
-    Returns ``(spacings, total, close, regions)``.  The first n_qd columns
-    of the (m, n_qd + 1) ``spacings`` buffer hold the cumulative
-    exponential spacings: sorted wavelengths are ``ndtri(spacings[:, j] /
-    total)`` in σ units, computed only where they are needed.  ``regions``
-    (m, n_qd) are the 0-based int32 regions in sorted order, i.i.d.
-    uniform because ranks are independent of the order statistics.
-    Deterministic for fixed (seed, n_qd, chunk_index).
-
-    ``close`` (m, n_qd + 1) marks window j (emitters j … j + n_set − 1)
-    when the uniform-space bound of the module docstring lets its spread
-    fit inside ``top`` (σ units); its last n_set columns stay False.  It
-    is None when the bound provably marks a window in every row: the
-    n − 1 gaps hold ⌊(n−1)/k⌋ disjoint k-gap blocks inside [0, 1].
-
-    The regions are drawn after the spacings, as int32, which numpy draws
-    with the same values and the same generator state as its default
-    int64 (``tests/test_scalability.py`` pins this).
+    ``spacings`` (m, n_qd + 1) holds the cumulative spacings in its first
+    n_qd columns and ``total`` their row sums, so that the sorted
+    wavelengths are ``ndtri(spacings[:, j] / total)`` in σ units.  The
+    mask marks window j (emitters j … j + n_set − 1) when the uniform-space
+    bound of the module docstring lets its spread fit inside ``top`` (σ
+    units); its last n_set columns stay False, so that no run of marked
+    windows crosses a row.  It is None when the bound provably marks a
+    window in every row: the n − 1 gaps hold ⌊(n−1)/k⌋ disjoint k-gap
+    blocks inside [0, 1].
     """
-    rng = Generator(Philox(SeedSequence(config.seed,
-                                        spawn_key=(n_qd, chunk_index))))
-    spacings = rng.standard_exponential((m, n_qd + 1))
-    total = spacings.sum(axis=1)
-    cum = np.cumsum(spacings[:, :-1], axis=1, out=spacings[:, :-1])
-    k = config.n_set - 1
-    reach = top + NDTRI_MARGIN
-    close = None
-    if 0 < k < n_qd and SQRT_2PI > reach * ((n_qd - 1) // k):
-        close = np.zeros((m, n_qd + 1), dtype=bool)
-        bound = reach * total
-        for rows in _blocks(m):
-            gaps = cum[rows, k:] - cum[rows, :-k]
-            gaps *= SQRT_2PI
-            np.less_equal(gaps, bound[rows, None],
-                          out=close[rows, :n_qd - k])
-    regions = rng.integers(0, config.n_reg, size=(m, n_qd), dtype=np.int32)
-    return spacings, total, close, regions
-
-
-def _close_minima(spacings, total, close, regions, n_set, modes):
-    """Minimal feasible spread per mode of every row with a close window,
-    computed on the close windows alone.
-
-    ``ndtri`` runs once per piece: at the two ends of a close window
-    alone, and at every position of a run of consecutive close windows,
-    where one window's end is a later one's start.  A window's spread is
-    that of ``consecutive``, inf unless its regions are distinct.  A
-    feasible set of either mode within ``top`` has every n_set-emitter
-    sub-window close, so for ``window_distinct`` it lies inside one run:
-    a run of one window keeps that window's spread, longer runs go
-    through ``_min_spreads``, grouped by run length.  A row's minimum may
-    exceed the true one only where both exceed ``top``.
-    """
-    n = regions.shape[1]
+    m, n = spacings.shape[0], spacings.shape[1] - 1
     k = n_set - 1
-    values, labels = spacings.ravel(), regions.ravel()
-    flat = np.flatnonzero(close)          # window starts in the buffer
-    row = flat // (n + 1)
+    reach = top + NDTRI_MARGIN
+    if not (0 < k < n and SQRT_2PI > reach * ((n - 1) // k)):
+        return None
+    close = np.zeros((m, n + 1), dtype=bool)
+    gaps = spacings[:, k:n] - spacings[:, :n - k]
+    gaps *= SQRT_2PI
+    np.less_equal(gaps, reach * total[:, None], out=close[:, :n - k])
+    return close
+
+
+def _runs(flat, k):
+    """Runs of consecutive close-window starts ``flat`` (k = n_set − 1):
+    each run's first index into ``flat``, its length, whether it is one
+    window alone, and the offset of its first quantile and the number it
+    needs, the two ends of a window alone and every position of a longer
+    run, where one window's end is a later one's start."""
     run = np.flatnonzero(np.diff(flat, prepend=-2) != 1)
     length = np.diff(run, append=len(flat))
     alone = length == 1
     count = np.where(alone, 2, length + k)
-    base = np.cumsum(count) - count       # a run's first quantile in lam
-    at = np.arange(count.sum())
-    at -= np.repeat(base, count)          # the offset inside the run
-    at[np.repeat(alone, count)] *= k
-    at += np.repeat(flat[run], count)
-    lam = values[at]
-    lam /= total[at // (n + 1)]
-    del at
+    return run, length, alone, np.cumsum(count) - count, count
+
+
+def _keep(spacings, total, close, n_set):
+    """What a row block keeps of its spacings for its count, once its
+    regions are drawn: ``(sparse, index, lam)``.
+
+    Sparse, where fewer than DENSE_SHARE of its windows are close and
+    these, with the regions that ``_labels`` keeps of them, take no more
+    bytes than the block's spacings: ``index`` holds the close-window
+    starts in the flat (m, n_qd + 1) block and ``lam`` the quantile
+    inputs, cumulative spacing over row sum, at their runs' positions
+    (``_runs``).  Otherwise ``index`` holds the rows that have a close
+    window, or is None for every row, and ``lam`` those rows' sorted
+    wavelengths.  Either takes at most the block's own spacing bytes.
+    """
+    m, n = spacings.shape[0], spacings.shape[1] - 1
+    k = n_set - 1
+    kept = None
+    if close is not None:
+        n_close = np.count_nonzero(close)
+        if n_close < DENSE_SHARE * m * (n - k):
+            flat = np.flatnonzero(close)
+            run, _, alone, base, count = _runs(flat, k)
+            # int64 starts, float64 quantiles and int32 labels, n_close + k
+            # a run
+            if 12 * n_close + 8 * count.sum() + 4 * k * len(run) \
+                    <= spacings.nbytes:
+                at = np.arange(count.sum())
+                at -= np.repeat(base, count)      # the offset in the run
+                at[np.repeat(alone, count)] *= k
+                at += np.repeat(flat[run], count)
+                lam = spacings.ravel()[at]
+                lam /= total[at // (n + 1)]
+                return True, flat, lam
+        kept = np.flatnonzero(close.any(axis=1))
+    cum = spacings[:, :-1]
+    if kept is None:
+        lam = cum / total[:, None]
+    else:
+        lam = cum[kept]
+        lam /= total[kept, None]
+    return False, kept, ndtri(lam, out=lam)
+
+
+def _labels(flat, regions, k):
+    """The regions at every position of each run of close windows
+    ``flat`` of a block, run after run."""
+    n = regions.shape[1]
+    run, length = _runs(flat, k)[:2]
+    span = length + k
+    at = np.arange(span.sum())
+    at -= np.repeat(np.cumsum(span) - span, span)
+    start = flat[run]
+    start -= start // (n + 1)             # the run's start in ``regions``
+    at += np.repeat(start, span)
+    return regions.ravel()[at]
+
+
+def _walk(n_qd, config, chunk_index, m, top):
+    """Walk chunk ``chunk_index`` of m waveguides with n_qd emitters each
+    in two passes over its row blocks (``_block_rows``), and yield each
+    block's ``_keep`` with its regions, in order.
+
+    Pass 1 draws each block's exponential spacings into one reused
+    buffer, sums and accumulates them and keeps what ``_keep`` keeps of
+    them.  Pass 2 draws each block's (rows, n_qd) int32 regions, 0-based
+    and in sorted order, i.i.d. uniform because ranks are independent of
+    the order statistics; a sparse block yields only its ``_labels`` of
+    them, and its close-window starts in the flat (m, n_qd + 1) chunk.
+    The draws are those of one ``standard_exponential((m, n_qd + 1))``
+    and then one ``integers(0, n_reg, (m, n_qd))`` of the chunk's Philox
+    stream, in the same order, so deterministic for fixed (seed, n_qd,
+    chunk_index) and independent of the block size
+    (``tests/test_scalability.py`` pins both).
+    """
+    rng = Generator(Philox(SeedSequence(config.seed,
+                                        spawn_key=(n_qd, chunk_index))))
+    blocks = list(_blocks(m, _block_rows(n_qd)))
+    buffer = np.empty((blocks[0].stop, n_qd + 1))
+    kept = deque()
+    for rows in blocks:
+        spacings = buffer[:rows.stop - rows.start]
+        rng.standard_exponential(out=spacings)
+        total = spacings.sum(axis=1)
+        np.cumsum(spacings[:, :-1], axis=1, out=spacings[:, :-1])
+        kept.append(_keep(spacings, total,
+                          _close(spacings, total, config.n_set, top),
+                          config.n_set))
+    del buffer, spacings
+    for rows in blocks:
+        sparse, index, lam = kept.popleft()
+        regions = rng.integers(0, config.n_reg,
+                               size=(rows.stop - rows.start, n_qd),
+                               dtype=np.int32)
+        if sparse:
+            regions = _labels(index, regions, config.n_set - 1)
+            index += rows.start * (n_qd + 1)
+        yield sparse, index, lam, regions
+
+
+def _close_minima(flat, lam, labels, n_qd, n_set, modes, scan):
+    """Minimal feasible spread per mode of every row that has a close
+    window, from the sparse blocks of a chunk: their close-window starts
+    ``flat`` in the flat (m, n_qd + 1) chunk, their quantile inputs
+    ``lam`` (``_keep``, turned into wavelengths here) and their
+    ``labels``, n_qd emitters a row.
+
+    A window's spread is that of ``consecutive``, inf unless its regions
+    are distinct.  A feasible set of either mode within ``top`` has every
+    n_set-emitter sub-window close, so for ``window_distinct`` it lies
+    inside one run: a run of one window keeps that window's spread, longer
+    runs go through ``_min_spreads``, grouped by run length, in calls of
+    ``_kernel_rows`` runs, each holding its wavelengths and regions and
+    the ``scan`` bytes of ``_success_counts``.  A row's minimum may
+    exceed the true one only where both exceed ``top``.
+    """
+    k = n_set - 1
     lam = ndtri(lam, out=lam)
-    start = np.repeat(base - run, length)
-    start += np.arange(len(flat))         # each window's start in lam
+    run, length, alone, base, _ = _runs(flat, k)
+    span = length + k
+    first = np.cumsum(span) - span        # a run's first label
+    window = np.arange(len(flat)) - np.repeat(run, length)
+    start = np.repeat(base, length) + window      # in lam
     spread = lam[start + np.where(np.repeat(alone, length), 1, k)]
     spread -= lam[start]
-    del start
-    start = flat - row                    # the same starts in ``regions``
+    start = np.repeat(first, length) + window     # in labels
+    del window
     seen = np.left_shift(np.uint64(1), labels[start], dtype=np.uint64,
                          casting="unsafe")
     for j in range(1, n_set):
         seen |= np.left_shift(np.uint64(1), labels[start + j],
                               dtype=np.uint64, casting="unsafe")
+    del start
     spread[np.bitwise_count(seen) != n_set] = np.inf
+    row = flat // (n_qd + 1)
     minima = {}
     if "consecutive" in modes:
         minima["consecutive"] = np.minimum.reduceat(
@@ -547,12 +618,16 @@ def _close_minima(spacings, total, close, regions, n_set, modes):
     if "window_distinct" in modes:
         best = spread[run]
         for size in np.unique(length[~alone]).tolist():
+            offsets = np.arange(size + k)
             which = np.flatnonzero(length == size)
-            span = np.arange(size + k)
-            best[which] = _min_spreads(
-                lam[base[which, None] + span],
-                labels[start[run[which], None] + span], n_set,
-                "window_distinct")
+            for part in _blocks(len(which),
+                                _kernel_rows(n_qd,
+                                             12 * len(offsets) + scan)):
+                runs = which[part]
+                best[runs] = _min_spreads(lam[base[runs, None] + offsets],
+                                          labels[first[runs, None]
+                                                 + offsets],
+                                          n_set, "window_distinct")
         minima["window_distinct"] = np.minimum.reduceat(
             best, np.flatnonzero(np.diff(row[run], prepend=-1)))
     return minima
@@ -564,55 +639,55 @@ def _success_counts(n_qd, config, runs, thresholds):
     ``thresholds`` maps each mode to a list of tuning ranges in σ units;
     the result maps it to the number of samples whose minimal feasible
     spread fits inside each of them.  Every chunk is drawn once (seed and
-    n_reg from ``config``).  A chunk with few close windows (below
-    DENSE_SHARE of its windows) is counted from them alone
-    (``_close_minima``); otherwise the kernels run once per mode on each
-    row block of the rows that have a close window.
+    n_reg from ``config``), block by block (``_walk``).  The kernels run
+    once per mode on a dense block's kept rows, in calls of
+    ``_kernel_rows`` rows.  Sparse blocks are counted from their close
+    windows alone (``_close_minima``), several at once while their close
+    windows together are no more than one sparse block may hold.
     """
     counts = {mode: np.zeros(len(t), dtype=np.int64)
               for mode, t in thresholds.items()}
     if n_qd < config.n_set:
         return counts
     top = max(max(t) for t in thresholds.values())
-    windows = n_qd - config.n_set + 1
     # the window_distinct scan over more regions than n_set holds ``last``
     # and its partitioned copy, (rows, n_reg) int64 each, and more
     scan = (24 * config.n_reg + 32 if "window_distinct" in thresholds
             and config.n_reg > config.n_set else 0)
+    size = _kernel_rows(n_qd, 4 * n_qd + scan)
+    limit = DENSE_SHARE * _block_rows(n_qd) * (n_qd - config.n_set + 1)
+
+    def count(spreads, mode):
+        counts[mode] += np.searchsorted(np.sort(spreads),
+                                        thresholds[mode], side="right")
+
+    def count_sparse(blocks):
+        flat, lam, labels = (np.concatenate(part) for part in zip(*blocks))
+        del blocks[:]
+        for mode, spreads in _close_minima(flat, lam, labels, n_qd,
+                                           config.n_set, thresholds,
+                                           scan).items():
+            count(spreads, mode)
+
     for chunk_index, done in enumerate(range(0, runs, CHUNK)):
         m = min(CHUNK, runs - done)
-        spacings, total, close, regions = _draw(n_qd, config, chunk_index,
-                                                m, top)
-        kept = None
-        if close is not None:
-            n_close = np.count_nonzero(close)
-            if n_close < DENSE_SHARE * m * windows:
-                limit = _fit(_block_bytes(n_qd, m),
-                             WINDOW_BYTES + 16 * config.n_reg,
-                             max(2, (config.n_set + 1) / 2))
-                for rows in _pieces(close, n_close, limit):
-                    minima = _close_minima(spacings[rows], total[rows],
-                                           close[rows], regions[rows],
-                                           config.n_set, thresholds)
-                    for mode, t in thresholds.items():
-                        counts[mode] += np.searchsorted(
-                            np.sort(minima[mode]), t, side="right")
+        sparse_blocks, held = [], 0
+        for sparse, index, lam, regions in _walk(n_qd, config, chunk_index,
+                                                 m, top):
+            if sparse:
+                if held + len(index) > limit:
+                    count_sparse(sparse_blocks)
+                    held = 0
+                sparse_blocks.append((index, lam, regions))
+                held += len(index)
                 continue
-            kept = np.flatnonzero(close.any(axis=1))
-            del close
-        cum = spacings[:, :-1]
-        size = _dense_rows(n_qd, m, scan)
-        for rows in _blocks(m if kept is None else len(kept), size):
-            if kept is not None:
-                rows = kept[rows]
-            lam = cum[rows]
-            lam /= total[rows, None]
-            lam = ndtri(lam, out=lam)
-            regions_b = regions[rows]
-            for mode, t in thresholds.items():
-                spreads = _min_spreads(lam, regions_b, config.n_set, mode)
-                counts[mode] += np.searchsorted(np.sort(spreads), t,
-                                                side="right")
+            for rows in _blocks(len(lam), size):
+                regions_b = regions[rows if index is None else index[rows]]
+                for mode in thresholds:
+                    count(_min_spreads(lam[rows], regions_b, config.n_set,
+                                       mode), mode)
+        if sparse_blocks:
+            count_sparse(sparse_blocks)
     return counts
 
 
@@ -629,16 +704,13 @@ def chunk_bytes(n_qd, runs):
     """Bytes that ``_success_counts`` holds at once for one chunk of
     ``runs`` waveguides with n_qd emitters.
 
-    A row holds its spacing buffer (8·(n_qd + 1) bytes), its int32
-    regions (4·n_qd), its close-window mask (n_qd + 1), its sum (8) and
-    16 bytes of either branch: the sparse branch's close windows per row
-    and their running sum, or the dense branch's kept flag and index.
-    Each of BLOCK_TEMPS float64 temporaries spans one row block: the
-    mask, the kernels and the sparse branch step through the chunk one
-    row block, or one piece of at most as many bytes, at a time.
+    Each row block keeps at most its own spacing bytes, 8·(n_qd + 1) a
+    row, from pass 1 to its count in pass 2 (``_keep``), and one block at
+    a time is worked in its reused spacing buffer, its regions and the
+    temporaries of ``_block_bytes``.
     """
     rows = min(CHUNK, runs)
-    return rows * (13 * n_qd + 33) + _block_bytes(n_qd, rows)
+    return 8 * rows * (n_qd + 1) + _block_bytes(n_qd, rows)
 
 
 def _width():

@@ -474,13 +474,13 @@ class TestYieldSizeGuard:
             n_max, cfg.scalability["runs"])
 
     @pytest.mark.parametrize("data", [
-        {"experiment": "scalability", "scalability": {"mu_qd": 5000}},
+        {"experiment": "scalability", "scalability": {"mu_qd": 8000}},
         {"experiment": "scalability-heatmap",
          "scalability": {"runs": 200_000},
-         "grid": {"mu_qd": {"values": [5.0, 5000.0]}}},
+         "grid": {"mu_qd": {"values": [5.0, 8000.0]}}},
         {"experiment": "scalability-heatmap",
          "scalability": {"runs": 200_000},
-         "grid": {"mu_qd": {"start": 5.0, "stop": 5000.0, "points": 2,
+         "grid": {"mu_qd": {"start": 5.0, "stop": 8000.0, "points": 2,
                             "log": True}}},
         # Poisson support beyond N = 100 000
         {"experiment": "scalability",
@@ -490,7 +490,7 @@ class TestYieldSizeGuard:
         def refuse(*args, **kwargs):
             raise AssertionError("samples drawn")
 
-        monkeypatch.setattr(scalability, "_draw", refuse)
+        monkeypatch.setattr(scalability, "_walk", refuse)
         p = write_yaml(tmp_path, data)
         for argv in (["validate", str(p)],
                      ["run", str(p), "--out", str(tmp_path / "x")]):
@@ -512,6 +512,19 @@ class TestYieldSizeGuard:
         for width in (1, 2, 64):
             monkeypatch.setattr(scalability, "_width", lambda: width)
             assert main(["validate", str(p)]) == 0
+
+    def test_mu_5000_at_200000_runs_fits(self, tmp_path, monkeypatch):
+        # a chunk keeps at most 8 bytes a sample value: N_max = 5234 in
+        # 32 768 rows is about 1.7 GiB (13 bytes a value were 2.4 GiB)
+        def refuse(*args, **kwargs):
+            raise AssertionError("samples drawn")
+
+        monkeypatch.setattr(scalability, "_walk", refuse)
+        p = write_yaml(tmp_path, {"experiment": "scalability",
+                                  "scalability": {"mu_qd": 5000}})
+        assert scalability.chunk_bytes(5234, 200_000) \
+            < DENSE_BUDGET_BYTES
+        assert main(["validate", str(p)]) == 0
 
     def test_pool_runs_one_chunk_when_two_do_not_fit(self, monkeypatch):
         threads = set()

@@ -1,3 +1,4 @@
+import contextlib
 import threading
 import time
 import tracemalloc
@@ -12,9 +13,8 @@ from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import chi2, poisson
 
 from wgqed import scalability
-from wgqed.scalability import (BLOCK_ROWS, BLOCK_TEMPS, CHUNK,
-                               DENSE_SHARE, MODES, NDTRI_MARGIN, SQRT_2PI,
-                               ScalabilityConfig, YieldResult, _draw,
+from wgqed.scalability import (CHUNK, DENSE_SHARE, MODES, NDTRI_MARGIN,
+                               SQRT_2PI, ScalabilityConfig, YieldResult,
                                _log_factorial, _min_spreads, _success_counts,
                                chunk_bytes, conditional_success_count, ndtri,
                                min_feasible_spread, poisson_weights,
@@ -123,21 +123,73 @@ class TestNdtri:
         assert np.array_equal(pieces.reshape(view.shape), want)
 
 
-def draw_wavelengths(n_qd, cfg, chunk_index, m):
-    """Every row of a ``_draw`` chunk as sorted wavelengths (σ units) and
-    regions."""
-    spacings, total, _, regions = _draw(n_qd, cfg, chunk_index, m, np.inf)
-    return ndtri(spacings[:, :-1] / total[:, None]), regions
+def blocks_of(block):
+    """Patches that walk every chunk in row blocks of ``block`` rows."""
+    return (mock.patch.object(scalability, "BLOCK_ROWS", block),
+            mock.patch.object(scalability, "BLOCK_BYTES", 0))
+
+
+def stream(n_qd, cfg, chunk_index, m, top, block=None):
+    """Chunk ``chunk_index`` of m rows as ``_walk`` streams it, in its own
+    row blocks or in blocks of ``block`` rows: each block's close mask
+    (None where the bound is skipped), what ``_walk`` yields for it, and
+    the regions of every row, sparse blocks' included."""
+    masks, drawn = [], []
+    close, labels = scalability._close, scalability._labels
+
+    def recorded_close(*args):
+        masks.append(close(*args))
+        return masks[-1]
+
+    def recorded_labels(flat, regions, k):
+        drawn.append(regions)
+        return labels(flat, regions, k)
+
+    walked = []
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(mock.patch.object(scalability, "_close",
+                                                recorded_close))
+        patches.enter_context(mock.patch.object(scalability, "_labels",
+                                                recorded_labels))
+        for patch in () if block is None else blocks_of(block):
+            patches.enter_context(patch)
+        for out in scalability._walk(n_qd, cfg, chunk_index, m, top):
+            walked.append(out)
+            if not out[0]:
+                drawn.append(out[3])
+    return masks, walked, np.concatenate(drawn)
+
+
+def draw_wavelengths(n_qd, cfg, chunk_index, m, block=None):
+    """Every row of a chunk as sorted wavelengths (σ units) and regions,
+    read from the streamed blocks at a top that keeps every row."""
+    _, walked, regions = stream(n_qd, cfg, chunk_index, m, np.inf, block)
+    assert all(not sparse and index is None
+               for sparse, index, _, _ in walked)
+    return np.concatenate([lam for _, _, lam, _ in walked]), regions
+
+
+def unfiltered_draw(n_qd, cfg, chunk_index, m):
+    """Sorted wavelengths and int64 regions of a chunk from one draw of
+    its whole Philox stream."""
+    rng = Generator(Philox(SeedSequence(cfg.seed,
+                                        spawn_key=(n_qd, chunk_index))))
+    spacings = rng.standard_exponential((m, n_qd + 1))
+    lam = ndtri(np.cumsum(spacings[:, :-1], axis=1)
+                / spacings.sum(axis=1, keepdims=True))
+    return lam, rng.integers(0, cfg.n_reg, size=(m, n_qd))
 
 
 class TestSampleWaveguide:
-    """The waveguide sampler ``_draw``: sorted wavelengths, 0-based regions."""
+    """The waveguide sampler ``_walk``: sorted wavelengths, 0-based
+    regions."""
 
     def test_shapes_and_ranges(self):
-        lam, regions = draw_wavelengths(20, config(), 0, 5)
-        assert lam.shape == regions.shape == (5, 20)
-        assert regions.min() >= 0 and regions.max() <= 2
-        assert np.all(np.diff(lam, axis=1) >= 0)
+        for block in (None, 1, 2):
+            lam, regions = draw_wavelengths(20, config(), 0, 5, block)
+            assert lam.shape == regions.shape == (5, 20)
+            assert regions.min() >= 0 and regions.max() <= 2
+            assert np.all(np.diff(lam, axis=1) >= 0)
 
     def test_single_region(self):
         _, regions = draw_wavelengths(15, config(n_reg=1, n_set=1), 0, 5)
@@ -145,7 +197,7 @@ class TestSampleWaveguide:
 
     @pytest.mark.parametrize("n_reg", [1, 2, 3, 12, 64])
     def test_int32_regions_equal_default_draw(self, n_reg):
-        # _draw asks for int32 regions; numpy must give the values of its
+        # _walk asks for int32 regions; numpy must give the values of its
         # default int64 draw and leave the generator where that leaves it
         def generator():
             rng = Generator(Philox(SeedSequence(5, spawn_key=(40, 2))))
@@ -161,6 +213,32 @@ class TestSampleWaveguide:
                               narrow.standard_exponential(64))
         assert np.array_equal(wide.integers(0, n_reg, size=65),
                               narrow.integers(0, n_reg, size=65))
+        # and _walk draws a chunk's spacings block by block into a reused
+        # buffer, then its regions block by block: the values of one
+        # whole-chunk draw of each, and the generator left where those
+        # leave it, whatever the blocks (odd counts of 32-bit draws, a
+        # partial last block)
+        for block in (1, 7, 64, 300):
+            whole = Generator(Philox(SeedSequence(5, spawn_key=(40, 2))))
+            blocks = Generator(Philox(SeedSequence(5, spawn_key=(40, 2))))
+            spacings = whole.standard_exponential((301, 41))
+            regions = whole.integers(0, n_reg, size=(301, 40),
+                                     dtype=np.int32)
+            starts = range(0, 301, block)
+            buffer, got = np.empty((block, 41)), []
+            for start in starts:
+                rows = buffer[:min(block, 301 - start)]
+                blocks.standard_exponential(out=rows)
+                got.append(rows.copy())
+            assert np.array_equal(np.concatenate(got), spacings)
+            assert np.array_equal(np.concatenate([
+                blocks.integers(0, n_reg, size=(min(block, 301 - start), 40),
+                                dtype=np.int32) for start in starts]),
+                regions)
+            assert np.array_equal(whole.standard_exponential(64),
+                                  blocks.standard_exponential(64))
+            assert np.array_equal(whole.integers(0, n_reg, size=65),
+                                  blocks.integers(0, n_reg, size=65))
 
     def test_region_counts_uniform_chi2(self):
         n_samples, n_qd = 10_000, 10
@@ -324,13 +402,8 @@ def unfiltered_success_counts(n_qd, config, runs, thresholds):
     counts = {mode: np.zeros(len(t), dtype=np.int64)
               for mode, t in thresholds.items()}
     for chunk_index, done in enumerate(range(0, runs, scalability.CHUNK)):
-        m = min(scalability.CHUNK, runs - done)
-        rng = Generator(Philox(SeedSequence(config.seed,
-                                            spawn_key=(n_qd, chunk_index))))
-        spacings = rng.standard_exponential((m, n_qd + 1))
-        lam = ndtri(np.cumsum(spacings[:, :-1], axis=1)
-                    / spacings.sum(axis=1, keepdims=True))
-        regions = rng.integers(0, config.n_reg, size=(m, n_qd))
+        lam, regions = unfiltered_draw(n_qd, config, chunk_index,
+                                       min(scalability.CHUNK, runs - done))
         for mode, t in thresholds.items():
             spreads = _min_spreads(lam, regions, config.n_set, mode)
             counts[mode] += [np.count_nonzero(spreads <= x) for x in t]
@@ -343,19 +416,28 @@ def unfiltered_count(n_qd, cfg):
         {cfg.mode: [cfg.delta_lambda / cfg.sigma_qd]})[cfg.mode][0])
 
 
-def switch_tops(n_qd, cfg, m):
+def shares(masks, n_qd, n_set):
+    """The share of close windows in each streamed block's mask."""
+    return [np.count_nonzero(c) / (len(c) * (n_qd - n_set + 1))
+            for c in masks]
+
+
+def switch_tops(n_qd, cfg, m, every=False):
     """Tops just below and just above the one from which the first chunk
-    of m rows has DENSE_SHARE of its windows close (bisected)."""
-    width = n_qd - cfg.n_set + 1
+    of m rows has DENSE_SHARE of its windows close, or, with ``every``,
+    from which one of its row blocks has (bisected)."""
     lo, hi = 1e-6, SQRT_2PI / ((n_qd - 1) // (cfg.n_set - 1))
     for _ in range(30):
         mid = np.sqrt(lo * hi)
-        close = _draw(n_qd, cfg, 0, m, mid)[2]
-        if close is not None and \
-                np.count_nonzero(close) < DENSE_SHARE * m * width:
-            lo = mid
+        masks = stream(n_qd, cfg, 0, m, mid)[0]
+        if masks[0] is None:
+            sparse = False
+        elif every:
+            sparse = max(shares(masks, n_qd, cfg.n_set)) < DENSE_SHARE
         else:
-            hi = mid
+            sparse = shares([np.concatenate(masks)], n_qd,
+                            cfg.n_set)[0] < DENSE_SHARE
+        lo, hi = (mid, hi) if sparse else (lo, mid)
     return lo, hi
 
 
@@ -374,8 +456,10 @@ TUNING_RANGES = [0.0, 1e-6, 0.01, 1.0, 1e3]
 @st.composite
 def yield_groups(draw):
     """A grouped count: n_set of 1, n_reg and between, one or both modes,
-    several chunks of a small CHUNK, the last one partial.  The largest
-    tuning range drops every row, some rows (0.01 and 1) or none."""
+    several chunks of a small CHUNK, the last one partial, each walked in
+    its own row blocks or in blocks of 1 to 1000 rows (one block to many,
+    the last partial).  The largest tuning range drops every row, some
+    rows (0.01 and 1) or none."""
     n_reg = draw(st.sampled_from([1, 2, 3, 4, 12]))
     between = draw(st.integers(min(2, n_reg), n_reg))
     n_set = draw(st.sampled_from([1, n_reg, between, between, between]))
@@ -389,7 +473,8 @@ def yield_groups(draw):
                  seed=draw(st.integers(0, 2 ** 32 - 1)))
     return (draw(st.sampled_from(range(81))), cfg,
             draw(st.sampled_from(range(1, 401))), thresholds,
-            draw(st.sampled_from([16, 64, 256])))
+            draw(st.sampled_from([16, 64, 256])),
+            draw(st.sampled_from([None, 1, 7, 16, 100, 1000])))
 
 
 class TestSampleFilter:
@@ -436,9 +521,9 @@ class TestSampleFilter:
         # a row without a close window fails in both modes
         cfg = config(n_reg=n_reg, n_set=n_set)
         lam, regions = draw_wavelengths(n_qd, cfg, 0, 4000)
-        _, _, close, kept_regions = _draw(n_qd, cfg, 0, 4000, top)
+        masks, _, kept_regions = stream(n_qd, cfg, 0, 4000, top, 300)
         assert np.array_equal(regions, kept_regions)
-        kept = close.any(axis=1)
+        kept = np.concatenate(masks).any(axis=1)
         assert 0 < kept.sum() < len(lam)
         windows = lam[:, n_set - 1:] - lam[:, :n_qd - n_set + 1]
         assert np.all(windows[~kept].min(axis=1) > top)
@@ -451,7 +536,7 @@ class TestSampleFilter:
         # the per-window bound: a window left unmarked spans more than top
         cfg = config(n_reg=n_reg, n_set=n_set)
         lam, _ = draw_wavelengths(n_qd, cfg, 0, 4000)
-        close = _draw(n_qd, cfg, 0, 4000, top)[2]
+        close = np.concatenate(stream(n_qd, cfg, 0, 4000, top, 300)[0])
         width = n_qd - n_set + 1
         assert close.shape == (4000, n_qd + 1)
         assert not close[:, width:].any()
@@ -462,17 +547,29 @@ class TestSampleFilter:
 
     def test_draw_equals_unfiltered_sampler(self):
         # the bound marks windows and moves nothing: every row is drawn
-        # as by the unfiltered sampler, whatever top
+        # as by the unfiltered sampler, whatever top.  A dense block
+        # keeps the wavelengths of its kept rows; a sparse one the
+        # quantile inputs of some of its close rows, and their regions
         cfg = config(n_reg=4, n_set=3)
-        rng = Generator(Philox(SeedSequence(cfg.seed, spawn_key=(30, 2))))
-        spacings = rng.standard_exponential((500, 31))
-        lam = ndtri(np.cumsum(spacings[:, :-1], axis=1)
-                    / spacings.sum(axis=1, keepdims=True))
-        regions = rng.integers(0, cfg.n_reg, size=(500, 30))
-        for top in (0.0, 0.01, np.inf):
-            got, total, _, got_regions = _draw(30, cfg, 2, 500, top)
-            assert np.array_equal(ndtri(got[:, :-1] / total[:, None]), lam)
-            assert np.array_equal(got_regions, regions)
+        lam, regions = unfiltered_draw(30, cfg, 2, 500)
+        for top in (0.0, 0.01, 0.1, np.inf):
+            for block in (None, 1, 64):
+                masks, walked, got_regions = stream(30, cfg, 2, 500, top,
+                                                    block)
+                assert np.array_equal(got_regions, regions)
+                size = block or scalability._block_rows(30)
+                for start, close, (sparse, index, got, labels) in zip(
+                        range(0, 500, size), masks, walked):
+                    rows = slice(start, start + size)
+                    if not sparse:
+                        assert np.array_equal(got, lam[rows] if index is None
+                                              else lam[rows][index])
+                        continue
+                    assert np.array_equal(index - start * 31,
+                                          np.flatnonzero(close))
+                    near = close.any(axis=1)
+                    assert np.isin(ndtri(got), lam[rows][near]).all()
+                    assert np.isin(labels, regions[rows][near]).all()
 
     @pytest.mark.parametrize("n_reg,n_set", [
         (1, 1), (3, 1), (3, 2), (3, 3), (12, 1), (12, 2), (12, 3), (12, 4)])
@@ -480,25 +577,21 @@ class TestSampleFilter:
                                                  n_set):
         # tops on both sides of the sparse/dense switch (bisected on the
         # first chunk) and of the skip threshold, several chunks of 128
+        # rows, the last partial, each one block or blocks of 1, 16 or 48
         # rows, the last partial
         monkeypatch.setattr(scalability, "CHUNK", 128)
-        chunks, pieces = [], []
-        draw, close_minima = scalability._draw, scalability._close_minima
+        kept, keep = [], scalability._keep
 
-        def drawn(n_qd, cfg, chunk_index, m, top):
-            out = draw(n_qd, cfg, chunk_index, m, top)
-            close = out[2]
-            chunks.append("skip" if close is None else np.count_nonzero(close)
-                          / (m * (n_qd - n_set + 1)))
+        def recorded(spacings, total, close, n_set):
+            out = keep(spacings, total, close, n_set)
+            kept.append("skip" if close is None else
+                        (out[0], shares([close], spacings.shape[1] - 1,
+                                        n_set)[0]))
             return out
 
-        def sparse(*args):
-            pieces.append(args[2].shape)
-            return close_minima(*args)
-
-        monkeypatch.setattr(scalability, "_draw", drawn)
-        monkeypatch.setattr(scalability, "_close_minima", sparse)
+        monkeypatch.setattr(scalability, "_keep", recorded)
         runs = 300
+        mixed = 0
         for n_qd in (n_set + 1, 9, 24, 61):
             cfg = config(n_reg=n_reg, n_set=n_set, runs=runs)
             tops = [1e-6, 0.01, 1.0]
@@ -508,28 +601,47 @@ class TestSampleFilter:
                 tops += [below, above, skip * 0.999, skip * 1.001]
             for top in tops:
                 thresholds = {m: [0.0, top / 3, top] for m in MODES}
-                assert as_lists(_success_counts(n_qd, cfg, runs,
-                                                thresholds)) \
-                    == as_lists(unfiltered_success_counts(n_qd, cfg, runs,
+                want = as_lists(unfiltered_success_counts(n_qd, cfg, runs,
                                                           thresholds))
-        shares = [c for c in chunks if c != "skip"]
-        assert "skip" in chunks
+                for block in (None, 1, 16, 48):
+                    first = len(kept)
+                    with contextlib.ExitStack() as patches:
+                        for patch in () if block is None else \
+                                blocks_of(block):
+                            patches.enter_context(patch)
+                        assert as_lists(_success_counts(
+                            n_qd, cfg, runs, thresholds)) == want
+                    chunk = kept[first:first - (-128 // (block or 128))]
+                    mixed += {k[0] for k in chunk if k != "skip"} \
+                        == {True, False}
+        blocks = [k for k in kept if k != "skip"]
+        assert "skip" in kept
         if n_set > 1:
-            sparse_chunks = sum(0 < c < DENSE_SHARE for c in shares)
-            assert len(pieces) >= sparse_chunks > 0
-            assert any(c >= DENSE_SHARE for c in shares)
-            assert 0 in shares
+            # a block is sparse only below the switch (where its close
+            # windows also fit in its spacing bytes), and some chunk has
+            # blocks of both branches
+            assert blocks and all(share < DENSE_SHARE
+                                  for sparse, share in blocks if sparse)
+            assert any(share >= DENSE_SHARE for _, share in blocks)
+            assert 0 in [share for _, share in blocks]
+            assert mixed > 0
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
     @given(case=yield_groups())
     @example(case=(80, config(n_reg=4, n_set=1), 40,
-                   {m: TUNING_RANGES for m in MODES}, 64))
+                   {m: TUNING_RANGES for m in MODES}, 64, 7))
     @example(case=(6, config(n_reg=12, n_set=4), 150,
-                   {m: [0.01, 1.0] for m in MODES}, 64))
+                   {m: [0.01, 1.0] for m in MODES}, 64, 1))
+    @example(case=(40, config(n_reg=3, n_set=3), 400,
+                   {m: [0.02, 0.08] for m in MODES}, 256, 16))
     def test_counts_equal_unfiltered(self, case):
-        n_qd, cfg, runs, thresholds, chunk = case
-        with mock.patch.object(scalability, "CHUNK", chunk):
+        n_qd, cfg, runs, thresholds, chunk, block = case
+        with contextlib.ExitStack() as patches:
+            patches.enter_context(mock.patch.object(scalability, "CHUNK",
+                                                    chunk))
+            for patch in () if block is None else blocks_of(block):
+                patches.enter_context(patch)
             assert as_lists(_success_counts(n_qd, cfg, runs, thresholds)) \
                 == as_lists(unfiltered_success_counts(n_qd, cfg, runs,
                                                       thresholds))
@@ -538,9 +650,15 @@ class TestSampleFilter:
         # top = 0 marks no window, so no row reaches the kernels; at 1000
         # the bound provably marks a window in every row and is skipped
         cfg = config(runs=200)
-        close = _draw(10, cfg, 0, cfg.runs, 0.0)[2]
-        assert close.shape == (cfg.runs, 11) and not close.any()
-        assert _draw(10, cfg, 0, cfg.runs, 1e3)[2] is None
+        for block in (None, 1, 64):
+            masks, walked, _ = stream(10, cfg, 0, cfg.runs, 0.0, block)
+            close = np.concatenate(masks)
+            assert close.shape == (cfg.runs, 11) and not close.any()
+            assert all(sparse and not len(lam)
+                       for sparse, _, lam, _ in walked)
+            masks, walked, _ = stream(10, cfg, 0, cfg.runs, 1e3, block)
+            assert all(c is None for c in masks)
+            assert all(index is None for _, index, _, _ in walked)
         for top in (0.0, 1e3):
             thresholds = {m: [top] for m in MODES}
             assert as_lists(_success_counts(10, cfg, cfg.runs, thresholds)) \
@@ -558,56 +676,99 @@ class TestSampleFilter:
         assert got == self.PUBLISHED_COUNTS
 
 
+def traced(monkeypatch, n_qd, cfg, rows, thresholds):
+    """``_success_counts`` under tracemalloc: its counts, its traced peak,
+    the most bytes that its sparse blocks keep from pass 1 to their count
+    (close-window starts, quantile inputs and regions, all blocks held at
+    once), and the ``_keep`` branch of each block."""
+    sparse, walk = [], scalability._walk
+
+    def recorded(*args):
+        for out in walk(*args):
+            sparse.append(out[0])
+            yield out
+
+    monkeypatch.setattr(scalability, "_walk", recorded)
+    held = []
+    labels = scalability._labels
+
+    def kept(flat, regions, k):
+        out = labels(flat, regions, k)
+        held.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(scalability, "_labels", kept)
+    keep = scalability._keep
+
+    def kept_spacings(*args):
+        out = keep(*args)
+        if out[0]:
+            held.append(out[1].nbytes + out[2].nbytes)
+        return out
+
+    monkeypatch.setattr(scalability, "_keep", kept_spacings)
+    tracemalloc.start()
+    try:
+        counts = _success_counts(n_qd, cfg, rows, thresholds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return counts, peak, sum(held), sparse
+
+
 class TestChunkMemory:
-    """One chunk holds its spacing buffer, its int32 regions and a fixed
-    number of row-block temporaries; the pool multiplies this by its
-    width, and the size guard counts it (``chunk_bytes``)."""
+    """A chunk keeps, of each row block, at most the block's spacing bytes
+    and works one block at a time; the pool multiplies this by its width,
+    and the size guard counts it (``chunk_bytes``)."""
 
     @pytest.mark.parametrize("top", [0.01, 1.0])
     @pytest.mark.parametrize("modes", [MODES[:1], MODES[1:], MODES])
-    def test_traced_peak_within_buffers_and_blocks(self, modes, top):
+    def test_traced_peak_within_buffers_and_blocks(self, monkeypatch, modes,
+                                                   top):
         n_qd, rows = 54, 20_000
         cfg = config(runs=rows)
-        buffers = 8 * rows * (n_qd + 1) + 4 * rows * n_qd
-        blocks = BLOCK_TEMPS * 8 * BLOCK_ROWS * (n_qd + 1)
-        tracemalloc.start()
-        try:
-            counts = _success_counts(n_qd, cfg, rows,
-                                     {m: [top] for m in modes})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # the whole chunk's spacings and int32 regions, which a chunk
+        # held before it was walked in blocks
+        chunk = 8 * rows * (n_qd + 1) + 4 * rows * n_qd
+        counts, peak, state, sparse = traced(
+            monkeypatch, n_qd, cfg, rows, {m: [top] for m in modes})
         assert all(0 < c[0] for c in counts.values())
-        assert buffers < peak <= buffers + blocks
+        assert len(sparse) > 1
+        if top == 0.01:
+            # every block sparse: the peak is one block's spacing buffer,
+            # the gaps of its close mask and the mask, beside what the
+            # sparse blocks keep, and under half the whole chunk
+            assert all(sparse)
+            block = 8 * scalability._block_rows(n_qd) * (n_qd + 1)
+            assert peak <= 2.5 * block + state < chunk / 2
         assert peak <= chunk_bytes(n_qd, rows)
 
     @pytest.mark.parametrize("n_reg,n_set", [(3, 3), (12, 4), (3, 2)])
     def test_densest_sparse_chunk_within_chunk_bytes(self, monkeypatch,
                                                      n_reg, n_set):
-        # the densest top that the sparse branch still takes: its close
-        # windows span several pieces, each within the block temporaries
+        # the densest top at which every block is still sparse: the
+        # sparse blocks are counted several at once, each call within
+        # the close windows one sparse block may hold
         n_qd, rows = 54, 20_000
         cfg = config(n_reg=n_reg, n_set=n_set, runs=rows)
-        top = switch_tops(n_qd, cfg, rows)[0]
-        pieces, close_minima = [], scalability._close_minima
+        top = switch_tops(n_qd, cfg, rows, every=True)[0]
+        calls, close_minima = [], scalability._close_minima
 
-        def sparse(*args):
-            pieces.append(len(args[2]))
-            return close_minima(*args)
+        def sparse_count(flat, *args):
+            calls.append(len(flat))
+            return close_minima(flat, *args)
 
-        monkeypatch.setattr(scalability, "_close_minima", sparse)
+        monkeypatch.setattr(scalability, "_close_minima", sparse_count)
         thresholds = {m: [top] for m in MODES}
-        tracemalloc.start()
-        try:
-            counts = _success_counts(n_qd, cfg, rows, thresholds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(pieces) > 1 and sum(pieces) == rows
+        counts, peak, _, sparse = traced(monkeypatch, n_qd, cfg, rows,
+                                         thresholds)
+        limit = DENSE_SHARE * scalability._block_rows(n_qd) \
+            * (n_qd - n_set + 1)
+        assert all(sparse) and len(calls) > 1
+        assert max(calls) <= limit < sum(calls)
         assert peak <= chunk_bytes(n_qd, rows)
         assert as_lists(counts) == as_lists(
             unfiltered_success_counts(n_qd, cfg, rows, thresholds))
-
 
     @pytest.mark.parametrize("modes", [MODES[:1], MODES[1:], MODES])
     @pytest.mark.parametrize("n_qd,n_set", [(5, 2), (8, 2), (20, 8)])
@@ -615,8 +776,7 @@ class TestChunkMemory:
                                                             n_set, modes):
         # 64 regions at small N, just above the sparse/dense switch: the
         # window_distinct scan holds 24·n_reg bytes a row, far more than
-        # the row temporaries, and ndtri its scratch; the dense row blocks
-        # shrink so that both fit
+        # the row temporaries; the kernel calls shrink so that it fits
         rows = 20_000
         cfg = config(n_reg=64, n_set=n_set, runs=rows)
         thresholds = {m: [switch_tops(n_qd, cfg, rows)[1]] for m in modes}

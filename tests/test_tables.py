@@ -12,6 +12,7 @@ import pytest
 from wgqed.config import (WRITE_BLOCK_ROWS, resolve_config,
                           scalability_config, table_bytes, trace_times)
 from wgqed.dynamics import intensity_traces, pulsed_g2_map
+from wgqed import experiments
 from wgqed.experiments import (ResultBundle, Rows, _DEDUPE_MIN, _fields,
                                _fmt, _table, run_detuning_sweep, run_g2_map,
                                run_lifetime)
@@ -144,6 +145,25 @@ def test_distinct_block_stops_a_columns_sorts(tmp_path, monkeypatch):
     # sorts each of its four blocks
     assert sorted(sorts) == [_DEDUPE_MIN] + [WRITE_BLOCK_ROWS] * 5
 
+
+def test_repeating_column_formats_each_value_once(tmp_path, monkeypatch):
+    # g2-map's t2 column: the same 401 values in every block are
+    # formatted in the first block only; a block with new values formats
+    # just those, and the bytes stay those of the row writer
+    t2 = np.tile(np.linspace(-2.0, 2.0, 401), 8)[:3 * WRITE_BLOCK_ROWS]
+    t2[-100:] += 1e-3
+    formatted = []
+
+    class Counted(float):
+        def __repr__(self):
+            formatted.append(self)
+            return float.__repr__(self)
+
+    monkeypatch.setattr(experiments, "float", Counted, raising=False)
+    ResultBundle("tables", {"t": _table(["t2"], t2)}).write(tmp_path)
+    assert _body(tmp_path / "tables" / "t.csv") == \
+        _rows_text(zip(t2.tolist()))
+    assert len(formatted) == len(np.unique(t2))
 
 @pytest.mark.parametrize("n", [5, 700, 3 * WRITE_BLOCK_ROWS])
 def test_table_bytes_bounds_a_table_and_its_write(tmp_path, n):
