@@ -472,13 +472,22 @@ _MAP_ARRAYS = 8     # pulsed nt × nt floats per pair: the raw maps of the
                     # pair and its reverse, the far map, clipped results,
                     # the node average and the jittered maps
 # ResultBundle.write formats a table this many rows at a time, so that the
-# text it holds stays small next to the columns themselves
+# text it holds stays small next to the columns themselves; a table of
+# float arrays goes through floattext in blocks of about WRITE_BLOCK_VALUES
+# values instead (write_block_rows)
 WRITE_BLOCK_ROWS = 1024
+WRITE_BLOCK_VALUES = 1 << 14
 
 
 def axis_length(spec):
     """Points of a grid axis, read from its spec without building it."""
     return len(spec["values"]) if "values" in spec else spec["points"]
+
+
+def write_block_rows(columns):
+    """Rows of one floattext block of a table of ``columns`` float
+    columns."""
+    return max(1, WRITE_BLOCK_VALUES // columns)
 
 
 def table_bytes(rows, columns):
@@ -488,11 +497,18 @@ def table_bytes(rows, columns):
     A table keeps its columns (``experiments.Rows``): an array column
     takes 8 bytes a value and a list column (``experiments._fields``) at
     most 41, a list slot with its over-allocation and a boxed np.float64,
-    so 41 bounds both.  The writer holds the text of one block of
-    WRITE_BLOCK_ROWS rows besides, which tracemalloc measured at 128–139
-    bytes a value for 1–30 columns of 24-character floats.
+    so 41 bounds both.  The writer holds the text of one block besides.
+    Value by value that is WRITE_BLOCK_ROWS rows, which tracemalloc
+    measured at 128–139 bytes a value for 1–30 columns of 24-character
+    floats.  Through ``floattext`` it is ``write_block_rows(columns)``
+    rows, whose cells, their packed text and the kernel's arrays
+    tracemalloc measured at 126–189 bytes a value for 1–30 columns of
+    floats of 21–23 characters, and at 126–214 when every value falls
+    back to ``float.__repr__`` (24 characters).
     """
-    return (41 * rows + 140 * min(rows, WRITE_BLOCK_ROWS)) * columns
+    return 41 * rows * columns + max(
+        140 * min(rows, WRITE_BLOCK_ROWS) * columns,
+        220 * min(rows, write_block_rows(columns)) * columns)
 
 
 def _trace_count(cfg):

@@ -24,16 +24,20 @@ import numpy as np
 
 from . import __version__, presets
 from .config import (WRITE_BLOCK_ROWS, expand_range, scalability_config,
-                     trace_times)
+                     trace_times, write_block_rows)
+from .floattext import WIDTH, float_text
 from .instrument import (DetectorModel, jitter_convolve, node_average,
                          noise_nodes, spectral_diffusion_average)
 from .model import DriveConfig
 from .units import angular_to_ghz, ghz_to_angular
 
 
-# Below this many values a block's float64 column is formatted value by
-# value: sorting out its distinct values costs more than it saves.
+# Below this many rows a block's float column is formatted whole: sorting
+# out its distinct values costs more than it saves.
 _DEDUPE_MIN = 64
+# A block of float columns with fewer values is formatted value by value,
+# which costs less than float_text's fixed ~0.2 ms a call.
+_FLOAT_BLOCK_MIN = 512
 
 
 class Rows(Sequence):
@@ -101,64 +105,78 @@ class ResultBundle:
 
 def _write_rows(fh, rows):
     """Write each row as one CSV line, with the text ``_fmt`` gives each
-    value, formatting a block of rows one column at a time."""
+    value, formatting a block of rows one column at a time.
+
+    A table of float arrays is cut into blocks of ``write_block_rows``
+    rows; each block of at least ``_FLOAT_BLOCK_MIN`` values is formatted
+    by ``floattext.float_text``, every other block of any table value by
+    value in blocks of WRITE_BLOCK_ROWS rows.
+    """
     columns = rows.columns if isinstance(rows, Rows) else list(zip(*rows))
-    # per column: the sorted distinct bit patterns of its last deduplicated
-    # block and their text, or None once a block came out more than half
-    # distinct, which says its later blocks will not repeat
-    known = [(np.empty(0, np.int64), [])] * len(columns)
-    for lo in range(0, len(rows), WRITE_BLOCK_ROWS):
-        fh.write(_lines([c[lo:lo + WRITE_BLOCK_ROWS] for c in columns],
-                        known))
-        fh.write("\n")
+    floats = bool(columns) and all(
+        isinstance(c, np.ndarray) and c.dtype.kind == "f" and c.itemsize <= 8
+        for c in columns)
+    step = write_block_rows(len(columns)) if floats else WRITE_BLOCK_ROWS
+    # per column: may its next block repeat?  A block that came out more
+    # than half distinct says its later blocks will not.
+    dedupe = [True] * len(columns)
+    for lo in range(0, len(rows), step):
+        block = [c[lo:lo + step] for c in columns]
+        if floats and len(block[0]) * len(block) >= _FLOAT_BLOCK_MIN:
+            fh.write(_float_lines(block, dedupe))
+        else:
+            fh.write(_lines(block))
+            fh.write("\n")
 
 
-def _lines(block, known):
+def _lines(block):
     """The CSV lines, without the last newline, of a block of columns,
-    updating each column's ``known`` text; the text of its values is
-    freed on return."""
-    text = []
-    for i, values in enumerate(block):
-        column, known[i] = _column_text(values, known[i])
-        text.append(column)
+    value by value; the text of its values is freed on return.  A float
+    array is formatted through Python floats, which ``float`` converts
+    exactly."""
+    text = [list(map(float.__repr__, values.tolist()))
+            if isinstance(values, np.ndarray) and values.dtype.kind == "f"
+            and values.itemsize <= 8 else list(map(_fmt, values))
+            for values in block]
     return "\n".join(map(",".join, zip(*text)))
 
 
-def _column_text(values, known):
-    """``_fmt`` of each value of one column block, and the ``known`` text
-    for the column's next block.
+def _float_lines(block, dedupe):
+    """The CSV lines, each with its newline, of a block of float array
+    columns, updating each column's ``dedupe`` flag.
 
-    A float array is formatted through Python floats, which ``float``
-    converts exactly.  Unless ``known`` is None, a long float64 block in
-    which at most half the values are distinct formats each distinct bit
-    pattern once, so ±0.0 and every NaN keep their own text, and takes
-    the text of a pattern that the column's previous such block had from
-    ``known`` (g2-map's t2 column repeats its 401 values in every block);
-    its own patterns and their text are the next block's ``known``.  A
-    block with more distinct values returns None.
+    Each value gets a cell of its ``float_text`` and its separator, a
+    comma or the newline after the last column, and the NUL padding is
+    dropped.  While ``dedupe`` holds, a column of at least _DEDUPE_MIN
+    rows in which at most half the bit patterns are distinct is formatted
+    once per pattern (g2-map's t1 and t2), so ±0.0 and every NaN keep
+    their own text; a block with more distinct values clears the flag.
+    The block's values are formatted in one call.
     """
-    if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"
-            and values.itemsize <= 8):
-        return list(map(_fmt, values)), known
-    if known is not None and values.dtype == np.float64 and \
-            len(values) >= _DEDUPE_MIN:
-        bits, index = np.unique(values.view(np.int64), return_inverse=True)
-        if 2 * len(bits) > len(values):
-            known = None
-        else:
-            before, told = known
-            at = np.searchsorted(before, bits).clip(max=len(before) - 1)
-            new = np.flatnonzero(before[at] != bits) if len(before) else \
-                np.arange(len(bits))
-            floats = bits.view(np.float64).tolist()
-            if len(new) == len(bits):
-                text = list(map(float.__repr__, floats))
-            else:
-                text = list(map(told.__getitem__, at.tolist()))
-                for i in new.tolist():
-                    text[i] = float.__repr__(floats[i])
-            return list(map(text.__getitem__, index.tolist())), (bits, text)
-    return list(map(float.__repr__, values.tolist())), known
+    rows = len(block[0])
+    cells = np.empty((rows, len(block), WIDTH + 1), np.uint8)
+    cells[:, :, WIDTH] = ord(",")
+    cells[:, -1, WIDTH] = ord("\n")
+    distinct, rest = {}, []
+    for i, values in enumerate(block):
+        if dedupe[i] and rows >= _DEDUPE_MIN:
+            bits, index = np.unique(np.asarray(values, np.float64).view(
+                np.int64), return_inverse=True)
+            if 2 * len(bits) <= rows:
+                distinct[i] = bits.view(np.float64), index
+                continue
+            dedupe[i] = False
+        rest.append(i)
+    parts = [values for values, _ in distinct.values()]
+    parts.append(np.column_stack([block[i] for i in rest]).ravel()
+                 if rest else np.empty(0))
+    text = float_text(np.concatenate(parts))
+    lo = 0
+    for i, (values, index) in distinct.items():
+        cells[:, i, :WIDTH] = text[lo:lo + len(values)][index]
+        lo += len(values)
+    cells[:, rest, :WIDTH] = text[lo:].reshape(rows, len(rest), WIDTH)
+    return cells[cells != 0].tobytes().decode("ascii")
 
 
 def _fmt(v):

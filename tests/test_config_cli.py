@@ -345,7 +345,7 @@ class TestDenseSizeGuard:
     def test_transmission_scan_resolvent_over_budget_exit_2(
             self, tmp_path, capsys):
         # 16·12²·P bytes of resolvents and a table of P rows and 3 columns:
-        # P = 884 654 is the first above 2 GiB
+        # P = 883 346 is the first above 2 GiB
         def scan(points):
             return {"experiment": "transmission-scan",
                     "system": collinear(12),
@@ -356,10 +356,10 @@ class TestDenseSizeGuard:
         def need(points):
             return 16 * 144 * points + config.table_bytes(points, 3)
 
-        assert need(884653) <= DENSE_BUDGET_BYTES < need(884654)
-        assert main(["validate", str(write_yaml(tmp_path, scan(884653)))]) \
+        assert need(883345) <= DENSE_BUDGET_BYTES < need(883346)
+        assert main(["validate", str(write_yaml(tmp_path, scan(883345)))]) \
             == 0
-        p = write_yaml(tmp_path, scan(884654))
+        p = write_yaml(tmp_path, scan(883346))
         assert main(["validate", str(p)]) == 2
         capsys.readouterr()
         assert main(["run", str(p), "--out", str(tmp_path / "x")]) == 2

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from wgqed.config import (WRITE_BLOCK_ROWS, resolve_config,
-                          scalability_config, table_bytes, trace_times)
+                          scalability_config, table_bytes, trace_times,
+                          write_block_rows)
 from wgqed.dynamics import intensity_traces, pulsed_g2_map
-from wgqed import experiments
-from wgqed.experiments import (ResultBundle, Rows, _DEDUPE_MIN, _fields,
-                               _fmt, _table, run_detuning_sweep, run_g2_map,
-                               run_lifetime)
+from wgqed import experiments, floattext
+from wgqed.experiments import (ResultBundle, Rows, _DEDUPE_MIN,
+                               _FLOAT_BLOCK_MIN, _fields, _fmt, _table,
+                               run_detuning_sweep, run_g2_map, run_lifetime)
 from wgqed.instrument import jitter_convolve
 from wgqed.units import ghz_to_angular
 
@@ -104,20 +105,28 @@ def _columns(n):
 
 
 @pytest.mark.parametrize("n", [
-    1, _DEDUPE_MIN - 1, _DEDUPE_MIN, WRITE_BLOCK_ROWS,
-    2 * WRITE_BLOCK_ROWS + _DEDUPE_MIN - 1, 2 * WRITE_BLOCK_ROWS + 5])
+    1, _DEDUPE_MIN - 1, _DEDUPE_MIN, _FLOAT_BLOCK_MIN // 4 - 1,
+    _FLOAT_BLOCK_MIN // 4, WRITE_BLOCK_ROWS,
+    2 * WRITE_BLOCK_ROWS + _DEDUPE_MIN - 1, 2 * WRITE_BLOCK_ROWS + 5,
+    write_block_rows(4) + _DEDUPE_MIN])
 def test_writer_text_equals_the_row_writer(tmp_path, n):
     columns = _columns(n)
     names = [f"c{k}" for k in range(len(columns))]
     table = _table(names, *columns)
     listed = [tuple(r) for r in table[1]]
+    # the float arrays alone: formatted by floattext from
+    # _FLOAT_BLOCK_MIN values a block, value by value below
+    floats = _table(names[:4], *columns[:4])
     bundle = ResultBundle("tables", {"columns": table,
                                      "listed": (names, listed),
+                                     "floats": floats,
                                      "empty": _table(names, *[[]] * 8)})
     bundle.write(tmp_path)
     expected = _rows_text(listed)
     assert _body(tmp_path / "tables" / "columns.csv") == expected
     assert _body(tmp_path / "tables" / "listed.csv") == expected
+    assert _body(tmp_path / "tables" / "floats.csv") == \
+        _rows_text(r[:4] for r in listed)
     assert _body(tmp_path / "tables" / "empty.csv") == ""
     assert expected.count("\n") == n
 
@@ -125,13 +134,13 @@ def test_writer_text_equals_the_row_writer(tmp_path, n):
 def test_distinct_block_stops_a_columns_sorts(tmp_path, monkeypatch):
     # a column whose blocks are all distinct, one whose blocks repeat
     # (with ±0.0 and NaNs), and one that is distinct in its first block
-    # and repeats ±0.0 and NaNs after it
-    n = 3 * WRITE_BLOCK_ROWS + _DEDUPE_MIN
+    # and repeats ±0.0 and NaNs after it; the last block is short
+    rows, last = write_block_rows(3), _FLOAT_BLOCK_MIN // 2
+    n = 3 * rows + last
     rng = np.random.default_rng(n)
     specials = np.resize(np.array(SPECIAL), n)
     columns = [rng.standard_normal(n), specials,
-               np.concatenate([rng.random(WRITE_BLOCK_ROWS),
-                               specials[WRITE_BLOCK_ROWS:]])]
+               np.concatenate([rng.random(rows), specials[rows:]])]
     sorts = []
     unique = np.unique
     monkeypatch.setattr(np, "unique",
@@ -143,27 +152,39 @@ def test_distinct_block_stops_a_columns_sorts(tmp_path, monkeypatch):
         _rows_text(zip(*(c.tolist() for c in columns)))
     # the distinct columns sort their first block only; the repeating one
     # sorts each of its four blocks
-    assert sorted(sorts) == [_DEDUPE_MIN] + [WRITE_BLOCK_ROWS] * 5
+    assert sorted(sorts) == [last] + [rows] * 5
 
 
 def test_repeating_column_formats_each_value_once(tmp_path, monkeypatch):
-    # g2-map's t2 column: the same 401 values in every block are
-    # formatted in the first block only; a block with new values formats
-    # just those, and the bytes stay those of the row writer
-    t2 = np.tile(np.linspace(-2.0, 2.0, 401), 8)[:3 * WRITE_BLOCK_ROWS]
+    # g2-map's t2 column: each block hands its 401 distinct values, and
+    # any new ones, to float_text once, and float.__repr__ runs once for
+    # each of those that float_text does not certify itself: here 0.0 and
+    # the powers of two ±0.25, ±0.5, ±1 and ±2
+    rows = write_block_rows(1)
+    t2 = np.tile(np.linspace(-2.0, 2.0, 401), 3 * rows // 401 + 1)
+    t2 = t2[:3 * rows]
     t2[-100:] += 1e-3
-    formatted = []
+    formatted, calls = [], []
 
     class Counted(float):
         def __repr__(self):
             formatted.append(self)
             return float.__repr__(self)
 
-    monkeypatch.setattr(experiments, "float", Counted, raising=False)
+    float_text = experiments.float_text
+    monkeypatch.setattr(floattext, "float", Counted, raising=False)
+    monkeypatch.setattr(experiments, "float_text",
+                        lambda v: calls.append(len(v)) or float_text(v))
     ResultBundle("tables", {"t": _table(["t2"], t2)}).write(tmp_path)
     assert _body(tmp_path / "tables" / "t.csv") == \
         _rows_text(zip(t2.tolist()))
-    assert len(formatted) == len(np.unique(t2))
+    blocks = [np.unique(t2[lo:lo + rows]) for lo in range(0, len(t2), rows)]
+    assert calls == [len(b) for b in blocks] == [401, 401, 501]
+    assert sorted(formatted) == sorted(
+        v for b in blocks for v in b.tolist()
+        if v == 0 or abs(np.frexp(v)[0]) == 0.5)
+    assert len(formatted) == 9 + 9 + 9
+
 
 @pytest.mark.parametrize("n", [5, 700, 3 * WRITE_BLOCK_ROWS])
 def test_table_bytes_bounds_a_table_and_its_write(tmp_path, n):
