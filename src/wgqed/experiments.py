@@ -105,12 +105,13 @@ class ResultBundle:
 
 def _write_rows(fh, rows):
     """Write each row as one CSV line, with the text ``_fmt`` gives each
-    value, formatting a block of rows one column at a time.
+    value, a block of rows at a time.
 
     A table of float arrays is cut into blocks of ``write_block_rows``
-    rows; each block of at least ``_FLOAT_BLOCK_MIN`` values is formatted
-    by ``floattext.float_text``, every other block of any table value by
-    value in blocks of WRITE_BLOCK_ROWS rows.
+    rows, and each block of at least ``_FLOAT_BLOCK_MIN`` values is
+    formatted by ``floattext.float_text``; any other table is formatted
+    value by value, one column at a time, in blocks of WRITE_BLOCK_ROWS
+    rows, and so is a shorter block.
     """
     columns = rows.columns if isinstance(rows, Rows) else list(zip(*rows))
     floats = bool(columns) and all(
