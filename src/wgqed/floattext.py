@@ -152,6 +152,8 @@ def _shortest(x, pow10):
     d1 = np.minimum(np.abs(g1), up1)
     d2 = np.minimum(np.abs(g2), up2)
     ten, hundred = d1 < h, d2 < h
+    # no distance at h, and no tie between the two candidates of the
+    # length taken: |f| = 1/2 for 17 digits, g1 = 5 for 16
     sure &= (np.abs(d1 - h) >= _TOL) & (np.abs(d2 - h) >= _TOL) & \
         (np.abs(np.where(ten, g1 - 5.0, np.abs(f) - 0.5)) >= _TOL)
     D = np.where(hundred, N - r2 + 100 * (up2 < g2),
@@ -165,7 +167,7 @@ def _shortest(x, pow10):
             q = np.where(m, q // 10 ** step, q)
             z = z + step * m
         zeros[more] = z
-        top = more[D[more] == 10 ** 17]
+        top = more[D[more] == 10 ** 17]     # rounded up to one digit
         D[top], zeros[top], k[top] = 10 ** 16, 16, k[top] - 1
     return D, zeros, 17 - k, sure
 
